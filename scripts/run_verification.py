@@ -3,42 +3,46 @@
 every report; exits nonzero if any property is violated."""
 
 import argparse
+import re
 import sys
+import textwrap
 import time
 
-from psigroups import build_catalog, verify_theorems
-from psigroups.catalog import DEFAULT_CATALOGS
+from psigroups import GroupError, build_catalog, verify_theorems
+from psigroups.catalog import DEFAULT_CATALOGS, check_catalog_spec
+from psigroups.verify import format_reports
+
+
+def catalog_spec(text: str) -> tuple[int, int]:
+    """A ``P:MAX`` argument as (prime, max order), validated like build_catalog."""
+    match = re.fullmatch(r"(\d+):(\d+)", text, re.ASCII)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"expected P:MAX, got {text!r}")
+    prime, max_order = int(match[1]), int(match[2])
+    try:
+        check_catalog_spec([prime], max_order)
+    except GroupError as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    return prime, max_order
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--catalogs", nargs="*", metavar="P:MAX",
+        "--catalogs", nargs="*", metavar="P:MAX", type=catalog_spec,
         help="override the default catalogs, e.g. --catalogs 2:128 3:81")
     args = parser.parse_args()
 
-    specs = DEFAULT_CATALOGS
-    if args.catalogs:
-        specs = tuple(
-            (int(spec.split(":")[0]), int(spec.split(":")[1])) for spec in args.catalogs)
-
     violated = False
-    for prime, max_order in specs:
+    for prime, max_order in args.catalogs or DEFAULT_CATALOGS:
         t0 = time.perf_counter()
         cat = build_catalog([prime], max_order)
         reports = verify_theorems(cat)
         elapsed = time.perf_counter() - t0
         print(f"== catalog p={prime} max_order={max_order}: "
               f"{len(cat.entries)} groups, {elapsed:.2f}s")
-        for report in reports:
-            print(f"  {report.theorem:<24} checked={report.pairs_checked} "
-                  f"applicable={report.hypothesis_applicable} "
-                  f"violations={len(report.violations)} [{report.status}]")
-            for subject, detail in report.violations:
-                violated = True
-                print(f"    violation {subject}: {detail}")
-            for subject, detail in report.notes:
-                print(f"    note {subject}: {detail}")
+        sys.stdout.write(textwrap.indent(format_reports(reports), "  "))
+        violated = violated or any(r.violations for r in reports)
     return 1 if violated else 0
 
 

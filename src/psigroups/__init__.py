@@ -57,8 +57,10 @@ from .omega import (
 from .psi import (
     HypothesisCheck,
     OrderBijection,
+    OrderDecision,
     PsiComparison,
     SpectrumMismatch,
+    compare_filtrations,
     order_bijection,
     predict_order,
     psi_bottom_recursion,

@@ -18,9 +18,9 @@ from .expr import group_from_text
 from .groups import (
     FiniteGroup,
     GroupBuildError,
-    _is_prime,
     max_table_order,
     order_spectrum,
+    prime_power,
 )
 from .omega import OmegaFiltration, omega_filtration, omega_subgroup, psi_brute, psi_subset
 
@@ -149,11 +149,12 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
     )
 
 
-def build_catalog(primes: Iterable[int], max_order: int) -> Catalog:
-    """Build the catalog for the given primes up to the given order."""
+def check_catalog_spec(primes: Iterable[int], max_order: int) -> tuple[int, ...]:
+    """The distinct primes, ascending; GroupBuildError for a non-prime or an
+    order cap outside [1, table size limit]."""
     primes = tuple(sorted(set(int(p) for p in primes)))
     for p in primes:
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise GroupBuildError(f"{p} is not a prime")
     if max_order < 1:
         raise GroupBuildError(f"max order must be positive, got {max_order}")
@@ -161,6 +162,12 @@ def build_catalog(primes: Iterable[int], max_order: int) -> Catalog:
     if max_order > limit:
         raise GroupBuildError(
             f"max order {max_order} exceeds table size limit {limit}")
+    return primes
+
+
+def build_catalog(primes: Iterable[int], max_order: int) -> Catalog:
+    """Build the catalog for the given primes up to the given order."""
+    primes = check_catalog_spec(primes, max_order)
     entries = [make_entry(group_from_text(name))
                for name in catalog_names(primes, max_order)]
     entries.sort(key=lambda e: (e.order, e.name))

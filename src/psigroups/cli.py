@@ -22,7 +22,7 @@ from .groups import FiniteGroup, GroupError, parse_group_table, serialize_group
 from .groups import order_spectrum
 from .omega import omega_filtration, psi_brute
 from .psi import OrderBijection, order_bijection, predict_order
-from .verify import verify_theorems
+from .verify import format_reports, verify_theorems
 
 
 def _render_psi(group: FiniteGroup) -> str:
@@ -76,21 +76,8 @@ _GROUP_RENDERERS = {
 
 
 def _render_verify(prime: int, max_order: int) -> tuple[str, int]:
-    cat = build_catalog([prime], max_order)
-    reports = verify_theorems(cat)
-    lines = []
-    violated = False
-    for report in reports:
-        lines.append(
-            f"{report.theorem:<24} checked={report.pairs_checked} "
-            f"applicable={report.hypothesis_applicable} "
-            f"violations={len(report.violations)} [{report.status}]")
-        for subject, detail in report.violations:
-            violated = True
-            lines.append(f"  violation {subject}: {detail}")
-        for subject, detail in report.notes:
-            lines.append(f"  note {subject}: {detail}")
-    return "\n".join(lines) + "\n", 1 if violated else 0
+    reports = verify_theorems(build_catalog([prime], max_order))
+    return format_reports(reports), 1 if any(r.violations for r in reports) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,7 +142,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
                 handle.write(serialize_group(group))
             return 0
         if args.command == "import":
-            with open(args.path) as handle:
+            # undecodable bytes become U+FFFD, which the parser rejects as non-ASCII
+            with open(args.path, encoding="ascii", errors="replace") as handle:
                 text = handle.read()
             group = parse_group_table(text, name=args.path, check_assoc=args.check_assoc)
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))

@@ -83,7 +83,7 @@ def parse_group_expr(text: str) -> GroupExpr:
         pos += 1
         skip_ws()
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isascii() and text[pos].isdigit():
             pos += 1
         if start == pos:
             raise GroupExprError(f"expected an integer after {letter!r}", pos)

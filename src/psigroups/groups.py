@@ -9,6 +9,7 @@ and safe to share.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -335,9 +336,8 @@ def heisenberg_group(k: int, name: str | None = None) -> FiniteGroup:
     Realized as unitriangular 3x3 matrices over Z/p: triples (a, b, c) with
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index a*p^2 + b*p + c.
     """
-    p = round(k ** (1 / 3))
-    _require(p ** 3 == k and p > 2 and _is_prime(p),
-             f"H{k}: order must be p^3 for an odd prime p")
+    p, j = prime_power(k) or (0, 0)
+    _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
     v = np.arange(k, dtype=np.int64)
     a, b, c = v // (p * p), (v // p) % p, v % p
@@ -352,13 +352,8 @@ def modular_group(k: int, name: str | None = None) -> FiniteGroup:
 
     Normal form a^i b^e, index e*p^(j-1) + i.
     """
-    p = _smallest_prime_factor(k)
-    j = 0
-    m = k
-    while m % p == 0:
-        m //= p
-        j += 1
-    _require(m == 1 and j >= 3, f"M{k}: order must be p^j with j >= 3")
+    p, j = prime_power(k) or (0, 0)
+    _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
     _check_order_limit(k)
     mc = p ** (j - 1)
     s = 1 + p ** (j - 2)
@@ -381,24 +376,17 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     return group_from_table(name or f"{a.name}*{b.name}", table)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _smallest_prime_factor(k: int) -> int:
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return d
-        d += 1
-    return k
+def prime_power(k: int) -> tuple[int, int] | None:
+    """(p, j) with k = p^j for a prime p and j >= 1, by trial division; None
+    when k is not a prime power (every k < 2 included)."""
+    if k < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(k) + 1) if k % d == 0), k)
+    j = 0
+    while k % p == 0:
+        k //= p
+        j += 1
+    return (p, j) if k == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +483,17 @@ def serialize_group(group: FiniteGroup) -> str:
 
 
 def parse_group_table(text: str, name: str = "GT1", check_assoc: bool = False) -> FiniteGroup:
-    """Parse GT1 text and validate every group-table invariant.
+    """Parse GT1 text and validate every group-table invariant; only ASCII
+    text is accepted, so every entry is an ASCII decimal integer.
 
     Imported tables larger than the exhaustive-check threshold get sampled
     associativity checks unless ``check_assoc`` forces the full pass.
     """
+    if not text.isascii():
+        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise TableFormatError(
+            f"non-ASCII character at offset {bad}: "
+            "GT1 is ASCII text with decimal entries")
     if not text.endswith("\n"):
         raise TableFormatError("GT1 text must end with a newline")
     lines = text[:-1].split("\n")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, NotPGroupError, Subgroup, closure, power_map
+from .groups import FiniteGroup, NotPGroupError, Subgroup, closure, power_map, prime_power
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,10 @@ def prime_of(group: FiniteGroup) -> int:
     n = group.order
     if n == 1:
         raise NotPGroupError("trivial group has no determined prime")
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    m = n
-    while m % p == 0:
-        m //= p
-    if m != 1:
+    power = prime_power(n)
+    if power is None:
         raise NotPGroupError(f"group order {n} is not a prime power")
-    return p
+    return power[0]
 
 
 def exponent(group: FiniteGroup) -> int:

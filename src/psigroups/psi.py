@@ -21,7 +21,7 @@ from .groups import (
     order_spectrum,
     quotient,
 )
-from .omega import exponent_log, omega_filtration, omega_subgroup, psi_brute
+from .omega import OmegaFiltration, exponent_log, omega_filtration, omega_subgroup, psi_brute
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,26 @@ class HypothesisCheck:
     name: str
     passed: bool
     detail: str
+
+
+@dataclass(frozen=True)
+class OrderDecision:
+    """Which ordering/equality theorem two omega filtrations meet.
+
+    ``theorem`` is "T1.1", "T1.2", "T1.3" or None and ``predicted_relation``
+    its prediction for psi(P) versus psi(Q).  ``larger`` names the side ("P"
+    or "Q") the hypotheses single out as having the larger psi: the
+    larger-exponent side whenever exponents differ, even if T1.2 then fails
+    on Omega_(m-1), and the side with the smaller omega subgroup at
+    ``diff_level`` under T1.3.
+    """
+
+    theorem: str | None
+    predicted_relation: str | None
+    summary: str
+    hypothesis_log: tuple[HypothesisCheck, ...]
+    larger: str | None = None
+    diff_level: int | None = None
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,71 @@ def _require_same_order_and_prime(p_group: FiniteGroup, q_group: FiniteGroup) ->
     return pp
 
 
+def compare_filtrations(filt_p: OmegaFiltration, filt_q: OmegaFiltration) -> OrderDecision:
+    """Decide from two same-order filtrations which theorem orders psi.
+
+    Hypotheses tried in order: exponent gap with a proper top omega subgroup
+    on the larger-exponent side (T1.2, that side has the larger psi); for
+    equal exponents and both groups CP2, the first filtration difference
+    scanning down from the top (T1.3, the side with the smaller omega
+    subgroup there has the larger psi) or full filtration agreement (T1.1,
+    equal psi).
+    """
+    if (filt_p.p, filt_p.order) != (filt_q.p, filt_q.order):
+        raise GroupError(
+            f"filtrations of groups of different order: {filt_p.p}-group of order "
+            f"{filt_p.order} vs {filt_q.p}-group of order {filt_q.order}")
+    exp_p = filt_p.p**filt_p.m
+    exp_q = filt_q.p**filt_q.m
+    if exp_p != exp_q:
+        side, filt = ("P", filt_p) if exp_p > exp_q else ("Q", filt_q)
+        top_sub = filt.subgroup_size_at(filt.m - 1)
+        proper = top_sub < filt.order
+        log = (
+            HypothesisCheck(
+                "T1.2: exponents differ", True, f"exp(P) = {exp_p}, exp(Q) = {exp_q}"),
+            HypothesisCheck(
+                f"T1.2: Omega_{{m-1}}({side}) proper", proper,
+                f"|Omega_{filt.m - 1}({side})| = {top_sub}, |{side}| = {filt.order}"),
+        )
+        if not proper:
+            return OrderDecision(
+                None, None, f"T1.2 inapplicable: Omega_{{m-1}}({side})={side}", log,
+                larger=side)
+        predicted = ">" if side == "P" else "<"
+        return OrderDecision("T1.2", predicted, f"T1.2 predicts {predicted}", log, larger=side)
+
+    cp2_p = cp2_from_filtration(filt_p).is_cp2
+    cp2_q = cp2_from_filtration(filt_q).is_cp2
+    log = (
+        HypothesisCheck(
+            "T1.1/T1.3: exponents equal", True, f"exp(P) = exp(Q) = {exp_p}"),
+        HypothesisCheck(
+            "T1.1/T1.3: both groups CP2", cp2_p and cp2_q,
+            f"P CP2: {'yes' if cp2_p else 'no'}, Q CP2: {'yes' if cp2_q else 'no'}"),
+    )
+    if not (cp2_p and cp2_q):
+        return OrderDecision(None, None, "no theorem applicable: not both CP2", log)
+    m = filt_p.m
+    diff_level = next(
+        (i for i in range(m - 1, -1, -1)
+         if filt_p.subgroup_size_at(i) != filt_q.subgroup_size_at(i)), None)
+    if diff_level is None:
+        log += (HypothesisCheck(
+            "T1.1: filtrations agree", True, f"|Omega_i(P)| = |Omega_i(Q)| for i = 0..{m}"),)
+        return OrderDecision("T1.1", "=", "T1.1 predicts =", log)
+    size_p = filt_p.subgroup_size_at(diff_level)
+    size_q = filt_q.subgroup_size_at(diff_level)
+    log += (HypothesisCheck(
+        f"T1.3: filtrations first differ at level {diff_level}", True,
+        f"|Omega_{diff_level}(P)| = {size_p}, |Omega_{diff_level}(Q)| = {size_q}"),)
+    side = "P" if size_p < size_q else "Q"
+    predicted = ">" if side == "P" else "<"
+    return OrderDecision(
+        "T1.3", predicted, f"T1.3 predicts {predicted}", log,
+        larger=side, diff_level=diff_level)
+
+
 def psi_equal_via_omega(p_group: FiniteGroup, q_group: FiniteGroup) -> bool:
     """Decide psi equality of two CP2 p-groups of the same order from their
     filtrations alone: psi(P) = psi(Q) iff |Omega_i(P)| = |Omega_i(Q)| for
@@ -144,101 +229,30 @@ def psi_equal_via_omega(p_group: FiniteGroup, q_group: FiniteGroup) -> bool:
     filt_p = omega_filtration(p_group)
     filt_q = omega_filtration(q_group)
     for group, filt in ((p_group, filt_p), (q_group, filt_q)):
-        report = cp2_from_filtration(filt)
-        if not report.is_cp2:
+        if not cp2_from_filtration(filt).is_cp2:
             raise NotCp2Error(f"{group.name} is not CP2")
-    top = max(filt_p.m, filt_q.m)
-    return all(
-        filt_p.subgroup_size_at(i) == filt_q.subgroup_size_at(i) for i in range(top + 1))
+    return compare_filtrations(filt_p, filt_q).theorem == "T1.1"
 
 
 def predict_order(p_group: FiniteGroup, q_group: FiniteGroup) -> PsiComparison:
     """Compare psi over two same-order p-groups and, where an ordering or
-    equality theorem applies, record its prediction.
-
-    Hypotheses tried in order: exponent gap with a proper top omega subgroup
-    on the larger-exponent side (predicts strict ordering); for equal
-    exponents and both groups CP2, the first filtration difference scanning
-    down from the top (predicts strict ordering) or full filtration agreement
-    (predicts equality).
-    """
+    equality theorem applies, record its prediction (see
+    ``compare_filtrations``)."""
     prime = _require_same_order_and_prime(p_group, q_group)
-    n = p_group.order
-    log: list[HypothesisCheck] = []
-    log.append(HypothesisCheck(
-        "same order", True, f"|P| = |Q| = {n}"))
-    log.append(HypothesisCheck("same prime", True, f"p = {prime}"))
-
     psi_p = psi_brute(p_group)
     psi_q = psi_brute(q_group)
-    relation = "<" if psi_p < psi_q else (">" if psi_p > psi_q else "=")
-
-    filt_p = omega_filtration(p_group)
-    filt_q = omega_filtration(q_group)
-    exp_p = prime**filt_p.m
-    exp_q = prime**filt_q.m
-
-    theorem: str | None = None
-    predicted: str | None = None
-    if exp_p != exp_q:
-        log.append(HypothesisCheck(
-            "T1.2: exponents differ", True, f"exp(P) = {exp_p}, exp(Q) = {exp_q}"))
-        side, filt = ("P", filt_p) if exp_p > exp_q else ("Q", filt_q)
-        m = filt.m
-        top_sub = filt.levels[m - 1].subgroup_size
-        proper = top_sub < n
-        log.append(HypothesisCheck(
-            f"T1.2: Omega_{{m-1}}({side}) proper", proper,
-            f"|Omega_{m - 1}({side})| = {top_sub}, |{side}| = {n}"))
-        if proper:
-            theorem = "T1.2"
-            predicted = ">" if exp_p > exp_q else "<"
-            summary = f"T1.2 predicts {predicted}"
-        else:
-            summary = f"T1.2 inapplicable: Omega_{{m-1}}({side})={side}"
-    else:
-        log.append(HypothesisCheck(
-            "T1.1/T1.3: exponents equal", True, f"exp(P) = exp(Q) = {exp_p}"))
-        cp2_p = cp2_from_filtration(filt_p).is_cp2
-        cp2_q = cp2_from_filtration(filt_q).is_cp2
-        log.append(HypothesisCheck(
-            "T1.1/T1.3: both groups CP2", cp2_p and cp2_q,
-            f"P CP2: {'yes' if cp2_p else 'no'}, Q CP2: {'yes' if cp2_q else 'no'}"))
-        if cp2_p and cp2_q:
-            m = filt_p.m
-            diff_level = None
-            for i in range(m - 1, -1, -1):
-                if filt_p.subgroup_size_at(i) != filt_q.subgroup_size_at(i):
-                    diff_level = i
-                    break
-            if diff_level is None:
-                log.append(HypothesisCheck(
-                    "T1.1: filtrations agree", True,
-                    f"|Omega_i(P)| = |Omega_i(Q)| for i = 0..{m}"))
-                theorem = "T1.1"
-                predicted = "="
-                summary = "T1.1 predicts ="
-            else:
-                size_p = filt_p.subgroup_size_at(diff_level)
-                size_q = filt_q.subgroup_size_at(diff_level)
-                log.append(HypothesisCheck(
-                    f"T1.3: filtrations first differ at level {diff_level}", True,
-                    f"|Omega_{diff_level}(P)| = {size_p}, "
-                    f"|Omega_{diff_level}(Q)| = {size_q}"))
-                theorem = "T1.3"
-                predicted = ">" if size_p < size_q else "<"
-                summary = f"T1.3 predicts {predicted}"
-        else:
-            summary = "no theorem applicable: not both CP2"
-
+    decision = compare_filtrations(omega_filtration(p_group), omega_filtration(q_group))
     return PsiComparison(
         psi_p=psi_p,
         psi_q=psi_q,
-        relation=relation,
-        predicted_relation=predicted,
-        theorem=theorem,
-        summary=summary,
-        hypothesis_log=tuple(log),
+        relation="<" if psi_p < psi_q else (">" if psi_p > psi_q else "="),
+        predicted_relation=decision.predicted_relation,
+        theorem=decision.theorem,
+        summary=decision.summary,
+        hypothesis_log=(
+            HypothesisCheck("same order", True, f"|P| = |Q| = {p_group.order}"),
+            HypothesisCheck("same prime", True, f"p = {prime}"),
+        ) + decision.hypothesis_log,
     )
 
 

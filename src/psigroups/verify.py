@@ -19,6 +19,8 @@ from .groups import OmegaChainError, quotient
 from .omega import omega_filtration, omega_subgroup, omega_set
 from .psi import (
     OrderBijection,
+    OrderDecision,
+    compare_filtrations,
     order_bijection,
     psi_bottom_recursion,
     psi_filtration,
@@ -99,6 +101,11 @@ def _same_order_pairs(cat: Catalog):
 
 def _pair_name(a: CatalogEntry, b: CatalogEntry) -> str:
     return f"({a.name}, {b.name})"
+
+
+def _oriented(a: CatalogEntry, b: CatalogEntry, decision: OrderDecision):
+    """(larger-psi entry, smaller-psi entry) as the decision names them."""
+    return (a, b) if decision.larger == "P" else (b, a)
 
 
 def _check_cp2_agreement(cat: Catalog) -> TheoremReport:
@@ -194,13 +201,6 @@ def _check_psi_oracles(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _filtrations_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
-    top = max(a.filtration.m, b.filtration.m)
-    return all(
-        a.filtration.subgroup_size_at(i) == b.filtration.subgroup_size_at(i)
-        for i in range(top + 1))
-
-
 def _level_psi_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
     top = max(a.filtration.m, b.filtration.m)
     return all(a.level_psi_at(i) == b.level_psi_at(i) for i in range(top + 1))
@@ -213,7 +213,7 @@ def _check_t11(cat: Catalog) -> TheoremReport:
             tally.record(_pair_name(a, b), applicable=False)
             continue
         psi_eq = a.psi == b.psi
-        filt_eq = _filtrations_equal(a, b)
+        filt_eq = compare_filtrations(a.filtration, b.filtration).theorem == "T1.1"
         level_eq = _level_psi_equal(a, b)
         ok = psi_eq == filt_eq == level_eq
         tally.record(
@@ -223,25 +223,17 @@ def _check_t11(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _orient_by_exponent(a: CatalogEntry, b: CatalogEntry):
-    """(larger-exponent entry, smaller-exponent entry); exponents differ."""
-    return (a, b) if a.exponent > b.exponent else (b, a)
-
-
 def _check_t12(cat: Catalog) -> TheoremReport:
     tally = _Tally("T1.2")
     for a, b in _same_order_pairs(cat):
-        if a.exponent == b.exponent:
+        decision = compare_filtrations(a.filtration, b.filtration)
+        big, small = _oriented(a, b, decision)
+        if decision.theorem != "T1.2":
             tally.record(_pair_name(a, b), applicable=False)
-            continue
-        big, small = _orient_by_exponent(a, b)
-        m = big.filtration.m
-        proper = big.filtration.subgroup_size_at(m - 1) < big.order
-        if not proper:
-            tally.record(_pair_name(a, b), applicable=False)
-            if cp2_from_filtration(big.filtration).is_cp2:
+            # a larger side but no theorem: exponents differ, Omega_(m-1)(big) = big
+            if decision.theorem is None and decision.larger is not None and big.cp2.is_cp2:
                 tally.note(_pair_name(a, b),
-                           f"CP2 group {big.name} with Omega_{m - 1} improper")
+                           f"CP2 group {big.name} with Omega_{big.filtration.m - 1} improper")
             continue
         tally.record(
             _pair_name(a, b), applicable=True, ok=big.psi > small.psi,
@@ -253,21 +245,12 @@ def _check_t12(cat: Catalog) -> TheoremReport:
 def _check_t13(cat: Catalog) -> TheoremReport:
     tally = _Tally("T1.3")
     for a, b in _same_order_pairs(cat):
-        applicable = (a.cp2.is_cp2 and b.cp2.is_cp2
-                      and a.exponent == b.exponent
-                      and not _filtrations_equal(a, b))
-        if not applicable:
+        decision = compare_filtrations(a.filtration, b.filtration)
+        if decision.theorem != "T1.3":
             tally.record(_pair_name(a, b), applicable=False)
             continue
-        m = a.filtration.m
-        diff_level = next(
-            i for i in range(m - 1, -1, -1)
-            if a.filtration.subgroup_size_at(i) != b.filtration.subgroup_size_at(i))
-        # orient so that big has the smaller omega subgroup at diff_level
-        if a.filtration.subgroup_size_at(diff_level) < b.filtration.subgroup_size_at(diff_level):
-            big, small = a, b
-        else:
-            big, small = b, a
+        big, small = _oriented(a, b, decision)
+        diff_level = decision.diff_level
         conclusion = big.psi > small.psi
         intermediate = big.level_psi_at(diff_level + 1) > small.level_psi_at(diff_level + 1)
         tally.record(
@@ -295,20 +278,14 @@ def _check_t14(cat: Catalog) -> TheoremReport:
         ok = psi_eq == found
         detail = f"psi equal: {psi_eq} ({a.psi} vs {b.psi}), bijection exists: {found}"
         if ok and found:
-            # the pairing must carry the next-to-top omega subgroup across
-            if a.filtration.m == b.filtration.m:
-                m = a.filtration.m
-                inside_a = set(omega_set(a.group, m - 1))
-                inside_b = set(omega_set(b.group, m - 1))
-                carried = all(
-                    (x in inside_a) == (y in inside_b) for x, y in bijection.pairs)
-                if not carried:
-                    ok = False
-                    detail = f"bijection does not respect Omega_{m - 1}"
-            else:
+            # the pairing must carry the next-to-top omega subgroup across;
+            # equal order spectra give both groups the same exponent p^m
+            m = a.filtration.m
+            inside_a = set(omega_set(a.group, m - 1))
+            inside_b = set(omega_set(b.group, m - 1))
+            if not all((x in inside_a) == (y in inside_b) for x, y in bijection.pairs):
                 ok = False
-                detail = (f"psi equal but exponents differ: "
-                          f"{a.exponent} vs {b.exponent}")
+                detail = f"bijection does not respect Omega_{m - 1}"
         tally.record(_pair_name(a, b), applicable=True, ok=ok, detail=detail)
     return tally.report()
 
@@ -325,15 +302,12 @@ def _check_psi_mod_p(cat: Catalog) -> TheoremReport:
 def _check_exp_gap_bound(cat: Catalog) -> TheoremReport:
     tally = _Tally("exp-gap-bound")
     for a, b in _same_order_pairs(cat):
-        if a.exponent == b.exponent:
+        decision = compare_filtrations(a.filtration, b.filtration)
+        if decision.theorem != "T1.2":
             tally.record(_pair_name(a, b), applicable=False)
             continue
-        big, small = _orient_by_exponent(a, b)
-        m = big.filtration.m
-        if big.filtration.subgroup_size_at(m - 1) >= big.order:
-            tally.record(_pair_name(a, b), applicable=False)
-            continue
-        pivot = big.order * big.prime ** (m - 1)
+        big, small = _oriented(a, b, decision)
+        pivot = big.order * big.prime ** (big.filtration.m - 1)
         tally.record(
             _pair_name(a, b), applicable=True,
             ok=small.psi < pivot < big.psi,
@@ -344,16 +318,28 @@ def _check_exp_gap_bound(cat: Catalog) -> TheoremReport:
 
 def _check_abelian_injectivity(cat: Catalog) -> TheoremReport:
     tally = _Tally("abelian-psi-injective")
-    buckets: dict[tuple[int, int], list[CatalogEntry]] = {}
-    for entry in cat.entries:
-        if entry.is_abelian:
-            buckets.setdefault((entry.prime, entry.order), []).append(entry)
-    for key in sorted(buckets):
-        for a, b in itertools.combinations(buckets[key], 2):
+    # is_abelian scans the whole table, so test each entry once, not once per pair
+    abelian = {entry.name for entry in cat.entries if entry.is_abelian}
+    for a, b in _same_order_pairs(cat):
+        if a.name in abelian and b.name in abelian:
             tally.record(
                 _pair_name(a, b), applicable=True, ok=a.psi != b.psi,
                 detail=f"distinct abelian groups share psi = {a.psi}")
     return tally.report()
+
+
+def format_reports(reports) -> str:
+    """One status line per report, then its violations and notes: the text
+    of ``psigroups verify``."""
+    lines = []
+    for report in reports:
+        lines.append(
+            f"{report.theorem:<24} checked={report.pairs_checked} "
+            f"applicable={report.hypothesis_applicable} "
+            f"violations={len(report.violations)} [{report.status}]")
+        lines.extend(f"  violation {subject}: {detail}" for subject, detail in report.violations)
+        lines.extend(f"  note {subject}: {detail}" for subject, detail in report.notes)
+    return "\n".join(lines) + "\n"
 
 
 def verify_theorems(cat: Catalog) -> list[TheoremReport]:

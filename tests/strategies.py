@@ -42,3 +42,24 @@ group_names = _bounded_products(ATOMS, max_order=96, max_factors=3)
 p2_group_names = _bounded_products(P_ATOMS[2], max_order=64, max_factors=3)
 p3_group_names = _bounded_products(P_ATOMS[3], max_order=81, max_factors=2)
 p_group_names = st.one_of(p2_group_names, p3_group_names)
+
+
+def _names_by_order(atoms: dict[str, int], max_order: int, max_factors: int):
+    """Every product of 1..max_factors atoms up to max_order, keyed by order."""
+    buckets: dict[int, list[str]] = {}
+    frontier = [("", 1)]
+    for _ in range(max_factors):
+        frontier = [(f"{name}*{atom}" if name else atom, order * size)
+                    for name, order in frontier for atom, size in atoms.items()
+                    if order * size <= max_order]
+        for name, order in frontier:
+            buckets.setdefault(order, []).append(name)
+    return buckets
+
+
+# two names of groups of the same prime-power order
+same_order_p_group_pairs = st.sampled_from([
+    names
+    for p, max_order, max_factors in ((2, 64, 3), (3, 81, 2))
+    for names in _names_by_order(P_ATOMS[p], max_order, max_factors).values()
+]).flatmap(lambda names: st.tuples(st.sampled_from(names), st.sampled_from(names)))

@@ -19,6 +19,10 @@ def run_cli(capsys, *argv):
     ("psi_c3c3c3.txt", ["psi", "C3*C3*C3"]),
     ("compare_counterexample.txt", ["compare", "D16*C2*C2*C2*C2", "C4*C4*C4*C4"]),
     ("cp2_d8.txt", ["cp2", "D8"]),
+    ("compare_c27_c9c3.txt", ["compare", "C27", "C9*C3"]),
+    ("compare_c9c9_c9c3c3.txt", ["compare", "C9*C9", "C9*C3*C3"]),
+    ("compare_c9c3_m27.txt", ["compare", "C9*C3", "M27"]),
+    ("compare_d8_q8.txt", ["compare", "D8", "Q8"]),
 ])
 def test_golden_outputs(capsys, golden, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -178,6 +182,20 @@ def test_import_bad_table_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "import", str(bad), "psi")
     assert code == 2
     assert "latin" in err
+
+
+@pytest.mark.parametrize("data", [
+    "GT1 2\n0 1\n1 \u00b2\n".encode(),        # superscript two passes str.isdigit
+    "GT1 \u0662\n0 1\n1 0\n".encode(),        # Arabic-Indic two in the header
+    b"GT1 2\n0 1\n1 \xff\n",                  # not UTF-8 at all
+], ids=["superscript-entry", "arabic-indic-header", "undecodable-byte"])
+def test_import_non_ascii_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "bad.gt1"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "import", str(path), "psi")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "non-ASCII" in err
 
 
 def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):

@@ -58,6 +58,8 @@ def test_unknown_constructor_offset_inside_product():
     ("C0", "must be >= 1"),
     ("C99999999999999999999", "too large"),
     ("4C", "expected a constructor letter"),
+    ("C\u00b2", "expected an integer"),
+    ("C\u0662", "expected an integer"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(GroupExprError) as err:

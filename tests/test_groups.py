@@ -50,7 +50,7 @@ def test_counterexample_group_has_exponent_eight():
     assert max(naive_order(table_of(g), x) for x in range(g.order)) == 8
 
 
-@pytest.mark.parametrize("text", ["Q12", "H8", "H16", "D5", "D2", "M4", "M12", "Q4"])
+@pytest.mark.parametrize("text", ["Q12", "H8", "H16", "D5", "D2", "M4", "M12", "Q4", "M1", "H1"])
 def test_constructor_domain_errors(text):
     with pytest.raises(GroupBuildError):
         group_from_text(text)
@@ -272,6 +272,8 @@ def test_round_trip_is_identity_on_tables(name):
     ("GT1 2\n0 1\n1 2\n", "out of range"),
     ("GT1 2\n1 0\n0 1\n", "identity is not at index 0"),
     ("GT1 2\n0 1\n1 -0\n", "nonnegative decimal"),
+    ("GT1 2\n0 1\n1 \u00b2\n", "non-ASCII character at offset 12"),
+    ("GT1 \u0662\n0 1\n1 0\n", "non-ASCII character at offset 4"),
 ])
 def test_parse_group_table_errors(text, fragment):
     with pytest.raises(TableFormatError) as err:

@@ -7,9 +7,11 @@ from psigroups import (
     OmegaChainError,
     OrderBijection,
     SpectrumMismatch,
+    compare_filtrations,
     element_order,
     group_from_text,
     is_cp2_pairwise,
+    omega_filtration,
     order_bijection,
     predict_order,
     psi_bottom_recursion,
@@ -19,7 +21,7 @@ from psigroups import (
     psi_top_recursion,
 )
 from oracle import naive_psi, table_of
-from strategies import p_group_names
+from strategies import p_group_names, same_order_p_group_pairs
 
 
 # --- top recursion -------------------------------------------------------------
@@ -186,6 +188,36 @@ def test_prediction_matches_reality(name_p, name_q):
     if comparison.predicted_relation is not None:
         assert all(check.passed for check in comparison.hypothesis_log)
         assert comparison.predicted_relation == comparison.relation
+
+
+# --- compare_filtrations -------------------------------------------------------
+
+@given(same_order_p_group_pairs)
+@settings(max_examples=40, deadline=None)
+def test_decider_t11_iff_both_cp2_and_equal_filtrations(names):
+    p_group = group_from_text(names[0])
+    q_group = group_from_text(names[1])
+    fp, fq = omega_filtration(p_group), omega_filtration(q_group)
+    both_cp2 = is_cp2_pairwise(p_group).is_cp2 and is_cp2_pairwise(q_group).is_cp2
+    assert (compare_filtrations(fp, fq).theorem == "T1.1") == (
+        both_cp2 and fp.subgroup_sizes == fq.subgroup_sizes)
+
+
+def _filtration(name):
+    return omega_filtration(group_from_text(name))
+
+
+def test_decider_orients_the_larger_side():
+    assert compare_filtrations(_filtration("C27"), _filtration("C9*C3")).larger == "P"
+    assert compare_filtrations(_filtration("C9*C3"), _filtration("C27")).larger == "Q"
+    decision = compare_filtrations(_filtration("C9*C3*C3"), _filtration("C9*C9"))
+    assert (decision.theorem, decision.predicted_relation) == ("T1.3", "<")
+    assert (decision.larger, decision.diff_level) == ("Q", 1)
+
+
+def test_decider_rejects_different_orders():
+    with pytest.raises(GroupError):
+        compare_filtrations(_filtration("C8"), _filtration("C4"))
 
 
 # --- order bijections ----------------------------------------------------------

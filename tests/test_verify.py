@@ -1,7 +1,13 @@
+import runpy
+import sys
+from pathlib import Path
+
 import pytest
 
 from psigroups import Catalog, TheoremReport, build_catalog, verify_theorems
-from psigroups.verify import REPORT_ORDER
+from psigroups.verify import REPORT_ORDER, format_reports
+
+SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +71,40 @@ def test_empty_catalog_is_vacuous():
 def test_default_battery_p5():
     reports = verify_theorems(build_catalog([5], 125))
     assert not any(r.status == "violated" for r in reports)
+
+
+def test_format_reports_lists_violations_and_notes():
+    reports = [TheoremReport("T1.1", 2, 1, (("(A, B)", "bad"),), (("(C, D)", "fyi"),)),
+               TheoremReport("T1.2", 1, 0, ())]
+    assert format_reports(reports) == (
+        "T1.1                     checked=2 applicable=1 violations=1 [violated]\n"
+        "  violation (A, B): bad\n"
+        "  note (C, D): fyi\n"
+        "T1.2                     checked=1 applicable=0 violations=0 [vacuous]\n")
+
+
+@pytest.mark.parametrize("spec,fragment", [
+    ("2", "expected P:MAX"),
+    ("2:x", "expected P:MAX"),
+    ("4:16", "4 is not a prime"),
+    ("2:0", "max order must be positive"),
+])
+def test_script_rejects_malformed_catalog_spec(capsys, monkeypatch, spec, fragment):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--catalogs", spec])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --catalogs" in captured.err and fragment in captured.err
+
+
+def test_script_runs_a_small_catalog(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--catalogs", "3:27"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPT), run_name="__main__")
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("== catalog p=3 max_order=27: ")
+    assert lines[1:] == [
+        "  " + line for line in format_reports(verify_theorems(build_catalog([3], 27))).splitlines()]
