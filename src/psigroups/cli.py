@@ -111,8 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("import", help="run a subcommand on a GT1 table file")
     cmd.add_argument("path")
     cmd.add_argument("subcommand", choices=sorted(_GROUP_RENDERERS))
-    cmd.add_argument("--check-assoc", action="store_true",
-                     help="force the exhaustive associativity check")
     return parser
 
 
@@ -145,7 +143,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             # undecodable bytes become U+FFFD, which the parser rejects as non-ASCII
             with open(args.path, encoding="ascii", errors="replace") as handle:
                 text = handle.read()
-            group = parse_group_table(text, name=args.path, check_assoc=args.check_assoc)
+            group = parse_group_table(text, name=args.path)
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

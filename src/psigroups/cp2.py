@@ -30,11 +30,16 @@ class Cp2Report:
     failing_level: int | None = None
 
 
+def _pair_orders(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """n x n matrices o(xy) and max(o(x), o(y)) over all ordered pairs (x, y)."""
+    orders = group.element_orders
+    return orders[group.table], np.maximum.outer(orders, orders)
+
+
 def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     """Scan all ordered pairs; on failure report the first witness by (x, y)."""
     orders = group.element_orders
-    product_orders = orders[group.table]
-    bound = np.maximum.outer(orders, orders)
+    product_orders, bound = _pair_orders(group)
     bad = product_orders > bound
     if not bad.any():
         return Cp2Report(is_cp2=True, method="pairwise")

@@ -1,10 +1,17 @@
 """Finite groups as dense multiplication tables over 0-based element indices.
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
-index of a*b.  Index 0 is always the identity.  Tables are validated on
-construction (latin square, identity placement, associativity) and element
-orders and inverses are computed eagerly, so a constructed group is immutable
-and safe to share.
+index of a*b.  Index 0 is always the identity.  Element orders and inverses
+are computed eagerly, so a constructed group is immutable and safe to share.
+
+Tables are validated once, exactly, where they enter from outside: a table
+passed to ``group_from_table`` by a caller, and every GT1 import, is checked
+for shape, entry range, the latin property, identity placement and
+associativity (Light's test, exact at every size).  Tables this module builds
+itself are trusted and not re-checked: the C/D/Q/H/M constructors and
+``direct_product`` write group laws by construction, ``Subgroup.as_group``
+restricts a table to a set the ``Subgroup`` closure check has accepted, and
+``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
 """
 
 from __future__ import annotations
@@ -17,11 +24,6 @@ import numpy as np
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "PSIGROUPS_MAX_ORDER"
-
-# exhaustive associativity checking up to this order, sampling beyond
-FULL_ASSOC_LIMIT = 512
-ASSOC_SAMPLES_PER_SQUARE = 10
-_ASSOC_SEED = 0x5170
 
 
 class GroupError(ValueError):
@@ -169,8 +171,7 @@ class Subgroup:
         mem = np.asarray(self.members, dtype=np.int64)
         restricted = np.searchsorted(mem, self.parent.table[np.ix_(mem, mem)])
         return group_from_table(
-            name or f"{self.parent.name}[{len(mem)}]", restricted, assoc_check="auto"
-        )
+            name or f"{self.parent.name}[{len(mem)}]", restricted, trusted=True)
 
     def __repr__(self) -> str:
         return f"<Subgroup of {self.parent.name} size {len(self.members)}>"
@@ -196,31 +197,32 @@ def _check_identity(table: np.ndarray) -> None:
         raise TableFormatError("identity is not at index 0")
 
 
-def _check_assoc_full(table: np.ndarray) -> None:
-    for a in range(table.shape[0]):
-        row = table[a]
-        if not np.array_equal(table[row], row[table]):
-            lhs, rhs = table[row], row[table]
-            b, c = np.argwhere(lhs != rhs)[0]
-            raise TableFormatError(
-                f"associativity failure at ({a},{int(b)},{int(c)})")
+def _check_assoc_light(table: np.ndarray) -> None:
+    """Exact associativity test (Light; Clifford & Preston 1961, section 1.2).
 
-
-def _check_assoc_sampled(table: np.ndarray) -> None:
+    The elements g with (xg)y = x(gy) for all x, y are closed under products,
+    so it suffices to check a generating set: greedily the lowest element not
+    yet generated by the checked ones.  A group needs at most log2(n) of them,
+    for O(n^2 log n) work in all.
+    """
     n = table.shape[0]
-    rng = np.random.default_rng(_ASSOC_SEED + n)
-    remaining = ASSOC_SAMPLES_PER_SQUARE * n * n
-    chunk = 1 << 20
-    while remaining > 0:
-        m = min(remaining, chunk)
-        a, b, c = rng.integers(0, n, size=(3, m))
-        lhs = table[table[a, b], c]
-        rhs = table[a, table[b, c]]
+    covered = np.zeros(n, dtype=bool)
+    covered[0] = True
+    gens: list[int] = []
+    while not covered.all():
+        g = int(np.argmin(covered))
+        # (xg)y and x(gy); np.take keeps the column gather in C order, where
+        # table[:, perm] comes back in Fortran order and slows the comparison
+        lhs, rhs = table[table[:, g]], np.take(table, table[g], axis=1)
         if not np.array_equal(lhs, rhs):
-            k = int(np.flatnonzero(lhs != rhs)[0])
-            raise TableFormatError(
-                f"associativity failure at ({int(a[k])},{int(b[k])},{int(c[k])})")
-        remaining -= m
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise TableFormatError(f"associativity failure at ({int(x)},{g},{int(y)})")
+        gens.append(g)
+        frontier = np.flatnonzero(covered)
+        while frontier.size:
+            prods = table[np.ix_(frontier, gens)].ravel()
+            frontier = np.unique(prods[~covered[prods]])
+            covered[frontier] = True
 
 
 def _compute_orders(table: np.ndarray) -> np.ndarray:
@@ -243,13 +245,8 @@ def _compute_orders(table: np.ndarray) -> np.ndarray:
     return orders
 
 
-def group_from_table(name: str, table, assoc_check: str = "auto") -> FiniteGroup:
-    """Validate a raw multiplication table and wrap it as a FiniteGroup.
-
-    assoc_check: "auto" checks associativity exhaustively up to order 512 and
-    trusts larger tables (constructors), "sample" draws >= 10 n^2 random
-    triples above 512 (imports), "full" always checks exhaustively.
-    """
+def _validated(table) -> np.ndarray:
+    """The table as contiguous int32 after every group-table check."""
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise TableFormatError(f"table must be square, got shape {arr.shape}")
@@ -257,20 +254,24 @@ def group_from_table(name: str, table, assoc_check: str = "auto") -> FiniteGroup
         raise TableFormatError("table must have at least one element")
     if not np.issubdtype(arr.dtype, np.integer):
         raise TableFormatError(f"table entries must be integers, got {arr.dtype}")
-    n = arr.shape[0]
-    if arr.min() < 0 or arr.max() >= n:
+    if arr.min() < 0 or arr.max() >= arr.shape[0]:
         raise TableFormatError("table entry out of range [0, n)")
     arr = np.ascontiguousarray(arr, dtype=np.int32)
-
     _check_latin(arr)
     _check_identity(arr)
-    if assoc_check not in ("auto", "sample", "full"):
-        raise ValueError(f"unknown assoc_check mode {assoc_check!r}")
-    if assoc_check == "full" or n <= FULL_ASSOC_LIMIT:
-        _check_assoc_full(arr)
-    elif assoc_check == "sample":
-        _check_assoc_sampled(arr)
+    _check_assoc_light(arr)
+    return arr
 
+
+def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
+    """Validate a raw multiplication table and wrap it as a FiniteGroup.
+
+    Every check runs (shape, dtype, range, latin square, identity at index 0,
+    exact associativity) unless ``trusted`` is set, which only this module's
+    own constructors and operations do, for tables that are groups by
+    construction.
+    """
+    arr = np.ascontiguousarray(table, dtype=np.int32) if trusted else _validated(table)
     orders = _compute_orders(arr)
     inverses = np.ascontiguousarray((arr == 0).argmax(axis=1), dtype=np.int32)
     for a in (arr, orders, inverses):
@@ -297,7 +298,7 @@ def cyclic_group(k: int, name: str | None = None) -> FiniteGroup:
     _require(k >= 1, f"C{k}: order must be >= 1")
     _check_order_limit(k)
     v = np.arange(k, dtype=np.int64)
-    return group_from_table(name or f"C{k}", np.add.outer(v, v) % k)
+    return group_from_table(name or f"C{k}", np.add.outer(v, v) % k, trusted=True)
 
 
 def dihedral_group(k: int, name: str | None = None) -> FiniteGroup:
@@ -310,7 +311,7 @@ def dihedral_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m
-    return group_from_table(name or f"D{k}", table)
+    return group_from_table(name or f"D{k}", table, trusted=True)
 
 
 def quaternion_group(k: int, name: str | None = None) -> FiniteGroup:
@@ -327,7 +328,7 @@ def quaternion_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m
-    return group_from_table(name or f"Q{k}", table)
+    return group_from_table(name or f"Q{k}", table, trusted=True)
 
 
 def heisenberg_group(k: int, name: str | None = None) -> FiniteGroup:
@@ -344,7 +345,7 @@ def heisenberg_group(k: int, name: str | None = None) -> FiniteGroup:
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
     a2, b2, c2 = a[None, :], b[None, :], c[None, :]
     table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-    return group_from_table(name or f"H{k}", table)
+    return group_from_table(name or f"H{k}", table, trusted=True)
 
 
 def modular_group(k: int, name: str | None = None) -> FiniteGroup:
@@ -364,7 +365,7 @@ def modular_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
-    return group_from_table(name or f"M{k}", table)
+    return group_from_table(name or f"M{k}", table, trusted=True)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -373,7 +374,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> F
     _check_order_limit(n)
     ia, ib = np.divmod(np.arange(n, dtype=np.int64), b.order)
     table = a.table[np.ix_(ia, ia)].astype(np.int64) * b.order + b.table[np.ix_(ib, ib)]
-    return group_from_table(name or f"{a.name}*{b.name}", table)
+    return group_from_table(name or f"{a.name}*{b.name}", table, trusted=True)
 
 
 def prime_power(k: int) -> tuple[int, int] | None:
@@ -425,18 +426,23 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
 def closure(group: FiniteGroup, seed) -> Subgroup:
     """Smallest subgroup containing ``seed``, by saturation under products
     and inverses."""
-    seed = np.asarray(sorted(set(int(x) for x in seed)), dtype=np.int64)
-    if seed.size and (seed[0] < 0 or seed[-1] >= group.order):
-        bad = int(seed[0] if seed[0] < 0 else seed[-1])
+    seed = np.fromiter(seed, dtype=np.int64)
+    if seed.size and (seed.min() < 0 or seed.max() >= group.order):
+        bad = int(seed.min() if seed.min() < 0 else seed.max())
         raise IndexError(f"seed index {bad} out of range for order {group.order}")
-    cur = np.unique(np.concatenate([[0], seed, group.inverses[seed]]).astype(np.int64))
+    inside = np.zeros(group.order, dtype=bool)
+    inside[0] = True
+    inside[seed] = True
+    inside[group.inverses[seed]] = True
     while True:
-        prods = np.unique(group.table[np.ix_(cur, cur)])
-        new = np.unique(np.concatenate([prods, group.inverses[prods]]))
-        if new.size == cur.size:  # cur is always a subset of new
+        cur = np.flatnonzero(inside)
+        prods = group.table[np.ix_(cur, cur)]
+        if inside[prods].all() and inside[group.inverses[cur]].all():
             break
-        cur = new
-    return Subgroup(group, tuple(int(x) for x in cur))
+        inside[prods] = True
+        inside[group.inverses[inside]] = True
+    del prods  # Subgroup's closure check gathers the same table again
+    return Subgroup(group, tuple(cur.tolist()))
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
@@ -467,8 +473,7 @@ def quotient(group: FiniteGroup, normal: Subgroup, name: str | None = None) -> F
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep)
     qtable = coset_of[group.table[np.ix_(reps, reps)]]
-    return group_from_table(name or f"{group.name}/{len(normal)}", qtable,
-                            assoc_check="auto")
+    return group_from_table(name or f"{group.name}/{len(normal)}", qtable, trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +487,10 @@ def serialize_group(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_group_table(text: str, name: str = "GT1", check_assoc: bool = False) -> FiniteGroup:
-    """Parse GT1 text and validate every group-table invariant; only ASCII
-    text is accepted, so every entry is an ASCII decimal integer.
-
-    Imported tables larger than the exhaustive-check threshold get sampled
-    associativity checks unless ``check_assoc`` forces the full pass.
+def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
+    """Parse GT1 text and validate every group-table invariant, associativity
+    exactly; only ASCII text is accepted, so every entry is an ASCII decimal
+    integer.
     """
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
@@ -517,5 +520,6 @@ def parse_group_table(text: str, name: str = "GT1", check_assoc: bool = False) -
         if max(values) >= n:
             raise TableFormatError(f"row {r}: entry {max(values)} out of range [0, {n})")
         rows.append(values)
-    return group_from_table(name, np.array(rows, dtype=np.int32),
-                            assoc_check="full" if check_assoc else "sample")
+    table = np.array(rows, dtype=np.int32)
+    del rows  # the Python lists are several times the table: free them before validating
+    return group_from_table(name, table)

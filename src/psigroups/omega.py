@@ -105,7 +105,7 @@ def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
         raise ValueError("omega level must be nonnegative")
     p = prime_of(group)
     hits = np.flatnonzero(power_map(group, p**i) == 0)
-    return tuple(int(x) for x in hits)
+    return tuple(hits.tolist())
 
 
 def omega_subgroup(group: FiniteGroup, i: int) -> Subgroup:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, CatalogEntry
-from .cp2 import cp2_from_filtration, is_cp2_pairwise
+from .cp2 import _pair_orders, cp2_from_filtration, is_cp2_pairwise
 from .groups import OmegaChainError, quotient
 from .omega import omega_filtration, omega_subgroup, omega_set
 from .psi import (
@@ -126,8 +126,7 @@ def _check_max_order_law(cat: Catalog) -> TheoremReport:
             tally.record(entry.name, applicable=False)
             continue
         orders = entry.group.element_orders
-        product_orders = orders[entry.group.table]
-        bound = np.maximum.outer(orders, orders)
+        product_orders, bound = _pair_orders(entry.group)
         unequal = orders[:, None] != orders[None, :]
         bad = unequal & (product_orders != bound)
         ok = not bad.any()

@@ -98,9 +98,32 @@ def naive_is_group(table: list[list[int]]) -> bool:
         return False
     if table[0] != ids or [table[i][0] for i in range(n)] != ids:
         return False
+    return naive_is_associative(table)
+
+
+def naive_is_associative(table: list[list[int]]) -> bool:
+    """(ab)c == a(bc) for every triple, by the definitional triple loop."""
+    n = len(table)
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if table[table[a][b]][c] != table[a][table[b][c]]:
                     return False
     return True
+
+
+def switch_intercalate(table: list[list[int]], u: int, r: int, c: int) -> list[list[int]]:
+    """Copy of a group table with one intercalate switched.
+
+    For an involution u, the cells (r, c), (r, uc), (ru, c), (ru, uc) hold
+    only the two symbols rc and ruc, in a 2x2 latin subsquare; swapping them
+    keeps a latin square.  With r, c, ru, uc all nonzero the identity row and
+    column are untouched, so the result is a latin loop with identity 0.
+    """
+    r2, c2 = table[r][u], table[u][c]
+    assert table[u][u] == 0 and 0 not in (r, c, r2, c2)
+    out = [list(row) for row in table]
+    a, b = out[r][c], out[r][c2]
+    out[r][c] = out[r2][c2] = b
+    out[r][c2] = out[r2][c] = a
+    return out

@@ -44,7 +44,7 @@ p3_group_names = _bounded_products(P_ATOMS[3], max_order=81, max_factors=2)
 p_group_names = st.one_of(p2_group_names, p3_group_names)
 
 
-def _names_by_order(atoms: dict[str, int], max_order: int, max_factors: int):
+def names_by_order(atoms: dict[str, int], max_order: int, max_factors: int):
     """Every product of 1..max_factors atoms up to max_order, keyed by order."""
     buckets: dict[int, list[str]] = {}
     frontier = [("", 1)]
@@ -61,5 +61,5 @@ def _names_by_order(atoms: dict[str, int], max_order: int, max_factors: int):
 same_order_p_group_pairs = st.sampled_from([
     names
     for p, max_order, max_factors in ((2, 64, 3), (3, 81, 2))
-    for names in _names_by_order(P_ATOMS[p], max_order, max_factors).values()
+    for names in names_by_order(P_ATOMS[p], max_order, max_factors).values()
 ]).flatmap(lambda names: st.tuples(st.sampled_from(names), st.sampled_from(names)))

@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from psigroups import group_from_text
 from psigroups.cli import cli_main
+from oracle import switch_intercalate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,12 +170,25 @@ def test_export_then_import_psi(capsys, tmp_path):
     assert out == f"psi({out_path}) = 187\n"
 
 
-def test_import_check_assoc(capsys, tmp_path):
+def test_import_non_associative_table_of_order_1024_exits_2(capsys, tmp_path):
+    # a latin loop with identity 0: only the associativity check can reject it
+    table = switch_intercalate(group_from_text("C32*C32").table, 16, 1, 2)
+    path = tmp_path / "loop.gt1"
+    path.write_text(f"GT1 {len(table)}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in table))
+    code, out, err = run_cli(capsys, "import", str(path), "psi")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "associativity" in err
+
+
+def test_import_check_assoc_flag_is_a_usage_error(capsys, tmp_path):
     out_path = tmp_path / "c4.gt1"
     run_cli(capsys, "export", "C4", "--out", str(out_path))
-    code, out, _ = run_cli(capsys, "import", str(out_path), "spectrum", "--check-assoc")
-    assert code == 0
-    assert out == "1:1\n2:1\n4:2\n"
+    code, out, err = run_cli(capsys, "import", str(out_path), "spectrum", "--check-assoc")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --check-assoc" in err
 
 
 def test_import_bad_table_exits_2(capsys, tmp_path):

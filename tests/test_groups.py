@@ -1,31 +1,42 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psigroups import (
     GroupBuildError,
+    GroupError,
     Subgroup,
     TableFormatError,
+    build_catalog,
     closure,
+    direct_product,
     element_order,
     group_from_table,
     group_from_text,
     is_normal,
     max_table_order,
+    omega_subgroup,
     order_spectrum,
     parse_group_table,
     quotient,
     serialize_group,
 )
+from psigroups.catalog import DEFAULT_CATALOGS
+from psigroups.groups import prime_power
 from oracle import (
     naive_closure,
+    naive_is_associative,
     naive_is_group,
     naive_is_normal,
     naive_order,
     naive_spectrum,
+    switch_intercalate,
     table_of,
 )
-from strategies import group_names
+from strategies import ATOMS, group_names, names_by_order
 
 
 # --- constructors -----------------------------------------------------------
@@ -79,6 +90,32 @@ def test_built_groups_are_groups(name):
     for x in range(g.order):
         assert int(g.element_orders[x]) == naive_order(t, x)
         assert t[x][int(g.inverses[x])] == 0
+
+
+@pytest.mark.parametrize("left, right", [("D8", "Q8"), ("C3", "H27"), ("M16", "C2"), ("C1", "D8")])
+def test_direct_product_multiplies_componentwise(left, right):
+    a, b = group_from_text(left), group_from_text(right)
+    g = direct_product(a, b)
+    x = np.arange(g.order)[:, None]
+    y = np.arange(g.order)[None, :]
+    nb = b.order
+    expected = a.table[x // nb, y // nb] * nb + b.table[x % nb, y % nb]
+    assert g.table.dtype == np.int32
+    assert np.array_equal(g.table, expected)
+
+
+@pytest.mark.parametrize("k", [8, 16, 27, 32, 81, 125, 256])
+def test_modular_group_follows_its_normal_form(k):
+    # a^i b^e at index e * p^(j-1) + i, with b^-1 a b = a^s, so b^e a^i = a^(i t^e) b^e, t = 1/s
+    p, j = prime_power(k)
+    mc = p ** (j - 1)
+    t = pow(1 + p ** (j - 2), -1, mc)
+    table = group_from_text(f"M{k}").table
+    for x in range(k):
+        e1, i1 = divmod(x, mc)
+        for y in range(k):
+            e2, i2 = divmod(y, mc)
+            assert table[x, y] == (e1 + e2) % p * mc + (i1 + i2 * pow(t, e1, mc)) % mc
 
 
 def test_immutable_table():
@@ -149,6 +186,26 @@ def test_closure_of_q8_involutions_is_tiny():
     assert len(closure(g, seed)) == 2
 
 
+@given(group_names, st.data())
+@settings(max_examples=40)
+def test_closure_of_random_seeds_matches_oracle(name, data):
+    g = group_from_text(name)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    sub = closure(g, seed)
+    assert list(sub.members) == naive_closure(table_of(g), seed)
+    # an already closed seed comes back unchanged
+    assert closure(g, sub.members).members == sub.members
+
+
+def test_closure_and_subgroup_check_at_order_4096():
+    # C2^12 with lexicographic indexing multiplies by xor: table[x, y] = x ^ y
+    g = group_from_text("*".join(["C2"] * 12))
+    assert closure(g, [2**b for b in range(1, 12)]).members == tuple(range(0, 4096, 2))
+    assert closure(g, range(2049)).members == tuple(range(4096))
+    with pytest.raises(GroupError, match="not closed under multiplication"):
+        Subgroup(g, tuple(range(0, 4094, 2)) + (4095,))
+
+
 def test_closure_index_out_of_range():
     with pytest.raises(IndexError):
         closure(group_from_text("C4"), [5])
@@ -192,6 +249,14 @@ def test_d8_reflection_subgroup_is_not_normal():
     assert sub.members == (0, 4)
     assert not is_normal(g, sub)
     assert not naive_is_normal(table_of(g), [0, 4])
+
+
+@given(group_names, st.data())
+@settings(max_examples=40)
+def test_is_normal_matches_oracle(name, data):
+    g = group_from_text(name)
+    sub = closure(g, data.draw(st.lists(st.integers(0, g.order - 1), max_size=3)))
+    assert is_normal(g, sub) == naive_is_normal(table_of(g), sub.members)
 
 
 def test_subgroup_as_group_restricts_table():
@@ -288,6 +353,79 @@ def test_parse_rejects_non_associative_latin_square():
     with pytest.raises(TableFormatError) as err:
         parse_group_table(text)
     assert "associativity" in str(err.value)
+
+
+def test_group_from_table_rejects_non_associative_loop_of_order_1024():
+    # C32*C32 with one intercalate switched away from row and column 0: a
+    # latin loop with identity 0, so only the associativity check can fail
+    table = np.array(switch_intercalate(group_from_text("C32*C32").table, 16, 1, 2))
+    with pytest.raises(TableFormatError) as err:
+        group_from_table("loop", table)
+    assert "associativity" in str(err.value)
+
+
+# --- the exact validator on every table the library trusts ---------------------
+
+@given(group_names)
+@settings(max_examples=40)
+def test_constructor_tables_pass_the_exact_validator(name):
+    g = group_from_text(name)
+    h = group_from_table(name, g.table)
+    assert np.array_equal(h.element_orders, g.element_orders)
+    assert np.array_equal(h.inverses, g.inverses)
+
+
+@pytest.mark.parametrize("p,max_order", DEFAULT_CATALOGS)
+def test_catalog_tables_pass_the_exact_validator(p, max_order):
+    for entry in build_catalog([p], max_order).entries:
+        g = entry.group
+        derived = [g, quotient(g, omega_subgroup(g, 1))]
+        derived += [omega_subgroup(g, i).as_group() for i in range(entry.filtration.m + 1)]
+        for h in derived:
+            assert np.array_equal(group_from_table(h.name, h.table).element_orders,
+                                  h.element_orders), h.name
+
+
+def _small_tables():
+    """Every distinct table the expression language builds up to order 16."""
+    tables = {}
+    for names in names_by_order(ATOMS, 16, 4).values():
+        for name in names:
+            g = group_from_text(name)
+            tables.setdefault(g.table.tobytes(), table_of(g))
+    return list(tables.values())
+
+
+def _switched_copies(table, count, rng):
+    """Up to ``count`` tables with one intercalate switched off row/column 0."""
+    n = len(table)
+    sites = [(u, r, c) for u in range(1, n) if table[u][u] == 0
+             for r in range(1, n) for c in range(1, n)
+             if table[r][u] != 0 and table[u][c] != 0]
+    return [switch_intercalate(table, *site)
+            for site in rng.sample(sites, min(count, len(sites)))]
+
+
+def _light_accepts(table) -> bool:
+    try:
+        group_from_table("t", table)
+    except TableFormatError as exc:
+        assert "associativity" in str(exc)
+        a, b, c = map(int, str(exc).split("(")[1].rstrip(")").split(","))
+        assert table[table[a][b]][c] != table[a][table[b][c]]  # a true witness
+        return False
+    return True
+
+
+def test_light_agrees_with_the_triple_loop_on_small_tables_and_switched_copies():
+    rng = random.Random(0x5170)
+    verdicts = set()
+    for table in _small_tables():
+        for t in [table, *_switched_copies(table, 6, rng)]:
+            verdict = naive_is_associative(t)
+            assert _light_accepts(t) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_group_from_table_validates_shape():
