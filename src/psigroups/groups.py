@@ -1,8 +1,8 @@
 """Finite groups as dense multiplication tables over 0-based element indices.
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
-index of a*b.  Index 0 is always the identity.  Element orders and inverses
-are computed eagerly, so a constructed group is immutable and safe to share.
+index of a*b.  Index 0 is always the identity.  Element orders are computed
+eagerly, so a constructed group is immutable and safe to share.
 
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
@@ -84,14 +84,14 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
-    ``element_orders`` and ``inverses`` are computed once at construction.
+    ``element_orders`` is computed once at construction; inverses need no
+    table, as row a is a permutation whose 0, its minimum, sits at a^-1.
     Instances are immutable; all operations on them are pure.
     """
 
     name: str
     table: np.ndarray
     element_orders: np.ndarray
-    inverses: np.ndarray
 
     @property
     def order(self) -> int:
@@ -109,7 +109,7 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return int(np.argmin(self.table[a]))
 
     def power(self, x: int, e: int) -> int:
         """x**e by repeated squaring on table indices (e may be any integer)."""
@@ -152,8 +152,6 @@ class Subgroup:
         inside[mem] = True
         if not inside[self.parent.table[np.ix_(mem, mem)]].all():
             raise GroupError("subset is not closed under multiplication")
-        if not inside[self.parent.inverses[mem]].all():
-            raise GroupError("subset is not closed under inversion")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -162,7 +160,7 @@ class Subgroup:
         pos = np.searchsorted(self.members, index)
         return pos < len(self.members) and self.members[pos] == index
 
-    def as_group(self, name: str | None = None) -> FiniteGroup:
+    def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group via table restriction.
 
         Member k of the subgroup becomes element k of the new group, so the
@@ -170,8 +168,7 @@ class Subgroup:
         """
         mem = np.asarray(self.members, dtype=np.int64)
         restricted = np.searchsorted(mem, self.parent.table[np.ix_(mem, mem)])
-        return group_from_table(
-            name or f"{self.parent.name}[{len(mem)}]", restricted, trusted=True)
+        return group_from_table(f"{self.parent.name}[{len(mem)}]", restricted, trusted=True)
 
     def __repr__(self) -> str:
         return f"<Subgroup of {self.parent.name} size {len(self.members)}>"
@@ -273,10 +270,9 @@ def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
     """
     arr = np.ascontiguousarray(table, dtype=np.int32) if trusted else _validated(table)
     orders = _compute_orders(arr)
-    inverses = np.ascontiguousarray((arr == 0).argmax(axis=1), dtype=np.int32)
-    for a in (arr, orders, inverses):
+    for a in (arr, orders):
         a.flags.writeable = False
-    return FiniteGroup(name=name, table=arr, element_orders=orders, inverses=inverses)
+    return FiniteGroup(name=name, table=arr, element_orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -293,15 +289,15 @@ def _check_order_limit(k: int) -> None:
     _require(k <= limit, f"group order {k} exceeds table size limit {limit}")
 
 
-def cyclic_group(k: int, name: str | None = None) -> FiniteGroup:
+def cyclic_group(k: int) -> FiniteGroup:
     """Cyclic group of order k (additive table mod k)."""
     _require(k >= 1, f"C{k}: order must be >= 1")
     _check_order_limit(k)
     v = np.arange(k, dtype=np.int64)
-    return group_from_table(name or f"C{k}", np.add.outer(v, v) % k, trusted=True)
+    return group_from_table(f"C{k}", np.add.outer(v, v) % k, trusted=True)
 
 
-def dihedral_group(k: int, name: str | None = None) -> FiniteGroup:
+def dihedral_group(k: int) -> FiniteGroup:
     """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i."""
     _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
     _check_order_limit(k)
@@ -311,10 +307,10 @@ def dihedral_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m
-    return group_from_table(name or f"D{k}", table, trusted=True)
+    return group_from_table(f"D{k}", table, trusted=True)
 
 
-def quaternion_group(k: int, name: str | None = None) -> FiniteGroup:
+def quaternion_group(k: int) -> FiniteGroup:
     """Generalized quaternion group of order k = 2^j, j >= 3.
 
     Normal form a^i b^e with a of order k/2, b^2 = a^(k/4), b a b^-1 = a^-1;
@@ -328,10 +324,10 @@ def quaternion_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m
-    return group_from_table(name or f"Q{k}", table, trusted=True)
+    return group_from_table(f"Q{k}", table, trusted=True)
 
 
-def heisenberg_group(k: int, name: str | None = None) -> FiniteGroup:
+def heisenberg_group(k: int) -> FiniteGroup:
     """Extraspecial group of order k = p^3 and exponent p, for odd prime p.
 
     Realized as unitriangular 3x3 matrices over Z/p: triples (a, b, c) with
@@ -345,10 +341,10 @@ def heisenberg_group(k: int, name: str | None = None) -> FiniteGroup:
     a1, b1, c1 = a[:, None], b[:, None], c[:, None]
     a2, b2, c2 = a[None, :], b[None, :], c[None, :]
     table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-    return group_from_table(name or f"H{k}", table, trusted=True)
+    return group_from_table(f"H{k}", table, trusted=True)
 
 
-def modular_group(k: int, name: str | None = None) -> FiniteGroup:
+def modular_group(k: int) -> FiniteGroup:
     """Group <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> of order k = p^j.
 
     Normal form a^i b^e, index e*p^(j-1) + i.
@@ -365,16 +361,16 @@ def modular_group(k: int, name: str | None = None) -> FiniteGroup:
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     table = ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
-    return group_from_table(name or f"M{k}", table, trusted=True)
+    return group_from_table(f"M{k}", table, trusted=True)
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, name: str | None = None) -> FiniteGroup:
+def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product with lexicographic indexing, left factor major."""
     n = a.order * b.order
     _check_order_limit(n)
     ia, ib = np.divmod(np.arange(n, dtype=np.int64), b.order)
     table = a.table[np.ix_(ia, ia)].astype(np.int64) * b.order + b.table[np.ix_(ib, ib)]
-    return group_from_table(name or f"{a.name}*{b.name}", table, trusted=True)
+    return group_from_table(f"{a.name}*{b.name}", table, trusted=True)
 
 
 def prime_power(k: int) -> tuple[int, int] | None:
@@ -424,8 +420,11 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
 
 
 def closure(group: FiniteGroup, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed``, by saturation under products
-    and inverses."""
+    """Smallest subgroup containing ``seed``: seed and identity, grown by
+    products until ``Subgroup`` accepts the set (its GroupError means "not
+    closed" for a sorted, in-range set holding 0).  A finite set closed under
+    products is a subgroup, since x^-1 = x^(o(x)-1), so no inverse is taken.
+    """
     seed = np.fromiter(seed, dtype=np.int64)
     if seed.size and (seed.min() < 0 or seed.max() >= group.order):
         bad = int(seed.min() if seed.min() < 0 else seed.max())
@@ -433,33 +432,29 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
     inside = np.zeros(group.order, dtype=bool)
     inside[0] = True
     inside[seed] = True
-    inside[group.inverses[seed]] = True
     while True:
         cur = np.flatnonzero(inside)
-        prods = group.table[np.ix_(cur, cur)]
-        if inside[prods].all() and inside[group.inverses[cur]].all():
-            break
-        inside[prods] = True
-        inside[group.inverses[inside]] = True
-    del prods  # Subgroup's closure check gathers the same table again
-    return Subgroup(group, tuple(cur.tolist()))
+        try:
+            return Subgroup(group, tuple(cur.tolist()))
+        except GroupError:
+            inside[group.table[np.ix_(cur, cur)]] = True
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
-    """True iff g s g^-1 stays in ``sub`` for every g in the group."""
+    """True iff xN = Nx for every x, decided by the cosets' minimal indices.
+
+    N is normal iff min(xN) = min(Nx) for every x.  When the minima agree,
+    every y in the left coset L with minimum m has m in Ny, so L lies inside
+    the right coset Nm; both have |N| elements, hence L = Nm = mN.
+    """
     if sub.parent is not group:
         raise GroupError("subgroup does not belong to this group")
     mem = np.asarray(sub.members, dtype=np.int64)
-    inside = np.zeros(group.order, dtype=bool)
-    inside[mem] = True
-    for g in range(group.order):
-        conj = group.table[group.table[g, mem], group.inverses[g]]
-        if not inside[conj].all():
-            return False
-    return True
+    return bool(np.array_equal(group.table[:, mem].min(axis=1),
+                               group.table[mem].min(axis=0)))
 
 
-def quotient(group: FiniteGroup, normal: Subgroup, name: str | None = None) -> FiniteGroup:
+def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     """Quotient group on the cosets of a normal subgroup.
 
     Coset representatives are the minimal element index of each coset; the
@@ -473,7 +468,7 @@ def quotient(group: FiniteGroup, normal: Subgroup, name: str | None = None) -> F
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep)
     qtable = coset_of[group.table[np.ix_(reps, reps)]]
-    return group_from_table(name or f"{group.name}/{len(normal)}", qtable, trusted=True)
+    return group_from_table(f"{group.name}/{len(normal)}", qtable, trusted=True)
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,7 @@ def exponent(group: FiniteGroup) -> int:
 def exponent_log(group: FiniteGroup) -> tuple[int, int]:
     """(p, m) with exp(G) = p^m for a p-group G."""
     p = prime_of(group)
-    e = exponent(group)
-    m = 0
-    while p**m < e:
-        m += 1
+    _, m = prime_power(exponent(group))
     return p, m
 
 

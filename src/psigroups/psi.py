@@ -19,6 +19,7 @@ from .groups import (
     NotCp2Error,
     OmegaChainError,
     order_spectrum,
+    prime_power,
     quotient,
 )
 from .omega import OmegaFiltration, exponent_log, omega_filtration, omega_subgroup, psi_brute
@@ -119,12 +120,8 @@ def psi_bottom_recursion(group: FiniteGroup) -> int:
         raise NotCp2Error(
             f"{group.name} is not CP2 (omega set not closed at level "
             f"{report.failing_level}); quotient reduction needs CP2")
-    p, _ = exponent_log(group)
     sub = omega_subgroup(group, 1)
-    r = 0
-    size = len(sub)
-    while p**r < size:
-        r += 1
+    p, r = prime_power(len(sub))
     return 1 - p + p ** (r + 1) * psi_bottom_recursion(quotient(group, sub))
 
 
