@@ -482,10 +482,21 @@ def serialize_group(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+_GT1_BLOCK_TOKENS = 1 << 16  # the tokeniser's block: whole rows, about this many entries
+_INT32_DIGITS = 9  # every decimal of up to 9 digits fits in int32
+
+
 def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
     """Parse GT1 text and validate every group-table invariant, associativity
     exactly; only ASCII text is accepted, so every entry is an ASCII decimal
     integer.
+
+    The body is tokenised in numpy, in blocks of whole rows holding about
+    ``_GT1_BLOCK_TOKENS`` entries, straight into the int32 table.  A row the
+    block flags (wrong entry count, a byte that is not a digit, an empty or
+    over-long entry, an entry out of range) is checked again on its own by
+    ``_gt1_row``, in row order, so an error names the first bad row with the
+    same message as a row-by-row parse.
     """
     if not text.isascii():
         bad = next(i for i, ch in enumerate(text) if not ch.isascii())
@@ -494,27 +505,75 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
             "GT1 is ASCII text with decimal entries")
     if not text.endswith("\n"):
         raise TableFormatError("GT1 text must end with a newline")
-    lines = text[:-1].split("\n")
-    header = lines[0].split(" ")
+    head = text[:text.index("\n")]
+    header = head.split(" ")
     if len(header) != 2 or header[0] != "GT1" or not header[1].isdigit():
-        raise TableFormatError(f"malformed header: {lines[0]!r}")
+        raise TableFormatError(f"malformed header: {head!r}")
     n = int(header[1])
     if n < 1:
         raise TableFormatError("group order must be at least 1")
     _check_order_limit(n)
-    if len(lines) != n + 1:
-        raise TableFormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
-    rows = []
-    for r, line in enumerate(lines[1:]):
-        tokens = line.split(" ")
-        if len(tokens) != n:
-            raise TableFormatError(f"row {r}: expected {n} entries, got {len(tokens)}")
-        if not all(t.isdigit() for t in tokens):
-            raise TableFormatError(f"row {r}: entries must be nonnegative decimal integers")
-        values = [int(t) for t in tokens]
-        if max(values) >= n:
-            raise TableFormatError(f"row {r}: entry {max(values)} out of range [0, {n})")
-        rows.append(values)
-    table = np.array(rows, dtype=np.int32)
-    del rows  # the Python lists are several times the table: free them before validating
+    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(head) + 1:]
+    row_ends = np.flatnonzero(body == ord("\n"))
+    if row_ends.size != n:
+        raise TableFormatError(f"expected {n} rows after the header, got {row_ends.size}")
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _GT1_BLOCK_TOKENS // n)
+    for r0 in range(0, n, step):
+        _parse_gt1_block(body, row_ends, r0, table[r0:r0 + step])
+    del body  # the encoded text is as large as the table: free it before validating
     return group_from_table(name, table)
+
+
+def _parse_gt1_block(body: np.ndarray, row_ends: np.ndarray, r0: int, out: np.ndarray) -> None:
+    """Tokenise GT1 rows r0 .. r0 + len(out) - 1 into ``out``.
+
+    Each entry ends at a separator (a space, or the newline that ends its
+    row); its value is accumulated digit by digit, up to ``_INT32_DIGITS``.
+    """
+    rows, n = out.shape
+    start = int(row_ends[r0 - 1]) + 1 if r0 else 0
+    seg = body[start:int(row_ends[r0 + rows - 1]) + 1]
+    row_end = row_ends[r0:r0 + rows] - start
+    sep = seg == ord(" ")
+    sep[row_end] = True
+    tok_end = np.flatnonzero(sep)
+    tok_start = np.concatenate(([0], tok_end[:-1] + 1))
+    length = tok_end - tok_start
+    last_tok = np.searchsorted(tok_end, row_end)  # each row's last entry
+    count = np.diff(last_tok, prepend=-1)
+    # entries go straight into the table unless a row has the wrong count,
+    # which the row check below reports
+    vals = out.reshape(-1) if tok_end.size == out.size else np.empty(tok_end.size, np.int32)
+    vals[:] = 0
+    bad_tok = (length == 0) | (length > _INT32_DIGITS)
+    for k in range(min(int(length.max()), _INT32_DIGITS)):
+        more = length > k
+        digit = np.take(seg, tok_start + k, mode="clip") - ord("0")  # uint8: wraps below '0'
+        bad_tok |= more & (digit > 9)
+        np.multiply(vals, 10, out=vals, where=more)
+        np.add(vals, digit, out=vals, where=more)
+    bad_tok |= vals >= n
+    bad = count != n
+    bad[np.searchsorted(last_tok, np.flatnonzero(bad_tok))] = True
+    for r in np.flatnonzero(bad).tolist():
+        line = seg[row_end[r - 1] + 1 if r else 0:row_end[r]].tobytes().decode("ascii")
+        out[r] = _gt1_row(r0 + r, line, n)
+
+
+def _gt1_row(r: int, line: str, n: int) -> list[int]:
+    """Row r of a GT1 table, checked and parsed on its own: the entry count,
+    then that every entry is decimal, then the range.  Entries are compared as
+    decimal strings without leading zeros, as int() refuses more than 4300
+    digits; the message prints the row's largest entry exactly.
+    """
+    tokens = line.split(" ")
+    if len(tokens) != n:
+        raise TableFormatError(f"row {r}: expected {n} entries, got {len(tokens)}")
+    if not all(t.isdigit() for t in tokens):
+        raise TableFormatError(f"row {r}: entries must be nonnegative decimal integers")
+    values = [t.lstrip("0") or "0" for t in tokens]
+    top = max(values, key=lambda v: (len(v), v))
+    if len(top) > len(str(n)) or int(top) >= n:
+        raise TableFormatError(f"row {r}: entry {top} out of range [0, {n})")
+    return [int(v) for v in values]

@@ -7,6 +7,8 @@ computation paths are independent.
 
 from __future__ import annotations
 
+from psigroups import GroupBuildError, TableFormatError
+
 
 def table_of(group) -> list[list[int]]:
     return [[int(v) for v in row] for row in group.table]
@@ -127,3 +129,39 @@ def switch_intercalate(table: list[list[int]], u: int, r: int, c: int) -> list[l
     out[r][c] = out[r2][c2] = b
     out[r][c2] = out[r2][c] = a
     return out
+
+
+def naive_parse_gt1(text: str, n_limit: int) -> list[list[int]]:
+    """GT1 text to a list-of-list table by splitting it line by line and token
+    by token, with every format check and message of ``parse_group_table``
+    (group-table checks excluded); ``n_limit`` is the table size limit."""
+    if not text.isascii():
+        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+        raise TableFormatError(
+            f"non-ASCII character at offset {bad}: "
+            "GT1 is ASCII text with decimal entries")
+    if not text.endswith("\n"):
+        raise TableFormatError("GT1 text must end with a newline")
+    lines = text[:-1].split("\n")
+    header = lines[0].split(" ")
+    if len(header) != 2 or header[0] != "GT1" or not header[1].isdigit():
+        raise TableFormatError(f"malformed header: {lines[0]!r}")
+    n = int(header[1])
+    if n < 1:
+        raise TableFormatError("group order must be at least 1")
+    if n > n_limit:
+        raise GroupBuildError(f"group order {n} exceeds table size limit {n_limit}")
+    if len(lines) != n + 1:
+        raise TableFormatError(f"expected {n} rows after the header, got {len(lines) - 1}")
+    rows = []
+    for r, line in enumerate(lines[1:]):
+        tokens = line.split(" ")
+        if len(tokens) != n:
+            raise TableFormatError(f"row {r}: expected {n} entries, got {len(tokens)}")
+        if not all(t.isdigit() for t in tokens):
+            raise TableFormatError(f"row {r}: entries must be nonnegative decimal integers")
+        values = [int(t) for t in tokens]
+        if max(values) >= n:
+            raise TableFormatError(f"row {r}: entry {max(values)} out of range [0, {n})")
+        rows.append(values)
+    return rows

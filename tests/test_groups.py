@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from psigroups import (
     quotient,
     serialize_group,
 )
+from psigroups import groups
 from psigroups.catalog import DEFAULT_CATALOGS
 from psigroups.groups import prime_power
 from oracle import (
@@ -33,12 +36,13 @@ from oracle import (
     naive_is_group,
     naive_is_normal,
     naive_order,
+    naive_parse_gt1,
     naive_power,
     naive_spectrum,
     switch_intercalate,
     table_of,
 )
-from strategies import ATOMS, group_names, names_by_order
+from strategies import ATOMS, group_names, gt1_mutants, names_by_order
 
 
 # --- constructors -----------------------------------------------------------
@@ -357,11 +361,103 @@ def test_round_trip_is_identity_on_tables(name):
     ("GT1 2\n0 1\n1 -0\n", "nonnegative decimal"),
     ("GT1 2\n0 1\n1 \u00b2\n", "non-ASCII character at offset 12"),
     ("GT1 \u0662\n0 1\n1 0\n", "non-ASCII character at offset 4"),
+    # two bad rows: the lower one is reported
+    ("GT1 3\n0 1 2\n1 2 x\n2 0\n", "row 1: entries must be nonnegative decimal integers"),
+    # a count error and a bad digit in one row: the count is reported
+    ("GT1 2\n0 1\n1 x 0\n", "row 1: expected 2 entries, got 3"),
+    ("GT1 2\n0 1\n1 1234567890123456789012345\n",
+     "row 1: entry 1234567890123456789012345 out of range [0, 2)"),
+    ("GT1 2\n0 1\n1 0001234567890123456789012345\n",
+     "row 1: entry 1234567890123456789012345 out of range [0, 2)"),
+    # more digits than int() converts: still a format error, not a crash
+    pytest.param("GT1 2\n0 1\n1 " + "9" * 5000 + "\n",
+                 "row 1: entry " + "9" * 5000 + " out of range", id="5000-digit-entry"),
+    ("GT1 2\r\n0 1\r\n1 0\r\n", "malformed header: 'GT1 2\\r'"),
+    ("GT1 2\n0 1\r\n1 0\r\n", "row 0: entries must be nonnegative decimal integers"),
+    ("GT1 2\n0\t1\n1 0\n", "row 0: expected 2 entries, got 1"),
+    ("GT1 2\n0 1 \n1 0\n", "row 0: expected 2 entries, got 3"),
+    ("GT1 2\n0  1\n1 0\n", "row 0: expected 2 entries, got 3"),
+    ("GT1 1\n\n", "row 0: entries must be nonnegative decimal integers"),
 ])
 def test_parse_group_table_errors(text, fragment):
     with pytest.raises(TableFormatError) as err:
         parse_group_table(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("text,table", [
+    ("GT1 1\n0\n", [[0]]),
+    ("GT1 2\n00 001\n1 0\n", [[0, 1], [1, 0]]),
+    ("GT1 2\n0 0000000000001\n1 0\n", [[0, 1], [1, 0]]),
+    pytest.param("GT1 2\n0 1\n" + "0" * 5000 + "1 0\n", [[0, 1], [1, 0]],
+                 id="5000-digit-entry"),
+])
+def test_parse_group_table_accepts_leading_zeros(text, table):
+    assert parse_group_table(text).table.tolist() == table
+
+
+@pytest.fixture(scope="module")
+def c1024_lines():
+    return serialize_group(group_from_text("C32*C32")).split("\n")
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"last": "digit"}, "row {last}: entries must be nonnegative decimal integers"),
+    ({"first": "count"}, "row {first}: expected 1024 entries, got 1023"),
+    ({"last": "digit", "first": "count"},
+     "row {last}: entries must be nonnegative decimal integers"),
+])
+def test_parse_reports_the_first_bad_row_across_a_block_boundary(c1024_lines, edits, message):
+    # n = 1024: row `last` ends one tokeniser block and row `first` starts the next
+    first = groups._GT1_BLOCK_TOKENS // 1024
+    rows = {"last": first - 1, "first": first}
+    lines = list(c1024_lines)
+    for at, kind in edits.items():
+        tokens = lines[rows[at] + 1].split(" ")
+        if kind == "digit":
+            tokens[-1] = "x"
+        else:
+            del tokens[0]
+        lines[rows[at] + 1] = " ".join(tokens)
+    with pytest.raises(TableFormatError) as err:
+        parse_group_table("\n".join(lines))
+    assert str(err.value) == message.format(**rows)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+@given(gt1_mutants(), st.sampled_from([1, 5, 64, groups._GT1_BLOCK_TOKENS]))
+@settings(max_examples=300, deadline=None)
+def test_parse_group_table_matches_the_naive_parser(text, block):
+    with patch.object(groups, "_GT1_BLOCK_TOKENS", block):
+        fast = _outcome(lambda: parse_group_table(text))
+    naive = _outcome(lambda: naive_parse_gt1(text, max_table_order()))
+    if isinstance(naive, list):
+        naive_table = naive
+        naive = _outcome(lambda: group_from_table("GT1", np.array(naive_table)))
+    if isinstance(fast, tuple) or isinstance(naive, tuple):
+        assert fast == naive
+    else:
+        assert fast.table.tolist() == naive_table
+        assert fast.element_orders.tolist() == [
+            naive_order(naive_table, x) for x in range(fast.order)]
+
+
+def test_parse_group_table_peak_memory_at_order_1024():
+    # the table is 4 MB and the text 4 MB; validation alone peaks near 17 MB
+    text = serialize_group(group_from_text("C32*C32"))
+    tracemalloc.start()
+    try:
+        parse_group_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_parse_rejects_non_associative_latin_square():
