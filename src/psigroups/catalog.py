@@ -22,7 +22,7 @@ from .groups import (
     order_spectrum,
     prime_power,
 )
-from .omega import OmegaFiltration, omega_filtration, omega_subgroup, psi_brute, psi_subset
+from .omega import OmegaFiltration, omega_filtration, psi_brute, psi_subset
 
 COUNTEREXAMPLE_PAIR = ("D16*C2*C2*C2*C2", "C4*C4*C4*C4")
 
@@ -135,9 +135,7 @@ def catalog_names(primes: Iterable[int], max_order: int) -> list[str]:
 def make_entry(group: FiniteGroup) -> CatalogEntry:
     """Compute and cache every derived quantity for one group."""
     filtration = omega_filtration(group)
-    level_psi = tuple(
-        psi_subset(group, omega_subgroup(group, i).members)
-        for i in range(filtration.m + 1))
+    level_psi = tuple(psi_subset(group, level.members) for level in filtration.levels)
     return CatalogEntry(
         name=group.name,
         group=group,

@@ -87,9 +87,11 @@ def parse_group_expr(text: str) -> GroupExpr:
             pos += 1
         if start == pos:
             raise GroupExprError(f"expected an integer after {letter!r}", pos)
-        value = int(text[start:pos])
-        if value > _MAX_PARAM:
+        # compared as a decimal string first: int() refuses over 4300 digits
+        digits = text[start:pos].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_PARAM)) or int(digits) > _MAX_PARAM:
             raise GroupExprError("integer constant too large", start)
+        value = int(digits)
         if value < 1:
             raise GroupExprError("integer constant must be >= 1", start)
         return Atom(letter, value)

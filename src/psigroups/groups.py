@@ -4,6 +4,13 @@ Every group lives in a complete n x n Cayley table whose entry (a, b) is the
 index of a*b.  Index 0 is always the identity.  Element orders are computed
 eagerly, so a constructed group is immutable and safe to share.
 
+As the table never changes, a group also keeps what is derived from it
+alone the first time it is asked for: its omega filtration
+(``omega.omega_filtration``) and its quotient by each normal subgroup
+(``quotient``).  A kept value must never reference the group itself, or the
+group would only be freed by the cycle collector: the filtration holds sizes
+and member tuples, and a quotient is a group of its own, not a ``Subgroup``.
+
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
 for shape, entry range, the latin property, identity placement and
@@ -18,9 +25,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .omega import OmegaFiltration
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "PSIGROUPS_MAX_ORDER"
@@ -87,19 +98,24 @@ class FiniteGroup:
     ``element_orders`` is computed once at construction; inverses need no
     table, as row a is a permutation whose 0, its minimum, sits at a^-1.
     Instances are immutable; all operations on them are pure.
+
+    Two private fields, neither compared nor printed, keep results derived
+    from the table on their first computation: ``_filtration``, the omega
+    filtration, and ``_quotients``, each quotient keyed by the members of the
+    normal subgroup.  Nothing kept may reference the group.
     """
 
     name: str
     table: np.ndarray
     element_orders: np.ndarray
+    _filtration: OmegaFiltration | None = field(
+        default=None, init=False, compare=False, repr=False)
+    _quotients: dict[tuple[int, ...], FiniteGroup] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
         return int(self.table.shape[0])
-
-    @property
-    def identity_index(self) -> int:
-        return 0
 
     @property
     def is_abelian(self) -> bool:
@@ -155,10 +171,6 @@ class Subgroup:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, index: int) -> bool:
-        pos = np.searchsorted(self.members, index)
-        return pos < len(self.members) and self.members[pos] == index
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group via table restriction.
@@ -440,6 +452,11 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
             inside[group.table[np.ix_(cur, cur)]] = True
 
 
+def _require_parent(group: FiniteGroup, sub: Subgroup) -> None:
+    if sub.parent is not group:
+        raise GroupError("subgroup does not belong to this group")
+
+
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff xN = Nx for every x, decided by the cosets' minimal indices.
 
@@ -447,8 +464,7 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     every y in the left coset L with minimum m has m in Ny, so L lies inside
     the right coset Nm; both have |N| elements, hence L = Nm = mN.
     """
-    if sub.parent is not group:
-        raise GroupError("subgroup does not belong to this group")
+    _require_parent(group, sub)
     mem = np.asarray(sub.members, dtype=np.int64)
     return bool(np.array_equal(group.table[:, mem].min(axis=1),
                                group.table[mem].min(axis=0)))
@@ -458,8 +474,14 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     """Quotient group on the cosets of a normal subgroup.
 
     Coset representatives are the minimal element index of each coset; the
-    identity coset gets index 0.
+    identity coset gets index 0.  Each quotient is built once per group and
+    kept on it, keyed by the subgroup's members, so normality is decided once
+    per subgroup; that ``normal`` belongs to ``group`` is checked every call.
     """
+    _require_parent(group, normal)
+    kept = group._quotients.get(normal.members)
+    if kept is not None:
+        return kept
     if not is_normal(group, normal):
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
@@ -468,7 +490,9 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep)
     qtable = coset_of[group.table[np.ix_(reps, reps)]]
-    return group_from_table(f"{group.name}/{len(normal)}", qtable, trusted=True)
+    kept = group_from_table(f"{group.name}/{len(normal)}", qtable, trusted=True)
+    group._quotients[normal.members] = kept
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +533,14 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
     header = head.split(" ")
     if len(header) != 2 or header[0] != "GT1" or not header[1].isdigit():
         raise TableFormatError(f"malformed header: {head!r}")
-    n = int(header[1])
-    if n < 1:
+    digits = header[1].lstrip("0") or "0"
+    if digits == "0":
         raise TableFormatError("group order must be at least 1")
-    _check_order_limit(n)
+    limit = max_table_order()
+    # compared as a decimal string first: int() refuses over 4300 digits
+    _require(len(digits) <= len(str(limit)) and int(digits) <= limit,
+             f"group order {digits} exceeds table size limit {limit}")
+    n = int(digits)
     body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(head) + 1:]
     row_ends = np.flatnonzero(body == ord("\n"))
     if row_ends.size != n:

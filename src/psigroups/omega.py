@@ -4,7 +4,7 @@ the full omega filtration, and the brute-force element-order sum psi."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,10 +14,13 @@ from .groups import FiniteGroup, NotPGroupError, Subgroup, closure, power_map, p
 @dataclass(frozen=True)
 class OmegaLevel:
     """Sizes at one filtration level: the solution set of x^(p^i) = 1 and the
-    subgroup it generates."""
+    subgroup it generates.  ``members``, neither compared nor printed, lists
+    that subgroup's indices ascending when the level was computed from a
+    group."""
 
     set_size: int
     subgroup_size: int
+    members: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def set_is_subgroup(self) -> bool:
@@ -106,19 +109,32 @@ def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
 
 
 def omega_subgroup(group: FiniteGroup, i: int) -> Subgroup:
-    """The subgroup generated by the level-i omega set."""
-    return closure(group, omega_set(group, i))
+    """The subgroup generated by the level-i omega set: read from the
+    group's filtration when it already holds one, else one closure."""
+    kept = group._filtration
+    if kept is None or i < 0:
+        return closure(group, omega_set(group, i))
+    return Subgroup(group, kept.levels[min(i, kept.m)].members)
 
 
 def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
-    """Set and subgroup sizes at every level 0..m, where exp(G) = p^m."""
-    p, m = exponent_log(group)
-    levels = []
-    for i in range(m + 1):
-        members = omega_set(group, i)
-        generated = closure(group, members)
-        levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated)))
-    return OmegaFiltration(p=p, m=m, order=group.order, levels=tuple(levels))
+    """Set and subgroup sizes, and the subgroup members, at every level 0..m,
+    where exp(G) = p^m.
+
+    Computed once per group instance and kept on it (the table cannot
+    change), so every later call returns the same object.
+    """
+    if group._filtration is None:
+        p, m = exponent_log(group)
+        levels = []
+        for i in range(m + 1):
+            members = omega_set(group, i)
+            generated = closure(group, members)
+            levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
+                                     members=generated.members))
+        filtration = OmegaFiltration(p=p, m=m, order=group.order, levels=tuple(levels))
+        object.__setattr__(group, "_filtration", filtration)  # FiniteGroup is frozen
+    return group._filtration
 
 
 def psi_brute(group: FiniteGroup) -> int:

@@ -213,6 +213,20 @@ def test_import_non_ascii_exits_2(capsys, tmp_path, data):
     assert err.startswith("error: ") and "non-ASCII" in err
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (("psi", "C" + "1" * 5000), "integer constant too large"),
+    (("compare", "C4", "C" + "0" * 5000), "must be >= 1"),
+    (("import", "LONG_GT1", "psi"), "exceeds table size limit"),
+], ids=["expression", "expression-zeros", "gt1-header"])
+def test_over_long_decimal_exits_2(capsys, tmp_path, argv, fragment):
+    path = tmp_path / "long.gt1"
+    path.write_text("GT1 " + "1" * 5000 + "\n0\n")
+    code, out, err = run_cli(capsys, *(str(path) if a == "LONG_GT1" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PSIGROUPS_MAX_ORDER", "16")
     code, _, err = run_cli(capsys, "psi", "C32")

@@ -57,6 +57,10 @@ def test_unknown_constructor_offset_inside_product():
     ("*C4", "expected a constructor letter"),
     ("C0", "must be >= 1"),
     ("C99999999999999999999", "too large"),
+    # more digits than int() converts: still a parse error, not a crash
+    pytest.param("C" + "1" * 5000, "integer constant too large (at offset 1)",
+                 id="5000-digit-constant"),
+    pytest.param("C4*C" + "0" * 5000, "must be >= 1 (at offset 4)", id="5000-zero-constant"),
     ("4C", "expected a constructor letter"),
     ("C\u00b2", "expected an integer"),
     ("C\u0662", "expected an integer"),
@@ -65,6 +69,10 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GroupExprError) as err:
         parse_group_expr(text)
     assert fragment in str(err.value)
+
+
+def test_zero_padded_constant_beyond_the_digit_limit():
+    assert parse_group_expr("C" + "0" * 5000 + "8") == Atom("C", 8)
 
 
 def test_error_carries_offset():

@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -20,9 +22,12 @@ from psigroups import (
     group_from_text,
     is_normal,
     max_table_order,
+    omega_filtration,
     omega_subgroup,
     order_spectrum,
     parse_group_table,
+    psi_bottom_recursion,
+    psi_brute,
     quotient,
     serialize_group,
 )
@@ -320,6 +325,52 @@ def test_quotient_rejects_non_normal():
         quotient(g, closure(g, [4]))
 
 
+def test_kept_quotients_by_different_subgroups_differ():
+    g = group_from_text("D8")  # indices 0..3 are r^i, 4..7 are s r^i
+    by_centre = quotient(g, closure(g, [2]))
+    by_rotations = quotient(g, closure(g, [1]))
+    assert by_centre.order == 4 and by_centre.is_abelian
+    assert sorted(by_centre.element_orders.tolist()) == [1, 2, 2, 2]  # C2 x C2
+    assert by_rotations.table.tolist() == [[0, 1], [1, 0]]
+    # a later call, with an equal subgroup object or the same one, gets the kept group
+    assert quotient(g, closure(g, [2])) is by_centre
+    assert quotient(g, Subgroup(g, (0, 1, 2, 3))) is by_rotations
+    fresh = group_from_text("D8")
+    assert np.array_equal(quotient(fresh, closure(fresh, [2])).table, by_centre.table)
+
+
+def test_kept_quotients_keep_every_check():
+    from psigroups import NotNormalError
+
+    g = group_from_text("D8")
+    quotient(g, closure(g, [2]))
+    quotient(g, closure(g, [1]))
+    for _ in range(2):  # a refusal is not kept either
+        with pytest.raises(NotNormalError):
+            quotient(g, closure(g, [4]))
+    other = group_from_text("D8")
+    with pytest.raises(GroupError, match="does not belong"):
+        quotient(g, closure(other, [2]))  # the members of a kept key
+    assert quotient(other, closure(other, [2])).order == 4
+
+
+def test_kept_results_hold_no_reference_to_the_group():
+    # a kept value that pointed back at the group (a Subgroup, say) would make
+    # a cycle, and the group would outlive its last reference
+    g = group_from_text("Q8*C4")  # CP2, so the bottom route runs
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        omega_filtration(g)
+        omega_subgroup(g, 1)
+        omega_filtration(quotient(g, omega_subgroup(g, 1)))
+        assert psi_bottom_recursion(g) == psi_brute(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @given(group_names)
 @settings(max_examples=20)
 def test_quotient_by_whole_group_is_trivial(name):
@@ -378,11 +429,24 @@ def test_round_trip_is_identity_on_tables(name):
     ("GT1 2\n0 1 \n1 0\n", "row 0: expected 2 entries, got 3"),
     ("GT1 2\n0  1\n1 0\n", "row 0: expected 2 entries, got 3"),
     ("GT1 1\n\n", "row 0: entries must be nonnegative decimal integers"),
+    ("GT1 0\n", "group order must be at least 1"),
+    # a header order of more digits than int() converts: still a format error
+    pytest.param("GT1 " + "0" * 5000 + "\n0 1\n1 0\n", "group order must be at least 1",
+                 id="5000-zero-header"),
 ])
 def test_parse_group_table_errors(text, fragment):
     with pytest.raises(TableFormatError) as err:
         parse_group_table(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("order", [
+    "5000", "0004097", pytest.param("1" * 5000, id="5000-digit-order")])
+def test_parse_group_table_header_over_the_limit(order):
+    with pytest.raises(GroupBuildError) as err:
+        parse_group_table(f"GT1 {order}\n0\n")
+    assert str(err.value) == (
+        f"group order {order.lstrip('0')} exceeds table size limit {max_table_order()}")
 
 
 @pytest.mark.parametrize("text,table", [
@@ -391,6 +455,8 @@ def test_parse_group_table_errors(text, fragment):
     ("GT1 2\n0 0000000000001\n1 0\n", [[0, 1], [1, 0]]),
     pytest.param("GT1 2\n0 1\n" + "0" * 5000 + "1 0\n", [[0, 1], [1, 0]],
                  id="5000-digit-entry"),
+    pytest.param("GT1 " + "0" * 5000 + "2\n0 1\n1 0\n", [[0, 1], [1, 0]],
+                 id="5000-digit-header"),
 ])
 def test_parse_group_table_accepts_leading_zeros(text, table):
     assert parse_group_table(text).table.tolist() == table

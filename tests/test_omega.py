@@ -5,6 +5,7 @@ from psigroups import (
     NotPGroupError,
     closure,
     exponent,
+    exponent_log,
     group_from_text,
     omega_filtration,
     omega_set,
@@ -14,7 +15,8 @@ from psigroups import (
     psi_subset,
 )
 from oracle import naive_exponent, naive_omega_set, naive_psi, table_of
-from strategies import p_group_names
+from psigroups.groups import prime_power
+from strategies import group_names, p_group_names
 
 
 # --- prime_of ----------------------------------------------------------------
@@ -206,3 +208,36 @@ def test_closure_of_omega_set_is_omega_subgroup():
         g = group_from_text(name)
         for i in range(3):
             assert omega_subgroup(g, i).members == closure(g, omega_set(g, i)).members
+
+
+# --- results kept on the group --------------------------------------------------
+
+@given(group_names)
+@settings(max_examples=40)
+def test_kept_filtration_matches_a_fresh_computation(name):
+    g = group_from_text(name)
+    if prime_power(g.order) is None:
+        for _ in range(2):  # a refusal is not kept
+            with pytest.raises(NotPGroupError):
+                omega_filtration(g)
+        return
+    filtration = omega_filtration(g)
+    assert omega_filtration(g) is filtration
+    fresh = group_from_text(name)
+    for i, level in enumerate(filtration.levels):
+        assert level.members == closure(fresh, omega_set(fresh, i)).members, (name, i)
+        assert len(level.members) == level.subgroup_size
+
+
+@given(p_group_names)
+@settings(max_examples=25)
+def test_omega_subgroup_is_the_same_before_and_after_the_filtration(name):
+    g = group_from_text(name)
+    levels = range(exponent_log(g)[1] + 2)  # one level above the top
+    before = [omega_subgroup(g, i) for i in levels]
+    omega_filtration(g)
+    after = [omega_subgroup(g, i) for i in levels]
+    assert [s.members for s in before] == [s.members for s in after]
+    assert all(s.parent is g for s in after)
+    with pytest.raises(ValueError):
+        omega_subgroup(g, -1)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from psigroups import Catalog, TheoremReport, build_catalog, verify_theorems
+from psigroups import Catalog, TheoremReport, build_catalog, groups, verify_theorems
 from psigroups.verify import REPORT_ORDER, format_reports
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
@@ -71,6 +71,29 @@ def test_empty_catalog_is_vacuous():
 def test_default_battery_p5():
     reports = verify_theorems(build_catalog([5], 125))
     assert not any(r.status == "violated" for r in reports)
+
+
+def test_closure_calls_on_the_p5_catalog(monkeypatch):
+    """Work guard: a group's filtration and quotients are computed once and
+    kept, so building and verifying the 5/125 catalog makes 37 closures (146
+    when every caller recomputed them)."""
+    calls = 0
+    closure = groups.closure
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return closure(*args, **kwargs)
+
+    # rebind every module's copy of the name, as ``from .groups import closure`` makes one
+    for name, module in list(sys.modules.items()):
+        if name == "psigroups" or name.startswith("psigroups."):
+            for key, value in list(vars(module).items()):
+                if value is closure:
+                    monkeypatch.setattr(module, key, counting)
+    reports = verify_theorems(build_catalog([5], 125))
+    assert not any(r.violations for r in reports)
+    assert 0 < calls <= 37
 
 
 def test_format_reports_lists_violations_and_notes():
