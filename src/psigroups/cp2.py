@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _row_blocks
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -30,21 +30,26 @@ class Cp2Report:
     failing_level: int | None = None
 
 
-def _pair_orders(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """n x n matrices o(xy) and max(o(x), o(y)) over all ordered pairs (x, y)."""
-    orders = group.element_orders
-    return orders[group.table], np.maximum.outer(orders, orders)
+def _first_pair(group: FiniteGroup, violates) -> tuple[int, int] | None:
+    """First pair (x, y), in (x, y) order, with ``violates(o(xy), o(x), o(y))``,
+    or None.  The rule is applied to int32 order arrays one row block at a
+    time: o(xy) as a block, o(x) as a column and o(y) as a row."""
+    orders = group.element_orders.astype(np.int32)
+    for rows in _row_blocks(group.order, group.order):
+        bad = violates(orders[group.table[rows]], orders[rows, None], orders)
+        if bad.any():
+            r, y = divmod(int(np.flatnonzero(bad)[0]), group.order)
+            return rows.start + r, y
+    return None
 
 
 def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     """Scan all ordered pairs; on failure report the first witness by (x, y)."""
-    orders = group.element_orders
-    product_orders, bound = _pair_orders(group)
-    bad = product_orders > bound
-    if not bad.any():
+    pair = _first_pair(group, lambda oxy, ox, oy: oxy > np.maximum(ox, oy))
+    if pair is None:
         return Cp2Report(is_cp2=True, method="pairwise")
-    flat = int(np.flatnonzero(bad.ravel())[0])
-    x, y = divmod(flat, group.order)
+    x, y = pair
+    orders = group.element_orders
     return Cp2Report(
         is_cp2=False,
         method="pairwise",

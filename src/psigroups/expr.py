@@ -135,10 +135,24 @@ def build_group(expr: GroupExpr) -> FiniteGroup:
     return _build(expr)
 
 
-def _build(expr: GroupExpr) -> FiniteGroup:
+def _factors(expr: GroupExpr) -> list[Atom]:
     if isinstance(expr, Atom):
-        return _BUILDERS[expr.kind](expr.param)
-    return direct_product(_build(expr.left), _build(expr.right))
+        return [expr]
+    return _factors(expr.left) + _factors(expr.right)
+
+
+def _build(expr: GroupExpr) -> FiniteGroup:
+    """Build every factor left to right, then multiply from the right.
+
+    Lexicographic indexing makes the product associative on tables and names
+    alike, and nesting to the right keeps each product's right factor, the
+    innermost axis of its broadcast, the larger one.
+    """
+    factors = [_BUILDERS[atom.kind](atom.param) for atom in _factors(expr)]
+    group = factors.pop()
+    for left in reversed(factors):
+        group = direct_product(left, group)
+    return group
 
 
 def group_from_text(text: str) -> FiniteGroup:

@@ -19,6 +19,15 @@ itself are trusted and not re-checked: the C/D/Q/H/M constructors and
 ``direct_product`` write group laws by construction, ``Subgroup.as_group``
 restricts a table to a set the ``Subgroup`` closure check has accepted, and
 ``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
+
+Every n x n kernel works in int32 and holds at most its table plus one row
+block of about ``_BLOCK_ENTRIES`` entries: a constructor writes its table in
+place, block by block, and the latin check, the closure check, the closure
+step, the subgroup and quotient tables and the CP2 pair scan read the table
+one block of whole rows at a time (``_row_blocks``).  Before a table is
+allocated, its order is checked against the table size limit and its bytes,
+the table plus one row block, against physical memory, so a build that cannot
+fit is refused with a ``GroupBuildError`` instead of failing part-way.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "PSIGROUPS_MAX_ORDER"
+_BLOCK_ENTRIES = 1 << 20  # an n x n kernel's row block: whole rows, about this many entries
 
 
 class GroupError(ValueError):
@@ -84,7 +94,13 @@ def max_table_order() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise GroupBuildError(f"{MAX_ORDER_ENV} is not an integer: {raw!r}") from exc
+        # int() also refuses a decimal of more than 4300 digits
+        # (sys.get_int_max_str_digits()): name that fault, not a non-integer
+        text = raw.strip()
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        fault = (f"has too many digits ({len(digits)})" if digits.isdecimal()
+                 else f"is not an integer: {raw!r}")
+        raise GroupBuildError(f"{MAX_ORDER_ENV} {fault}") from exc
     if value < 1:
         raise GroupBuildError(f"{MAX_ORDER_ENV} must be positive, got {value}")
     return value
@@ -166,8 +182,9 @@ class Subgroup:
             raise GroupError(f"subgroup size {mem.size} does not divide group order {n}")
         inside = np.zeros(n, dtype=bool)
         inside[mem] = True
-        if not inside[self.parent.table[np.ix_(mem, mem)]].all():
-            raise GroupError("subset is not closed under multiplication")
+        for rows in _row_blocks(mem.size, mem.size):
+            if not inside[self.parent.table[np.ix_(mem[rows], mem)]].all():
+                raise GroupError("subset is not closed under multiplication")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -179,24 +196,38 @@ class Subgroup:
         identity stays at index 0.
         """
         mem = np.asarray(self.members, dtype=np.int64)
-        restricted = np.searchsorted(mem, self.parent.table[np.ix_(mem, mem)])
+        restricted = np.empty((mem.size, mem.size), dtype=np.int32)
+        for rows in _row_blocks(mem.size, mem.size):
+            restricted[rows] = np.searchsorted(mem, self.parent.table[np.ix_(mem[rows], mem)])
         return group_from_table(f"{self.parent.name}[{len(mem)}]", restricted, trusted=True)
 
     def __repr__(self) -> str:
         return f"<Subgroup of {self.parent.name} size {len(self.members)}>"
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices of whole rows, about ``_BLOCK_ENTRIES`` entries each (at least
+    one row), covering ``rows`` rows of ``cols`` entries: the blocks in which
+    every n x n kernel gathers or writes."""
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
+
+
 def _check_latin(table: np.ndarray) -> None:
+    """Every row, then every column, holds each index once.  The entries are
+    in range, so a line is a permutation iff it hits every value; the hits
+    are marked in an n x n bool matrix, one row block of the table at a time
+    (sorting the columns instead copies the table and reads it across rows)."""
     n = table.shape[0]
-    expect = np.arange(n, dtype=table.dtype)
-    if not np.array_equal(np.sort(table, axis=1), np.broadcast_to(expect, (n, n))):
-        bad = int(np.flatnonzero(
-            (np.sort(table, axis=1) != expect).any(axis=1))[0])
-        raise TableFormatError(f"not a latin square: row {bad} is not a permutation")
-    if not np.array_equal(np.sort(table, axis=0), np.broadcast_to(expect[:, None], (n, n))):
-        bad = int(np.flatnonzero(
-            (np.sort(table, axis=0) != expect[:, None]).any(axis=0))[0])
-        raise TableFormatError(f"not a latin square: column {bad} is not a permutation")
+    lines = np.arange(n)
+    for kind in ("row", "column"):
+        hit = np.zeros((n, n), dtype=bool)  # hit[line, value]
+        for rows in _row_blocks(n, n):
+            hit[lines[rows, None] if kind == "row" else lines, table[rows]] = True
+        missing = ~hit.all(axis=1)
+        if missing.any():
+            raise TableFormatError(
+                f"not a latin square: {kind} {int(np.argmax(missing))} is not a permutation")
 
 
 def _check_identity(table: np.ndarray) -> None:
@@ -297,16 +328,35 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_order_limit(k: int) -> None:
+    """Refuse a table of order k above the table size limit, or one whose
+    build cannot fit in physical memory: the int32 table plus one row block
+    of int64 entries (a block holds at least one whole row)."""
     limit = max_table_order()
     _require(k <= limit, f"group order {k} exceeds table size limit {limit}")
+    need = 4 * k * k + 8 * max(k, _BLOCK_ENTRIES)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf, or no such name here
+        return
+    _require(need <= memory, f"group order {k} needs about {need} bytes, "
+                             f"more than the {memory} bytes of physical memory")
+
+
+def _table_by_rows(k: int, law) -> np.ndarray:
+    """The int32 table of order k whose entry (x, y) is ``law(x, y)``, the law
+    evaluated on int64 indices one row block at a time."""
+    v = np.arange(k, dtype=np.int64)
+    table = np.empty((k, k), dtype=np.int32)
+    for rows in _row_blocks(k, k):
+        table[rows] = law(v[rows, None], v[None, :])
+    return table
 
 
 def cyclic_group(k: int) -> FiniteGroup:
     """Cyclic group of order k (additive table mod k)."""
     _require(k >= 1, f"C{k}: order must be >= 1")
     _check_order_limit(k)
-    v = np.arange(k, dtype=np.int64)
-    return group_from_table(f"C{k}", np.add.outer(v, v) % k, trusted=True)
+    return group_from_table(f"C{k}", _table_by_rows(k, lambda x, y: (x + y) % k), trusted=True)
 
 
 def dihedral_group(k: int) -> FiniteGroup:
@@ -314,12 +364,12 @@ def dihedral_group(k: int) -> FiniteGroup:
     _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
     _check_order_limit(k)
     m = k // 2
-    v = np.arange(k, dtype=np.int64)
-    e, i = v // m, v % m
-    e1, i1 = e[:, None], i[:, None]
-    e2, i2 = e[None, :], i[None, :]
-    table = (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m
-    return group_from_table(f"D{k}", table, trusted=True)
+
+    def law(x, y):
+        (e1, i1), (e2, i2) = np.divmod(x, m), np.divmod(y, m)
+        return (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m
+
+    return group_from_table(f"D{k}", _table_by_rows(k, law), trusted=True)
 
 
 def quaternion_group(k: int) -> FiniteGroup:
@@ -331,12 +381,12 @@ def quaternion_group(k: int) -> FiniteGroup:
     _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
     _check_order_limit(k)
     m = k // 2
-    v = np.arange(k, dtype=np.int64)
-    e, i = v // m, v % m
-    e1, i1 = e[:, None], i[:, None]
-    e2, i2 = e[None, :], i[None, :]
-    table = (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m
-    return group_from_table(f"Q{k}", table, trusted=True)
+
+    def law(x, y):
+        (e1, i1), (e2, i2) = np.divmod(x, m), np.divmod(y, m)
+        return (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m
+
+    return group_from_table(f"Q{k}", _table_by_rows(k, law), trusted=True)
 
 
 def heisenberg_group(k: int) -> FiniteGroup:
@@ -348,18 +398,22 @@ def heisenberg_group(k: int) -> FiniteGroup:
     p, j = prime_power(k) or (0, 0)
     _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
-    v = np.arange(k, dtype=np.int64)
-    a, b, c = v // (p * p), (v // p) % p, v % p
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-    return group_from_table(f"H{k}", table, trusted=True)
+
+    def law(x, y):
+        a1, b1, c1 = x // (p * p), (x // p) % p, x % p
+        a2, b2, c2 = y // (p * p), (y // p) % p, y % p
+        return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+    return group_from_table(f"H{k}", _table_by_rows(k, law), trusted=True)
 
 
 def modular_group(k: int) -> FiniteGroup:
     """Group <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> of order k = p^j.
 
-    Normal form a^i b^e, index e*p^(j-1) + i.
+    Normal form a^i b^e, index e*p^(j-1) + i.  As b^e a^i = a^(i t^e) b^e
+    with t = s^-1, the product of a^i1 b^e1 and a^i2 b^e2 is
+    a^(i1 + i2 t^e1) b^(e1 + e2); the table is written in place one
+    p^(j-1) x p^(j-1) block per pair (e1, e2).
     """
     p, j = prime_power(k) or (0, 0)
     _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
@@ -367,22 +421,31 @@ def modular_group(k: int) -> FiniteGroup:
     mc = p ** (j - 1)
     s = 1 + p ** (j - 2)
     t = pow(s, -1, mc)
-    v = np.arange(k, dtype=np.int64)
-    e, i = v // mc, v % mc
-    tpow = np.array([pow(t, x, mc) for x in range(p)], dtype=np.int64)
-    e1, i1 = e[:, None], i[:, None]
-    e2, i2 = e[None, :], i[None, :]
-    table = ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
+    i = np.arange(mc, dtype=np.int64)
+    i1 = i.astype(np.int32)[:, None]
+    table = np.empty((k, k), dtype=np.int32)
+    for e1 in range(p):
+        twisted = (i * pow(t, e1, mc) % mc).astype(np.int32)  # i2 t^e1 mod p^(j-1)
+        for e2 in range(p):
+            block = table[e1 * mc:(e1 + 1) * mc, e2 * mc:(e2 + 1) * mc]
+            np.add(i1, twisted, out=block)
+            np.remainder(block, mc, out=block)
+            block += (e1 + e2) % p * mc
     return group_from_table(f"M{k}", table, trusted=True)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Direct product with lexicographic indexing, left factor major."""
-    n = a.order * b.order
-    _check_order_limit(n)
-    ia, ib = np.divmod(np.arange(n, dtype=np.int64), b.order)
-    table = a.table[np.ix_(ia, ia)].astype(np.int64) * b.order + b.table[np.ix_(ib, ib)]
-    return group_from_table(f"{a.name}*{b.name}", table, trusted=True)
+    """Direct product with lexicographic indexing, left factor major.
+
+    (a1, b1) * (a2, b2) = (a1 a2, b1 b2) sits at index (a1 a2) * |B| + b1 b2,
+    so the table, viewed as |A| x |B| x |A| x |B|, is one broadcast sum.
+    """
+    na, nb = a.order, b.order
+    _check_order_limit(na * nb)
+    table = np.empty((na, nb, na, nb), dtype=np.int32)
+    np.add((a.table * nb)[:, None, :, None], b.table[None, :, None, :], out=table)
+    return group_from_table(f"{a.name}*{b.name}", table.reshape(na * nb, na * nb),
+                            trusted=True)
 
 
 def prime_power(k: int) -> tuple[int, int] | None:
@@ -449,7 +512,8 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
         try:
             return Subgroup(group, tuple(cur.tolist()))
         except GroupError:
-            inside[group.table[np.ix_(cur, cur)]] = True
+            for rows in _row_blocks(cur.size, cur.size):
+                inside[group.table[np.ix_(cur[rows], cur)]] = True
 
 
 def _require_parent(group: FiniteGroup, sub: Subgroup) -> None:
@@ -488,8 +552,10 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     mem = np.asarray(normal.members, dtype=np.int64)
     rep = group.table[:, mem].min(axis=1)  # min of each left coset xN
     reps = np.unique(rep)
-    coset_of = np.searchsorted(reps, rep)
-    qtable = coset_of[group.table[np.ix_(reps, reps)]]
+    coset_of = np.searchsorted(reps, rep).astype(np.int32)
+    qtable = np.empty((reps.size, reps.size), dtype=np.int32)
+    for rows in _row_blocks(reps.size, reps.size):
+        qtable[rows] = coset_of[group.table[np.ix_(reps[rows], reps)]]
     kept = group_from_table(f"{group.name}/{len(normal)}", qtable, trusted=True)
     group._quotients[normal.members] = kept
     return kept
@@ -538,9 +604,10 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
         raise TableFormatError("group order must be at least 1")
     limit = max_table_order()
     # compared as a decimal string first: int() refuses over 4300 digits
-    _require(len(digits) <= len(str(limit)) and int(digits) <= limit,
+    _require(len(digits) <= len(str(limit)),
              f"group order {digits} exceeds table size limit {limit}")
     n = int(digits)
+    _check_order_limit(n)
     body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(head) + 1:]
     row_ends = np.flatnonzero(body == ord("\n"))
     if row_ends.size != n:

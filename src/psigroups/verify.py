@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, CatalogEntry
-from .cp2 import _pair_orders, cp2_from_filtration, is_cp2_pairwise
+from .cp2 import _first_pair, cp2_from_filtration, is_cp2_pairwise
 from .groups import OmegaChainError, quotient
 from .omega import omega_filtration, omega_subgroup, omega_set
 from .psi import (
@@ -125,17 +125,15 @@ def _check_max_order_law(cat: Catalog) -> TheoremReport:
         if not entry.cp2.is_cp2:
             tally.record(entry.name, applicable=False)
             continue
-        orders = entry.group.element_orders
-        product_orders, bound = _pair_orders(entry.group)
-        unequal = orders[:, None] != orders[None, :]
-        bad = unequal & (product_orders != bound)
-        ok = not bad.any()
+        pair = _first_pair(
+            entry.group, lambda oxy, ox, oy: (ox != oy) & (oxy != np.maximum(ox, oy)))
         detail = ""
-        if not ok:
-            x, y = divmod(int(np.flatnonzero(bad.ravel())[0]), entry.order)
+        if pair is not None:
+            x, y = pair
+            orders = entry.group.element_orders
             detail = (f"o(x)={int(orders[x])}, o(y)={int(orders[y])}, "
-                      f"o(xy)={int(product_orders[x, y])} at ({x},{y})")
-        tally.record(entry.name, applicable=True, ok=ok, detail=detail)
+                      f"o(xy)={int(orders[entry.group.table[x, y]])} at ({x},{y})")
+        tally.record(entry.name, applicable=True, ok=pair is None, detail=detail)
     return tally.report()
 
 

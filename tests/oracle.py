@@ -165,3 +165,58 @@ def naive_parse_gt1(text: str, n_limit: int) -> list[list[int]]:
             raise TableFormatError(f"row {r}: entry {max(values)} out of range [0, {n})")
         rows.append(values)
     return rows
+
+
+# --- whole-table formulas ------------------------------------------------------
+# The library writes its tables in int32, in place or one row block at a time.
+# These are the earlier whole-table numpy formulas, each a single expression
+# over int64 index matrices, kept as a second route to the same bytes.
+
+def whole_direct_product_table(a_table, b_table):
+    """Product table of two groups, left factor major, by gathering each
+    factor's table at every pair of factor indices."""
+    import numpy as np
+
+    na, nb = len(a_table), len(b_table)
+    ia, ib = np.divmod(np.arange(na * nb, dtype=np.int64), nb)
+    return (np.asarray(a_table)[np.ix_(ia, ia)].astype(np.int64) * nb
+            + np.asarray(b_table)[np.ix_(ib, ib)])
+
+
+def whole_modular_table(k: int, p: int, j: int):
+    """Table of <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> in
+    normal form a^i b^e at index e*p^(j-1) + i, by one broadcast."""
+    import numpy as np
+
+    mc = p ** (j - 1)
+    t = pow(1 + p ** (j - 2), -1, mc)
+    v = np.arange(k, dtype=np.int64)
+    e, i = v // mc, v % mc
+    tpow = np.array([pow(t, x, mc) for x in range(p)], dtype=np.int64)
+    e1, i1 = e[:, None], i[:, None]
+    e2, i2 = e[None, :], i[None, :]
+    return ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
+
+
+def naive_max_order_law_pair(table: list[list[int]]):
+    """First (x, y) with o(x) != o(y) and o(xy) != max(o(x), o(y)), or None."""
+    orders = [naive_order(table, x) for x in range(len(table))]
+    for x in range(len(table)):
+        for y in range(len(table)):
+            if orders[x] != orders[y] and orders[table[x][y]] != max(orders[x], orders[y]):
+                return (x, y)
+    return None
+
+
+def naive_latin_fault(table: list[list[int]]):
+    """'row r' or 'column c' for the first line, rows before columns, that is
+    not a permutation of 0..n-1; None for a latin square."""
+    n = len(table)
+    ids = list(range(n))
+    for r in range(n):
+        if sorted(table[r]) != ids:
+            return f"row {r}"
+    for c in range(n):
+        if sorted(table[r][c] for r in range(n)) != ids:
+            return f"column {c}"
+    return None

@@ -227,6 +227,22 @@ def test_over_long_decimal_exits_2(capsys, tmp_path, argv, fragment):
     assert err.startswith("error: ") and fragment in err
 
 
+@pytest.mark.parametrize("value,fragment", [
+    ("abc", "PSIGROUPS_MAX_ORDER is not an integer: 'abc'"),
+    ("0", "PSIGROUPS_MAX_ORDER must be positive, got 0"),
+    pytest.param("1" * 5000, "PSIGROUPS_MAX_ORDER has too many digits (5000)",
+                 id="5000-digit-limit"),
+    pytest.param(" -" + "1" * 5000, "PSIGROUPS_MAX_ORDER has too many digits (5000)",
+                 id="5000-digit-negative-limit"),
+])
+def test_malformed_limit_exits_2(capsys, monkeypatch, value, fragment):
+    monkeypatch.setenv("PSIGROUPS_MAX_ORDER", value)
+    code, out, err = run_cli(capsys, "psi", "C4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {fragment}\n"
+
+
 def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PSIGROUPS_MAX_ORDER", "16")
     code, _, err = run_cli(capsys, "psi", "C32")
