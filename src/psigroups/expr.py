@@ -18,13 +18,12 @@ from typing import Union
 
 from .groups import (
     FiniteGroup,
-    GroupBuildError,
     GroupExprError,
+    _check_order_limit,
     cyclic_group,
     dihedral_group,
     direct_product,
     heisenberg_group,
-    max_table_order,
     modular_group,
     quaternion_group,
 )
@@ -126,12 +125,9 @@ def expr_order(expr: GroupExpr) -> int:
 
 def build_group(expr: GroupExpr) -> FiniteGroup:
     """Evaluate an AST to a validated FiniteGroup named by the normalized
-    expression."""
-    total = expr_order(expr)
-    limit = max_table_order()
-    if total > limit:
-        raise GroupBuildError(
-            f"group order {total} exceeds table size limit {limit}")
+    expression.  The whole group's order is checked against the table size
+    limit and physical memory before any factor is built."""
+    _check_order_limit(expr_order(expr))
     return _build(expr)
 
 

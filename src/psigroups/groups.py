@@ -21,13 +21,14 @@ restricts a table to a set the ``Subgroup`` closure check has accepted, and
 ``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
 
 Every n x n kernel works in int32 and holds at most its table plus one row
-block of about ``_BLOCK_ENTRIES`` entries: a constructor writes its table in
-place, block by block, and the latin check, the closure check, the closure
-step, the subgroup and quotient tables and the CP2 pair scan read the table
-one block of whole rows at a time (``_row_blocks``).  Before a table is
-allocated, its order is checked against the table size limit and its bytes,
-the table plus one row block, against physical memory, so a build that cannot
-fit is refused with a ``GroupBuildError`` instead of failing part-way.
+block of about ``_BLOCK_ENTRIES`` entries.  Writers build whole tables in
+place (C, D, Q and M in one metacyclic kernel, H and ``direct_product`` in one
+broadcast each); only readers (the latin and closure checks, the closure step,
+the subgroup and quotient tables, the CP2 pair scan) go one block of whole rows
+at a time (``_row_blocks``).  Before a table is allocated, its order is checked
+against the table size limit and its bytes, the table plus one row block,
+against physical memory, so a build that cannot fit is refused with a
+``GroupBuildError`` instead of failing part-way.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class Subgroup:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = np.asarray(self.members, dtype=np.int64)
+        mem = _indices(self.members, "subgroup member")
         if mem.size == 0:
             raise GroupError("subgroup must contain the identity")
         if mem[0] != 0:
@@ -205,10 +206,19 @@ class Subgroup:
         return f"<Subgroup of {self.parent.name} size {len(self.members)}>"
 
 
+def _indices(values, what: str) -> np.ndarray:
+    """``values`` as int64 element indices.  A value that is not an integer is
+    refused, not truncated; no values at all are accepted."""
+    arr = np.asarray(values if isinstance(values, (tuple, list, np.ndarray)) else list(values))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GroupError(f"{what} indices must be integers, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _row_blocks(rows: int, cols: int) -> list[slice]:
     """Slices of whole rows, about ``_BLOCK_ENTRIES`` entries each (at least
     one row), covering ``rows`` rows of ``cols`` entries: the blocks in which
-    every n x n kernel gathers or writes."""
+    the table readers gather."""
     step = max(1, _BLOCK_ENTRIES // max(cols, 1))
     return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
 
@@ -342,51 +352,49 @@ def _check_order_limit(k: int) -> None:
                              f"more than the {memory} bytes of physical memory")
 
 
-def _table_by_rows(k: int, law) -> np.ndarray:
-    """The int32 table of order k whose entry (x, y) is ``law(x, y)``, the law
-    evaluated on int64 indices one row block at a time."""
-    v = np.arange(k, dtype=np.int64)
-    table = np.empty((k, k), dtype=np.int32)
-    for rows in _row_blocks(k, k):
-        table[rows] = law(v[rows, None], v[None, :])
+def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = False) -> np.ndarray:
+    """Table of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> (King 1973), of
+    order m*s when r^s = 1 and t(r - 1) = 0 mod m, with a^i b^e at e*m + i:
+    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + i2 r^-e1 + t[e1 + e2 >= s]) b^((e1 + e2) mod s),
+    written in place one m x m block per (e1, e2).  ``transposed`` writes
+    through ``table.T``: for r^2 = 1, the table with b^e a^i at e*m + i."""
+    _check_order_limit(m * s)
+    table = np.empty((m * s, m * s), dtype=np.int32)
+    out = table.T if transposed else table
+    i = np.arange(m, dtype=np.int64)
+    i1 = i.astype(np.int32)[:, None]
+    for e1 in range(s):
+        twisted = (i * pow(r, -e1, m) % m).astype(np.int32)  # i2 r^-e1 mod m
+        for e2 in range(s):
+            block = out[e1 * m:(e1 + 1) * m, e2 * m:(e2 + 1) * m]
+            np.add(i1, twisted + t * (e1 + e2 >= s), out=block)
+            np.remainder(block, m, out=block)
+            block += (e1 + e2) % s * m
     return table
 
 
 def cyclic_group(k: int) -> FiniteGroup:
-    """Cyclic group of order k (additive table mod k)."""
+    """Cyclic group of order k: metacyclic (m, s, t, r) = (k, 1, 0, 1)."""
     _require(k >= 1, f"C{k}: order must be >= 1")
-    _check_order_limit(k)
-    return group_from_table(f"C{k}", _table_by_rows(k, lambda x, y: (x + y) % k), trusted=True)
+    return group_from_table(f"C{k}", _metacyclic_table(k, 1, 0, 1), trusted=True)
 
 
 def dihedral_group(k: int) -> FiniteGroup:
-    """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i."""
+    """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i,
+    metacyclic (m, s, t, r) = (k/2, 2, 0, -1) transposed to this b^e a^i layout."""
     _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
-    _check_order_limit(k)
-    m = k // 2
-
-    def law(x, y):
-        (e1, i1), (e2, i2) = np.divmod(x, m), np.divmod(y, m)
-        return (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m
-
-    return group_from_table(f"D{k}", _table_by_rows(k, law), trusted=True)
+    return group_from_table(f"D{k}", _metacyclic_table(k // 2, 2, 0, -1, transposed=True),
+                            trusted=True)
 
 
 def quaternion_group(k: int) -> FiniteGroup:
     """Generalized quaternion group of order k = 2^j, j >= 3.
 
     Normal form a^i b^e with a of order k/2, b^2 = a^(k/4), b a b^-1 = a^-1;
-    index e*(k/2) + i.
+    index e*(k/2) + i: metacyclic (m, s, t, r) = (k/2, 2, k/4, -1).
     """
     _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
-    _check_order_limit(k)
-    m = k // 2
-
-    def law(x, y):
-        (e1, i1), (e2, i2) = np.divmod(x, m), np.divmod(y, m)
-        return (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m
-
-    return group_from_table(f"Q{k}", _table_by_rows(k, law), trusted=True)
+    return group_from_table(f"Q{k}", _metacyclic_table(k // 2, 2, k // 4, -1), trusted=True)
 
 
 def heisenberg_group(k: int) -> FiniteGroup:
@@ -394,44 +402,27 @@ def heisenberg_group(k: int) -> FiniteGroup:
 
     Realized as unitriangular 3x3 matrices over Z/p: triples (a, b, c) with
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index a*p^2 + b*p + c.
+    Not metacyclic: one broadcast sum of two p^4-entry terms over a (p,)*6 view.
     """
     p, j = prime_power(k) or (0, 0)
     _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
-
-    def law(x, y):
-        a1, b1, c1 = x // (p * p), (x // p) % p, x % p
-        a2, b2, c2 = y // (p * p), (y // p) % p, y % p
-        return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
-
-    return group_from_table(f"H{k}", _table_by_rows(k, law), trusted=True)
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
+    table = np.empty((p,) * 6, dtype=np.int32)
+    np.add(((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p, out=table)
+    return group_from_table(f"H{k}", table.reshape(k, k), trusted=True)
 
 
 def modular_group(k: int) -> FiniteGroup:
     """Group <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> of order k = p^j.
 
-    Normal form a^i b^e, index e*p^(j-1) + i.  As b^e a^i = a^(i t^e) b^e
-    with t = s^-1, the product of a^i1 b^e1 and a^i2 b^e2 is
-    a^(i1 + i2 t^e1) b^(e1 + e2); the table is written in place one
-    p^(j-1) x p^(j-1) block per pair (e1, e2).
+    Normal form a^i b^e, index e*p^(j-1) + i: metacyclic (m, s, t, r) =
+    (p^(j-1), p, 0, 1 + p^(j-2)).
     """
     p, j = prime_power(k) or (0, 0)
     _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
-    _check_order_limit(k)
-    mc = p ** (j - 1)
-    s = 1 + p ** (j - 2)
-    t = pow(s, -1, mc)
-    i = np.arange(mc, dtype=np.int64)
-    i1 = i.astype(np.int32)[:, None]
-    table = np.empty((k, k), dtype=np.int32)
-    for e1 in range(p):
-        twisted = (i * pow(t, e1, mc) % mc).astype(np.int32)  # i2 t^e1 mod p^(j-1)
-        for e2 in range(p):
-            block = table[e1 * mc:(e1 + 1) * mc, e2 * mc:(e2 + 1) * mc]
-            np.add(i1, twisted, out=block)
-            np.remainder(block, mc, out=block)
-            block += (e1 + e2) % p * mc
-    return group_from_table(f"M{k}", table, trusted=True)
+    return group_from_table(f"M{k}", _metacyclic_table(p ** (j - 1), p, 0, 1 + p ** (j - 2)),
+                            trusted=True)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
@@ -500,7 +491,7 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
     closed" for a sorted, in-range set holding 0).  A finite set closed under
     products is a subgroup, since x^-1 = x^(o(x)-1), so no inverse is taken.
     """
-    seed = np.fromiter(seed, dtype=np.int64)
+    seed = _indices(seed, "seed")
     if seed.size and (seed.min() < 0 or seed.max() >= group.order):
         bad = int(seed.min() if seed.min() < 0 else seed.max())
         raise IndexError(f"seed index {bad} out of range for order {group.order}")

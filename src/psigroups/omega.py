@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import FiniteGroup, NotPGroupError, Subgroup, closure, power_map, prime_power
+from .groups import (FiniteGroup, NotPGroupError, Subgroup, _indices, closure, power_map,
+                     prime_power)
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,7 @@ def psi_brute(group: FiniteGroup) -> int:
 
 def psi_subset(group: FiniteGroup, indices) -> int:
     """Sum of element orders over a subset of indices."""
-    idx = np.asarray(list(indices), dtype=np.int64)
-    if idx.size == 0:
-        return 0
-    if idx.min() < 0 or idx.max() >= group.order:
+    idx = _indices(indices, "subset")
+    if idx.size and (idx.min() < 0 or idx.max() >= group.order):
         raise IndexError(f"subset index out of range for order {group.order}")
     return int(group.element_orders[idx].sum())

@@ -183,6 +183,50 @@ def whole_direct_product_table(a_table, b_table):
             + np.asarray(b_table)[np.ix_(ib, ib)])
 
 
+def _by_halves(k: int, law):
+    """The k x k table whose entry (x, y) is ``law(e1, i1, e2, i2)``, where
+    x = e1*(k/2) + i1 and y = e2*(k/2) + i2."""
+    import numpy as np
+
+    m = k // 2
+    e, i = np.divmod(np.arange(k, dtype=np.int64), m)
+    return law(e[:, None], i[:, None], e[None, :], i[None, :], m)
+
+
+def whole_cyclic_table(k: int):
+    """Table of C_k: addition mod k."""
+    import numpy as np
+
+    v = np.arange(k, dtype=np.int64)
+    return (v[:, None] + v[None, :]) % k
+
+
+def whole_dihedral_table(k: int):
+    """Table of D_k with r^i at index i and s r^i at k/2 + i:
+    s^e1 r^i1 * s^e2 r^i2 = s^(e1 xor e2) r^(i2 + (-1)^e2 i1)."""
+    return _by_halves(k, lambda e1, i1, e2, i2, m:
+                      (e1 ^ e2) * m + (i2 + (1 - 2 * e2) * i1) % m)
+
+
+def whole_quaternion_table(k: int):
+    """Table of Q_k with a^i b^e at index e*(k/2) + i, b^2 = a^(k/4):
+    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + (-1)^e1 i2 + e1 e2 k/4) b^(e1 xor e2)."""
+    return _by_halves(k, lambda e1, i1, e2, i2, m:
+                      (e1 ^ e2) * m + (i1 + (1 - 2 * e1) * i2 + e1 * e2 * (m // 2)) % m)
+
+
+def whole_heisenberg_table(k: int, p: int):
+    """Table of the unitriangular group of order p^3, (a, b, c) at index
+    a*p^2 + b*p + c: (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2)."""
+    import numpy as np
+
+    v = np.arange(k, dtype=np.int64)
+    x, y = v[:, None], v[None, :]
+    a1, b1, c1 = x // (p * p), (x // p) % p, x % p
+    a2, b2, c2 = y // (p * p), (y // p) % p, y % p
+    return ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+
 def whole_modular_table(k: int, p: int, j: int):
     """Table of <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> in
     normal form a^i b^e at index e*p^(j-1) + i, by one broadcast."""
@@ -196,6 +240,33 @@ def whole_modular_table(k: int, p: int, j: int):
     e1, i1 = e[:, None], i[:, None]
     e2, i2 = e[None, :], i[None, :]
     return ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
+
+
+def naive_metacyclic_table(m: int, s: int, t: int, r: int) -> list[list[int]]:
+    """Table of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> with a^i b^e at
+    index e*m + i, built from right multiplication by the generators alone.
+
+    x*a and x*b are read off the relations: a^i b^e * b steps e up, past s
+    into a^t; a^i b^e * a = a^(i + r'^e) b^e with r' the inverse of r mod m,
+    as b a = a^r' b.  Column y = x*y of every x is then column y - 1 times a
+    (e2 = 0) or column y - m times b, one generator step per column.
+    """
+    n = m * s
+    r_inv = next(u for u in range(m) if u * r % m == 1 % m)
+    times_a, times_b = [], []
+    for x in range(n):
+        e, i = divmod(x, m)
+        step = 1
+        for _ in range(e):
+            step = step * r_inv % m
+        times_a.append(e * m + (i + step) % m)
+        times_b.append((e + 1) * m + i if e + 1 < s else (i + t) % m)
+    columns = [list(range(n))]
+    for y in range(1, n):
+        e2, i2 = divmod(y, m)
+        prev, gen = (columns[y - 1], times_a) if e2 == 0 else (columns[y - m], times_b)
+        columns.append([gen[x] for x in prev])
+    return [[columns[y][x] for y in range(n)] for x in range(n)]
 
 
 def naive_max_order_law_pair(table: list[list[int]]):

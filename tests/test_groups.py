@@ -225,6 +225,12 @@ def test_closure_index_out_of_range():
         closure(group_from_text("C4"), [5])
 
 
+def test_closure_rejects_a_seed_that_is_not_an_integer():
+    # truncated, 2.7 would have seeded <2>
+    with pytest.raises(GroupError, match="seed indices must be integers, got float64"):
+        closure(group_from_text("C8"), [2.7])
+
+
 @given(group_names)
 @settings(max_examples=25)
 def test_closure_matches_oracle_and_is_idempotent(name):
@@ -243,6 +249,12 @@ def test_subgroup_validation_rejects_non_closed():
     g = group_from_text("C4")
     with pytest.raises(ValueError):
         Subgroup(g, (0, 1))  # 1+1=2 missing
+
+
+def test_subgroup_rejects_members_that_are_not_integers():
+    # truncated, (0, 4.5) would have passed as (0, 4) and had a quotient of order 4
+    with pytest.raises(GroupError, match="subgroup member indices must be integers"):
+        Subgroup(group_from_text("C8"), (0, 4.5))
 
 
 def test_trivial_subgroup_is_normal():

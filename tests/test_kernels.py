@@ -3,6 +3,7 @@ answers at every row-block size, memory bounds at n = 4096 and the refusal
 of builds that cannot fit in memory."""
 
 import dataclasses
+import math
 import os
 import tracemalloc
 from unittest.mock import patch
@@ -19,6 +20,7 @@ from psigroups import (
     TableFormatError,
     closure,
     direct_product,
+    group_from_table,
     group_from_text,
     groups,
     is_cp2_pairwise,
@@ -35,9 +37,14 @@ from oracle import (
     naive_cp2_witness,
     naive_latin_fault,
     naive_max_order_law_pair,
+    naive_metacyclic_table,
     table_of,
+    whole_cyclic_table,
+    whole_dihedral_table,
     whole_direct_product_table,
+    whole_heisenberg_table,
     whole_modular_table,
+    whole_quaternion_table,
 )
 from strategies import group_names
 
@@ -81,10 +88,78 @@ def test_direct_product_matches_the_whole_table_formula_at_order_4096():
     _same_bytes(built.table, g.table)
 
 
-@pytest.mark.parametrize("k,p,j", [(p**j, p, j) for p in (2, 3, 5, 7)
+@pytest.mark.parametrize("k,p,j", [(p**j, p, j) for p in (2, 3, 5, 7, 11, 13)
                                    for j in range(3, 13) if p**j <= 4096])
 def test_modular_group_matches_the_whole_table_formula(k, p, j):
     _same_bytes(group_from_text(f"M{k}").table, whole_modular_table(k, p, j))
+
+
+def _family_cases():
+    """C, D, Q and H at every prime power p^j <= 4096 with p <= 13 that each
+    accepts, and C and D at some orders that are not prime powers."""
+    for p in (2, 3, 5, 7, 11, 13):
+        for j in range(1, 13):
+            k = p**j
+            if k > 4096:
+                break
+            yield f"C{k}", lambda k=k: whole_cyclic_table(k)
+            if p == 2 and j >= 2:
+                yield f"D{k}", lambda k=k: whole_dihedral_table(k)
+            if p == 2 and j >= 3:
+                yield f"Q{k}", lambda k=k: whole_quaternion_table(k)
+            if p > 2 and j == 3:
+                yield f"H{k}", lambda k=k, p=p: whole_heisenberg_table(k, p)
+    for k in (1, 6, 12, 100, 1000):
+        yield f"C{k}", lambda k=k: whole_cyclic_table(k)
+    for k in (6, 10, 12, 18, 54, 100, 162, 486, 1000, 1458):
+        yield f"D{k}", lambda k=k: whole_dihedral_table(k)
+
+
+@pytest.mark.parametrize("name,whole_table", [pytest.param(name, fn, id=name)
+                                              for name, fn in _family_cases()])
+def test_family_table_matches_the_whole_table_formula(name, whole_table):
+    _same_bytes(group_from_text(name).table, whole_table())
+
+
+# --- the metacyclic kernel on parameters no family uses -------------------------
+
+# every (m, s, t, r mod m) of a family table of order <= 512
+FAMILY_PARAMETERS = (
+    {(k, 1, 0, 1 % k) for k in range(1, 513)}
+    | {(k // 2, 2, 0, (-1) % (k // 2)) for k in range(4, 513, 2)}
+    | {(2**j // 2, 2, 2**j // 4, 2**j // 2 - 1) for j in range(3, 10)}
+    | {(p**(j - 1), p, 0, 1 + p**(j - 2)) for p in (2, 3, 5, 7) for j in range(3, 10)
+       if p**j <= 512}
+)
+
+
+@st.composite
+def metacyclic_parameters(draw):
+    """(m, s, t, r) with r^s = 1 and t(r - 1) = 0 mod m, and m*s <= 512."""
+    s = draw(st.integers(1, 16))
+    m = draw(st.integers(1, 512 // s))
+    r = draw(st.sampled_from([u for u in range(m) if pow(u, s, m) == 1 % m]))
+    t = draw(st.sampled_from(range(0, m, m // math.gcd(r - 1, m))))
+    return m, s, t, r
+
+
+@given(metacyclic_parameters())
+@settings(max_examples=40, deadline=None)
+def test_metacyclic_kernel_is_the_presented_group(params):
+    assume(params not in FAMILY_PARAMETERS)
+    m, s, t, r = params
+    table = groups._metacyclic_table(m, s, t, r)
+    group_from_table("X", table)  # Light's test and the latin check accept it
+    assert table.tolist() == naive_metacyclic_table(m, s, t, r)
+    if r * r % m == 1 % m:
+        # transposed, index e*m + i is b^e a^i, and as r^-1 = r,
+        # b^e1 a^i1 * b^e2 a^i2 = b^((e1 + e2) mod s) a^(i1 r^e2 + i2 + t[e1 + e2 >= s])
+        flipped = groups._metacyclic_table(m, s, t, r, transposed=True)
+        group_from_table("X", flipped)
+        e, i = np.divmod(np.arange(m * s, dtype=np.int64), m)
+        e1, i1, e2, i2 = e[:, None], i[:, None], e[None, :], i[None, :]
+        r_pow = np.array([pow(r, x, m) for x in range(s)], dtype=np.int64)
+        _same_bytes(flipped, (e1 + e2) % s * m + (i1 * r_pow[e2] + i2 + t * (e1 + e2 >= s)) % m)
 
 
 # --- every row-block size gives the same answer ---------------------------------
@@ -182,11 +257,18 @@ def test_blocked_quotient_table_matches(monkeypatch, block, name):
 # --- memory at the 4096-element limit -------------------------------------------
 # The table is 64 MB; a kernel may hold it plus one row block (4-8 MB).
 
-@pytest.mark.parametrize("name", ["C64*C64", "M4096"])
+@pytest.mark.parametrize("name", ["C64*C64", "M4096", "C4096", "D4096", "Q4096"])
 def test_build_at_order_4096_holds_the_table_and_one_block(name):
     g, peak = _peak_bytes(lambda: group_from_text(name))
     assert g.order == 4096
     assert peak <= 72 * MB
+
+
+def test_heisenberg_build_holds_the_table_and_small_terms():
+    # a 19 MB table; the broadcast's two terms hold 13^4 entries each
+    g, peak = _peak_bytes(lambda: group_from_text("H2197"))
+    assert g.order == 2197
+    assert peak <= 24 * MB
 
 
 @pytest.mark.parametrize("name", ["M4096", "C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2"])
@@ -227,12 +309,19 @@ def test_build_that_fits_in_physical_memory_is_not_refused(physical_memory):
     assert group_from_text("C64*C64").order == 4096
 
 
-def test_refusal_allocates_nothing_large(physical_memory):
-    physical_memory(64 * MB)
+@pytest.mark.parametrize("text,max_order,memory", [
+    ("C4096", None, 64 * MB),
+    # each 64 MB factor fits; the product is refused before either is built
+    ("C4096*C4096", "16777216", 128 * MB),
+], ids=["C4096", "C4096*C4096"])
+def test_refusal_allocates_nothing_large(monkeypatch, physical_memory, text, max_order, memory):
+    if max_order is not None:
+        monkeypatch.setenv("PSIGROUPS_MAX_ORDER", max_order)
+    physical_memory(memory)
     tracemalloc.start()
     try:
         with pytest.raises(GroupBuildError):
-            group_from_text("C4096")
+            group_from_text(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

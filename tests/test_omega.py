@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from psigroups import (
+    GroupError,
     NotPGroupError,
     closure,
     exponent,
@@ -192,6 +193,14 @@ def test_psi_elementary_abelian_formula():
 def test_psi_subset_rejects_bad_index():
     with pytest.raises(IndexError):
         psi_subset(group_from_text("C4"), [7])
+
+
+def test_psi_subset_rejects_an_index_that_is_not_an_integer():
+    g = group_from_text("C8")
+    assert psi_subset(g, []) == 0
+    # truncated, 1.9 would have counted o(1) = 8
+    with pytest.raises(GroupError, match="subset indices must be integers, got float64"):
+        psi_subset(g, [1.9])
 
 
 def test_psi_lower_bound():
