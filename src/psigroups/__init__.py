@@ -7,7 +7,6 @@ from .cp2 import Cp2Report, is_cp2_omega, is_cp2_pairwise
 from .expr import (
     Atom,
     GroupExpr,
-    Product,
     build_group,
     expr_order,
     expr_to_name,
@@ -64,7 +63,6 @@ from .psi import (
     order_bijection,
     predict_order,
     psi_bottom_recursion,
-    psi_equal_via_omega,
     psi_filtration,
     psi_top_recursion,
 )

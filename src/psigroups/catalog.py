@@ -19,7 +19,6 @@ from .groups import (
     FiniteGroup,
     GroupBuildError,
     max_table_order,
-    order_spectrum,
     prime_power,
 )
 from .omega import OmegaFiltration, omega_filtration, psi_brute, psi_subset
@@ -40,7 +39,6 @@ class CatalogEntry:
     cp2: Cp2Report
     psi: int
     level_psi: tuple[int, ...]
-    spectrum: dict[int, int]
 
     @property
     def order(self) -> int:
@@ -143,7 +141,6 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
         cp2=is_cp2_pairwise(group),
         psi=psi_brute(group),
         level_psi=level_psi,
-        spectrum=order_spectrum(group),
     )
 
 

@@ -5,16 +5,17 @@ Grammar (whitespace around tokens is ignored):
     expr := term ('*' term)*
     term := ('C' | 'D' | 'Q' | 'H' | 'M') integer
 
-Products associate to the left.  ``C8`` is the cyclic group of order 8,
-``D16`` the dihedral group of order 16, ``Q16`` the generalized quaternion
-group of order 16, ``H27`` the extraspecial group of order 27 and exponent 3,
-``M27`` the group <a,b | a^9 = b^3 = 1, b^-1 a b = a^4>.
+An expression is its tuple of factors, left to right: the direct product is
+associative, so the parse keeps no nesting.  ``C8`` is the cyclic group of
+order 8, ``D16`` the dihedral group of order 16, ``Q16`` the generalized
+quaternion group of order 16, ``H27`` the extraspecial group of order 27 and
+exponent 3, ``M27`` the group <a,b | a^9 = b^3 = 1, b^-1 a b = a^4>.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
 
 from .groups import (
     FiniteGroup,
@@ -40,15 +41,7 @@ class Atom:
     param: int
 
 
-@dataclass(frozen=True)
-class Product:
-    """Direct product node; the grammar nests these to the left."""
-
-    left: "GroupExpr"
-    right: "GroupExpr"
-
-
-GroupExpr = Union[Atom, Product]
+GroupExpr = tuple[Atom, ...]
 
 _BUILDERS = {
     "C": cyclic_group,
@@ -60,7 +53,8 @@ _BUILDERS = {
 
 
 def parse_group_expr(text: str) -> GroupExpr:
-    """Parse an expression string into its AST."""
+    """Parse an expression string into its factors, left to right (a single
+    atom is a 1-tuple)."""
     pos = 0
     n = len(text)
 
@@ -97,44 +91,34 @@ def parse_group_expr(text: str) -> GroupExpr:
 
     if not text.strip():
         raise GroupExprError("empty expression", 0)
-    expr: GroupExpr = parse_term()
+    factors = [parse_term()]
     skip_ws()
     while pos < n:
         if text[pos] != "*":
             raise GroupExprError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-        expr = Product(expr, parse_term())
+        factors.append(parse_term())
         skip_ws()
-    return expr
+    return tuple(factors)
 
 
 def expr_to_name(expr: GroupExpr) -> str:
     """Normalized expression string: tokens joined by '*', no whitespace."""
-    if isinstance(expr, Atom):
-        return f"{expr.kind}{expr.param}"
-    return f"{expr_to_name(expr.left)}*{expr_to_name(expr.right)}"
+    return "*".join(f"{atom.kind}{atom.param}" for atom in expr)
 
 
 def expr_order(expr: GroupExpr) -> int:
     """Order of the group the expression denotes (every constructor's
     parameter is its order)."""
-    if isinstance(expr, Atom):
-        return expr.param
-    return expr_order(expr.left) * expr_order(expr.right)
+    return math.prod(atom.param for atom in expr)
 
 
 def build_group(expr: GroupExpr) -> FiniteGroup:
-    """Evaluate an AST to a validated FiniteGroup named by the normalized
+    """Evaluate an expression to a validated FiniteGroup named by the normalized
     expression.  The whole group's order is checked against the table size
     limit and physical memory before any factor is built."""
     _check_order_limit(expr_order(expr))
     return _build(expr)
-
-
-def _factors(expr: GroupExpr) -> list[Atom]:
-    if isinstance(expr, Atom):
-        return [expr]
-    return _factors(expr.left) + _factors(expr.right)
 
 
 def _build(expr: GroupExpr) -> FiniteGroup:
@@ -144,7 +128,7 @@ def _build(expr: GroupExpr) -> FiniteGroup:
     alike, and nesting to the right keeps each product's right factor, the
     innermost axis of its broadcast, the larger one.
     """
-    factors = [_BUILDERS[atom.kind](atom.param) for atom in _factors(expr)]
+    factors = [_BUILDERS[atom.kind](atom.param) for atom in expr]
     group = factors.pop()
     for left in reversed(factors):
         group = direct_product(left, group)

@@ -34,6 +34,7 @@ against physical memory, so a build that cannot fit is refused with a
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -112,9 +113,9 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
-    ``element_orders`` is computed once at construction; inverses need no
-    table, as row a is a permutation whose 0, its minimum, sits at a^-1.
-    Instances are immutable; all operations on them are pure.
+    Products are read from ``table`` and powers from ``power_map``;
+    ``element_orders`` is computed once at construction.  Instances are
+    immutable; all operations on them are pure.
 
     Two private fields, neither compared nor printed, keep results derived
     from the table on their first computation: ``_filtration``, the omega
@@ -138,38 +139,23 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(np.argmin(self.table[a]))
-
-    def power(self, x: int, e: int) -> int:
-        """x**e by repeated squaring on table indices (e may be any integer)."""
-        if e < 0:
-            x, e = self.inv(x), -e
-        result, base = 0, x
-        while e:
-            if e & 1:
-                result = int(self.table[result, base])
-            e >>= 1
-            if e:
-                base = int(self.table[base, base])
-        return result
-
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name!r} order {self.order}>"
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subset of a parent group's indices, verified closed on construction."""
+    """A subset of a parent group's indices, verified closed on construction.
+    Members given as anything but a tuple are stored as a tuple of ints, so
+    they can key the parent's kept quotients."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
 
     def __post_init__(self):
         mem = _indices(self.members, "subgroup member")
+        if not isinstance(self.members, tuple):
+            object.__setattr__(self, "members", tuple(mem.tolist()))  # frozen dataclass
         if mem.size == 0:
             raise GroupError("subgroup must contain the identity")
         if mem[0] != 0:
@@ -213,6 +199,15 @@ def _indices(values, what: str) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise GroupError(f"{what} indices must be integers, got {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int.  A value that is not an integer is refused, not
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GroupError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
@@ -458,6 +453,7 @@ def prime_power(k: int) -> tuple[int, int] | None:
 
 def element_order(group: FiniteGroup, x: int) -> int:
     """Smallest k >= 1 with x^k = identity."""
+    x = _integer(x, "element index")
     if not 0 <= x < group.order:
         raise IndexError(f"element index {x} out of range for order {group.order}")
     return int(group.element_orders[x])
@@ -471,8 +467,9 @@ def order_spectrum(group: FiniteGroup) -> dict[int, int]:
 
 def power_map(group: FiniteGroup, e: int) -> np.ndarray:
     """x -> x^e for every element at once, by repeated squaring on indices."""
+    e = _integer(e, "exponent")
     if e < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise GroupError("exponent must be nonnegative")
     n = group.order
     result = np.zeros(n, dtype=np.int32)
     base = np.arange(n, dtype=np.int32)

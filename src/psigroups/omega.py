@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (FiniteGroup, NotPGroupError, Subgroup, _indices, closure, power_map,
-                     prime_power)
+from .groups import (FiniteGroup, GroupError, NotPGroupError, Subgroup, _indices, _integer,
+                     closure, power_map, prime_power)
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,17 @@ def exponent_log(group: FiniteGroup) -> tuple[int, int]:
     return p, m
 
 
+def _level(i) -> int:
+    """An omega level: a nonnegative integer, else GroupError."""
+    i = _integer(i, "omega level")
+    if i < 0:
+        raise GroupError("omega level must be nonnegative")
+    return i
+
+
 def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
     """All element indices x with x^(p^i) = identity, ascending."""
-    if i < 0:
-        raise ValueError("omega level must be nonnegative")
+    i = _level(i)
     p = prime_of(group)
     hits = np.flatnonzero(power_map(group, p**i) == 0)
     return tuple(hits.tolist())
@@ -113,9 +120,9 @@ def omega_subgroup(group: FiniteGroup, i: int) -> Subgroup:
     """The subgroup generated by the level-i omega set: read from the
     group's filtration when it already holds one, else one closure."""
     kept = group._filtration
-    if kept is None or i < 0:
+    if kept is None:
         return closure(group, omega_set(group, i))
-    return Subgroup(group, kept.levels[min(i, kept.m)].members)
+    return Subgroup(group, kept.levels[min(_level(i), kept.m)].members)
 
 
 def omega_filtration(group: FiniteGroup) -> OmegaFiltration:

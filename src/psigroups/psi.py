@@ -22,7 +22,8 @@ from .groups import (
     prime_power,
     quotient,
 )
-from .omega import OmegaFiltration, exponent_log, omega_filtration, omega_subgroup, psi_brute
+from .omega import (OmegaFiltration, exponent_log, omega_filtration, omega_subgroup, prime_of,
+                    psi_brute)
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,13 @@ def psi_filtration(group: FiniteGroup) -> int:
         (sizes[j] - sizes[j - 1]) * filtration.p**j for j in range(1, filtration.m + 1))
 
 
-def _require_same_order_and_prime(p_group: FiniteGroup, q_group: FiniteGroup) -> int:
+def _require_same_order(p_group: FiniteGroup, q_group: FiniteGroup) -> None:
+    """Equal orders; for p-groups that is equal primes too, as the prime is
+    read from the order."""
     if p_group.order != q_group.order:
         raise GroupError(
             f"order mismatch: |{p_group.name}| = {p_group.order}, "
             f"|{q_group.name}| = {q_group.order}")
-    pp, _ = exponent_log(p_group)
-    pq, _ = exponent_log(q_group)
-    if pp != pq:
-        raise GroupError(f"prime mismatch: {pp} vs {pq}")
-    return pp
 
 
 def compare_filtrations(filt_p: OmegaFiltration, filt_q: OmegaFiltration) -> OrderDecision:
@@ -218,24 +216,12 @@ def compare_filtrations(filt_p: OmegaFiltration, filt_q: OmegaFiltration) -> Ord
         larger=side, diff_level=diff_level)
 
 
-def psi_equal_via_omega(p_group: FiniteGroup, q_group: FiniteGroup) -> bool:
-    """Decide psi equality of two CP2 p-groups of the same order from their
-    filtrations alone: psi(P) = psi(Q) iff |Omega_i(P)| = |Omega_i(Q)| for
-    all i."""
-    _require_same_order_and_prime(p_group, q_group)
-    filt_p = omega_filtration(p_group)
-    filt_q = omega_filtration(q_group)
-    for group, filt in ((p_group, filt_p), (q_group, filt_q)):
-        if not cp2_from_filtration(filt).is_cp2:
-            raise NotCp2Error(f"{group.name} is not CP2")
-    return compare_filtrations(filt_p, filt_q).theorem == "T1.1"
-
-
 def predict_order(p_group: FiniteGroup, q_group: FiniteGroup) -> PsiComparison:
     """Compare psi over two same-order p-groups and, where an ordering or
     equality theorem applies, record its prediction (see
     ``compare_filtrations``)."""
-    prime = _require_same_order_and_prime(p_group, q_group)
+    _require_same_order(p_group, q_group)
+    prime = prime_of(p_group)
     psi_p = psi_brute(p_group)
     psi_q = psi_brute(q_group)
     decision = compare_filtrations(omega_filtration(p_group), omega_filtration(q_group))
@@ -262,10 +248,7 @@ def order_bijection(
     ascending index on both sides.  Otherwise the spectra are scanned from
     the largest order downward and the first differing count is reported.
     """
-    if p_group.order != q_group.order:
-        raise GroupError(
-            f"order mismatch: |{p_group.name}| = {p_group.order}, "
-            f"|{q_group.name}| = {q_group.order}")
+    _require_same_order(p_group, q_group)
     spec_p = order_spectrum(p_group)
     spec_q = order_spectrum(q_group)
     if spec_p != spec_q:

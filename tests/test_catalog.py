@@ -7,7 +7,6 @@ from psigroups import (
     make_entry,
     omega_filtration,
     omega_subgroup,
-    order_spectrum,
     partitions,
     psi_brute,
     psi_subset,
@@ -70,7 +69,6 @@ def test_cached_values_match_fresh_recomputation():
         assert entry.psi == psi_brute(g)
         assert entry.filtration == omega_filtration(g)
         assert entry.cp2 == is_cp2_pairwise(g)
-        assert entry.spectrum == order_spectrum(g)
         assert entry.level_psi == tuple(
             psi_subset(g, omega_subgroup(g, i).members)
             for i in range(entry.filtration.m + 1))

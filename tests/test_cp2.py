@@ -99,7 +99,7 @@ def test_max_order_law(name):
     for x in range(g.order):
         for y in range(g.order):
             if orders[x] != orders[y]:
-                assert orders[g.mul(x, y)] == max(orders[x], orders[y])
+                assert orders[g.table[x, y]] == max(orders[x], orders[y])
 
 
 @given(p_group_names)

@@ -4,7 +4,6 @@ from hypothesis import given
 from psigroups import (
     Atom,
     GroupExprError,
-    Product,
     expr_order,
     expr_to_name,
     parse_group_expr,
@@ -13,20 +12,16 @@ from strategies import group_names
 
 
 def test_single_atom():
-    assert parse_group_expr("C8") == Atom("C", 8)
+    assert parse_group_expr("C8") == (Atom("C", 8),)
 
 
-def test_counterexample_expressions_nest_left():
+def test_counterexample_expressions_are_flat_factor_tuples():
     expr = parse_group_expr("D16*C2*C2*C2*C2")
-    # ((((D16*C2)*C2)*C2)*C2
-    assert isinstance(expr, Product)
-    assert expr.right == Atom("C", 2)
-    assert expr.left.left.left == Product(Atom("D", 16), Atom("C", 2))
+    assert expr == (Atom("D", 16),) + (Atom("C", 2),) * 4
     assert expr_to_name(expr) == "D16*C2*C2*C2*C2"
+    assert expr_order(expr) == 256
 
-    expr = parse_group_expr("C4*C4*C4*C4")
-    assert expr == Product(
-        Product(Product(Atom("C", 4), Atom("C", 4)), Atom("C", 4)), Atom("C", 4))
+    assert parse_group_expr("C4*C4*C4*C4") == (Atom("C", 4),) * 4
 
 
 def test_whitespace_ignored():
@@ -72,7 +67,7 @@ def test_parse_errors(text, fragment):
 
 
 def test_zero_padded_constant_beyond_the_digit_limit():
-    assert parse_group_expr("C" + "0" * 5000 + "8") == Atom("C", 8)
+    assert parse_group_expr("C" + "0" * 5000 + "8") == (Atom("C", 8),)
 
 
 def test_error_carries_offset():

@@ -23,9 +23,11 @@ from psigroups import (
     is_normal,
     max_table_order,
     omega_filtration,
+    omega_set,
     omega_subgroup,
     order_spectrum,
     parse_group_table,
+    power_map,
     psi_bottom_recursion,
     psi_brute,
     quotient,
@@ -36,7 +38,6 @@ from psigroups.catalog import DEFAULT_CATALOGS
 from psigroups.groups import prime_power
 from oracle import (
     naive_closure,
-    naive_inverse,
     naive_is_associative,
     naive_is_group,
     naive_is_normal,
@@ -100,10 +101,8 @@ def test_built_groups_are_groups(name):
     assert [t[i][0] for i in range(g.order)] == list(range(g.order))
     for x in range(g.order):
         assert int(g.element_orders[x]) == naive_order(t, x)
-        x_inv = naive_inverse(t, x)
-        assert g.inv(x) == x_inv
-        for e in (1, 2, 3):
-            assert g.power(x, -e) == naive_power(t, x_inv, e)
+    for e in (0, 1, 2, 3, g.order):
+        assert power_map(g, e).tolist() == [naive_power(t, x, e) for x in range(g.order)]
 
 
 @pytest.mark.parametrize("left, right", [("D8", "Q8"), ("C3", "H27"), ("M16", "C2"), ("C1", "D8")])
@@ -160,6 +159,27 @@ def test_element_order_out_of_range():
         element_order(group_from_text("C4"), 4)
 
 
+@pytest.mark.parametrize("fn, arg, kept, message", [
+    pytest.param(power_map, 2.5, False, "exponent must be an integer, got 2.5", id="power-float"),
+    pytest.param(power_map, -1, False, "exponent must be nonnegative", id="power-negative"),
+    pytest.param(omega_set, 1.5, False, "omega level must be an integer", id="set-float"),
+    pytest.param(omega_set, -1, False, "omega level must be nonnegative", id="set-negative"),
+    pytest.param(omega_subgroup, 1.0, False, "omega level must be an integer", id="sub-float"),
+    pytest.param(omega_subgroup, 1.0, True, "omega level must be an integer", id="kept-sub-float"),
+    pytest.param(omega_subgroup, -1, False, "omega level must be nonnegative", id="sub-negative"),
+    pytest.param(omega_subgroup, -1, True, "omega level must be nonnegative",
+                 id="kept-sub-negative"),
+    pytest.param(element_order, 2.7, False, "element index must be an integer", id="order-float"),
+])
+def test_an_exponent_level_or_index_that_is_no_natural_number_is_a_group_error(
+        fn, arg, kept, message):
+    g = group_from_text("C8")
+    if kept:
+        omega_filtration(g)
+    with pytest.raises(GroupError, match=message):
+        fn(g, arg)
+
+
 @pytest.mark.parametrize("name,expected", [
     ("C4", {1: 1, 2: 1, 4: 2}),
     ("H27", {1: 1, 3: 26}),
@@ -196,7 +216,7 @@ def test_closure_of_d8_involutions_is_whole_group():
 
 def test_closure_of_q8_involutions_is_tiny():
     g = group_from_text("Q8")
-    seed = [x for x in range(8) if g.power(x, 2) == 0]
+    seed = [x for x in range(8) if power_map(g, 2)[x] == 0]
     assert len(closure(g, seed)) == 2
 
 
@@ -349,6 +369,15 @@ def test_kept_quotients_by_different_subgroups_differ():
     assert quotient(g, Subgroup(g, (0, 1, 2, 3))) is by_rotations
     fresh = group_from_text("D8")
     assert np.array_equal(quotient(fresh, closure(fresh, [2])).table, by_centre.table)
+
+
+def test_subgroup_members_as_a_list_or_an_array_key_the_kept_quotient():
+    g = group_from_text("C8")
+    by_tuple = quotient(g, Subgroup(g, (0, 2, 4, 6)))
+    for members in ([0, 2, 4, 6], np.array([0, 2, 4, 6])):
+        sub = Subgroup(g, members)
+        assert sub.members == (0, 2, 4, 6)
+        assert quotient(g, sub) is by_tuple
 
 
 def test_kept_quotients_keep_every_check():

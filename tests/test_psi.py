@@ -16,7 +16,6 @@ from psigroups import (
     predict_order,
     psi_bottom_recursion,
     psi_brute,
-    psi_equal_via_omega,
     psi_filtration,
     psi_top_recursion,
 )
@@ -95,25 +94,29 @@ def test_formulas_agree_with_brute_force(name):
         assert psi_filtration(g) == expected
 
 
-# --- psi equality via filtrations ----------------------------------------------
+# --- psi equality via filtrations (T1.1) ----------------------------------------
+
+def _t11(p_group, q_group) -> bool:
+    """True iff compare_filtrations names T1.1: both CP2, equal filtrations."""
+    decision = compare_filtrations(omega_filtration(p_group), omega_filtration(q_group))
+    return decision.theorem == "T1.1"
+
 
 def test_equal_via_omega_examples():
-    assert psi_equal_via_omega(group_from_text("C9*C3"), group_from_text("M27"))
-    assert not psi_equal_via_omega(group_from_text("C9*C3"), group_from_text("C27"))
+    assert _t11(group_from_text("C9*C3"), group_from_text("M27"))
+    assert not _t11(group_from_text("C9*C3"), group_from_text("C27"))
 
 
 def test_equal_via_omega_reflexive():
     g = group_from_text("C8*C2")
-    assert psi_equal_via_omega(g, g)
+    assert _t11(g, g)
 
 
 def test_equal_via_omega_rejects_mismatches():
-    with pytest.raises(GroupError):
-        psi_equal_via_omega(group_from_text("C8"), group_from_text("C4"))
-    with pytest.raises(GroupError):
-        psi_equal_via_omega(group_from_text("C9"), group_from_text("C8"))
-    with pytest.raises(NotCp2Error):
-        psi_equal_via_omega(group_from_text("D8"), group_from_text("C8"))
+    with pytest.raises(GroupError, match="different order"):
+        _t11(group_from_text("C8"), group_from_text("C4"))
+    with pytest.raises(GroupError, match="different order"):
+        _t11(group_from_text("C9"), group_from_text("C8"))
 
 
 @given(p_group_names, p_group_names)
@@ -125,8 +128,7 @@ def test_equal_via_omega_tracks_psi(name_p, name_q):
         return
     if not (is_cp2_pairwise(p_group).is_cp2 and is_cp2_pairwise(q_group).is_cp2):
         return
-    assert psi_equal_via_omega(p_group, q_group) == (
-        psi_brute(p_group) == psi_brute(q_group))
+    assert _t11(p_group, q_group) == (psi_brute(p_group) == psi_brute(q_group))
 
 
 # --- predict_order -----------------------------------------------------------------
