@@ -2,7 +2,9 @@
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
 index of a*b.  Index 0 is always the identity.  Element orders are computed
-eagerly, so a constructed group is immutable and safe to share.
+eagerly, so a constructed group is immutable and safe to share: by Lagrange,
+o(x) is the least divisor d of n with x^d = 1, which ``power_map``'s
+repeated-squaring kernel ``_power`` decides, one call per divisor at most.
 
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
@@ -114,8 +116,8 @@ class FiniteGroup:
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
     Products are read from ``table`` and powers from ``power_map``;
-    ``element_orders`` is computed once at construction.  Instances are
-    immutable; all operations on them are pure.
+    ``element_orders`` is computed once at construction, as the least d | n
+    with x^d = 1.  Instances are immutable; all operations on them are pure.
 
     Two private fields, neither compared nor printed, keep results derived
     from the table on their first computation: ``_filtration``, the omega
@@ -270,24 +272,31 @@ def _check_assoc_light(table: np.ndarray) -> None:
             covered[frontier] = True
 
 
+def _power(table: np.ndarray, e: int) -> np.ndarray:
+    """x -> x^e for every element at once, by repeated squaring on indices."""
+    n = table.shape[0]
+    result = np.zeros(n, dtype=np.int32)
+    base = np.arange(n, dtype=np.int32)
+    while e:
+        if e & 1:
+            result = table[result, base]
+        e >>= 1
+        if e:
+            base = table[base, base]
+    return result
+
+
 def _compute_orders(table: np.ndarray) -> np.ndarray:
-    """Order of every element by iterated multiplication, x^(k+1) = x^k * x."""
+    """Order of every element by Lagrange: o(x) divides n, and x^d = 1 exactly
+    when o(x) divides d, so the first divisor d of n with x^d = 1 is o(x)."""
     n = table.shape[0]
     orders = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    cur = idx.copy()
-    k = 1
-    while idx.size:
-        done = cur == 0
-        orders[idx[done]] = k
-        idx, cur = idx[~done], cur[~done]
-        if idx.size:
-            if k >= n:
-                raise TableFormatError(
-                    f"element {int(idx[0])} has no order within {n} steps (not a group)")
-            cur = table[cur, idx]
-            k += 1
-    return orders
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        orders[(orders == 0) & (_power(table, d) == 0)] = d
+        if orders.all():
+            return orders
+    raise TableFormatError(
+        f"element {int(np.argmin(orders))} has no order dividing {n} (not a group)")
 
 
 def _validated(table) -> np.ndarray:
@@ -470,16 +479,7 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
     e = _integer(e, "exponent")
     if e < 0:
         raise GroupError("exponent must be nonnegative")
-    n = group.order
-    result = np.zeros(n, dtype=np.int32)
-    base = np.arange(n, dtype=np.int32)
-    while e:
-        if e & 1:
-            result = group.table[result, base]
-        e >>= 1
-        if e:
-            base = group.table[base, base]
-    return result
+    return _power(group.table, e)
 
 
 def closure(group: FiniteGroup, seed) -> Subgroup:

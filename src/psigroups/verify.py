@@ -90,13 +90,17 @@ class _Tally:
         )
 
 
-def _same_order_pairs(cat: Catalog):
-    """Unordered entry pairs sharing prime and order, in catalog order."""
+Pairs = list[tuple[CatalogEntry, CatalogEntry, OrderDecision]]
+
+
+def _same_order_pairs(cat: Catalog) -> Pairs:
+    """Unordered entry pairs sharing prime and order, in catalog order, each with
+    its one ``compare_filtrations`` decision, which every pair property reads."""
     buckets: dict[tuple[int, int], list[CatalogEntry]] = {}
     for entry in cat.entries:
         buckets.setdefault((entry.prime, entry.order), []).append(entry)
-    for key in sorted(buckets):
-        yield from itertools.combinations(buckets[key], 2)
+    return [(a, b, compare_filtrations(a.filtration, b.filtration))
+            for key in sorted(buckets) for a, b in itertools.combinations(buckets[key], 2)]
 
 
 def _pair_name(a: CatalogEntry, b: CatalogEntry) -> str:
@@ -198,20 +202,16 @@ def _check_psi_oracles(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _level_psi_equal(a: CatalogEntry, b: CatalogEntry) -> bool:
-    top = max(a.filtration.m, b.filtration.m)
-    return all(a.level_psi_at(i) == b.level_psi_at(i) for i in range(top + 1))
-
-
-def _check_t11(cat: Catalog) -> TheoremReport:
+def _check_t11(pairs: Pairs) -> TheoremReport:
     tally = _Tally("T1.1")
-    for a, b in _same_order_pairs(cat):
+    for a, b, decision in pairs:
         if not (a.cp2.is_cp2 and b.cp2.is_cp2):
             tally.record(_pair_name(a, b), applicable=False)
             continue
         psi_eq = a.psi == b.psi
-        filt_eq = compare_filtrations(a.filtration, b.filtration).theorem == "T1.1"
-        level_eq = _level_psi_equal(a, b)
+        filt_eq = decision.theorem == "T1.1"
+        top = max(a.filtration.m, b.filtration.m)
+        level_eq = all(a.level_psi_at(i) == b.level_psi_at(i) for i in range(top + 1))
         ok = psi_eq == filt_eq == level_eq
         tally.record(
             _pair_name(a, b), applicable=True, ok=ok,
@@ -220,10 +220,9 @@ def _check_t11(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _check_t12(cat: Catalog) -> TheoremReport:
+def _check_t12(pairs: Pairs) -> TheoremReport:
     tally = _Tally("T1.2")
-    for a, b in _same_order_pairs(cat):
-        decision = compare_filtrations(a.filtration, b.filtration)
+    for a, b, decision in pairs:
         big, small = _oriented(a, b, decision)
         if decision.theorem != "T1.2":
             tally.record(_pair_name(a, b), applicable=False)
@@ -239,10 +238,9 @@ def _check_t12(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _check_t13(cat: Catalog) -> TheoremReport:
+def _check_t13(pairs: Pairs) -> TheoremReport:
     tally = _Tally("T1.3")
-    for a, b in _same_order_pairs(cat):
-        decision = compare_filtrations(a.filtration, b.filtration)
+    for a, b, decision in pairs:
         if decision.theorem != "T1.3":
             tally.record(_pair_name(a, b), applicable=False)
             continue
@@ -259,9 +257,9 @@ def _check_t13(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _check_t14(cat: Catalog) -> TheoremReport:
+def _check_t14(pairs: Pairs) -> TheoremReport:
     tally = _Tally("T1.4")
-    for a, b in _same_order_pairs(cat):
+    for a, b, _ in pairs:
         bijection = order_bijection(a.group, b.group)
         found = isinstance(bijection, OrderBijection)
         psi_eq = a.psi == b.psi
@@ -296,10 +294,9 @@ def _check_psi_mod_p(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _check_exp_gap_bound(cat: Catalog) -> TheoremReport:
+def _check_exp_gap_bound(pairs: Pairs) -> TheoremReport:
     tally = _Tally("exp-gap-bound")
-    for a, b in _same_order_pairs(cat):
-        decision = compare_filtrations(a.filtration, b.filtration)
+    for a, b, decision in pairs:
         if decision.theorem != "T1.2":
             tally.record(_pair_name(a, b), applicable=False)
             continue
@@ -313,11 +310,11 @@ def _check_exp_gap_bound(cat: Catalog) -> TheoremReport:
     return tally.report()
 
 
-def _check_abelian_injectivity(cat: Catalog) -> TheoremReport:
+def _check_abelian_injectivity(cat: Catalog, pairs: Pairs) -> TheoremReport:
     tally = _Tally("abelian-psi-injective")
     # is_abelian scans the whole table, so test each entry once, not once per pair
     abelian = {entry.name for entry in cat.entries if entry.is_abelian}
-    for a, b in _same_order_pairs(cat):
+    for a, b, _ in pairs:
         if a.name in abelian and b.name in abelian:
             tally.record(
                 _pair_name(a, b), applicable=True, ok=a.psi != b.psi,
@@ -341,17 +338,18 @@ def format_reports(reports) -> str:
 
 def verify_theorems(cat: Catalog) -> list[TheoremReport]:
     """Run every property over the catalog; one report per property."""
+    pairs = _same_order_pairs(cat)
     return [
         _check_cp2_agreement(cat),
         _check_max_order_law(cat),
         _check_cp2_quotient_closure(cat),
         _check_omega_quotient_sizes(cat),
         _check_psi_oracles(cat),
-        _check_t11(cat),
-        _check_t12(cat),
-        _check_t13(cat),
-        _check_t14(cat),
+        _check_t11(pairs),
+        _check_t12(pairs),
+        _check_t13(pairs),
+        _check_t14(pairs),
         _check_psi_mod_p(cat),
-        _check_exp_gap_bound(cat),
-        _check_abelian_injectivity(cat),
+        _check_exp_gap_bound(pairs),
+        _check_abelian_injectivity(cat, pairs),
     ]

@@ -242,6 +242,30 @@ def whole_modular_table(k: int, p: int, j: int):
     return ((e1 + e2) % p) * mc + (i1 + i2 * tpow[e1]) % mc
 
 
+def stepwise_orders(table):
+    """Order of every element by iterated multiplication, x^(k+1) = x^k * x:
+    one numpy step per k up to the largest order, the elements that reach
+    the identity dropping out as they do: a second route to the library's
+    orders, which walk the divisors of n."""
+    import numpy as np
+
+    n = table.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    idx = np.arange(n)
+    cur = idx.copy()
+    k = 1
+    while idx.size:
+        done = cur == 0
+        orders[idx[done]] = k
+        idx, cur = idx[~done], cur[~done]
+        if idx.size:
+            if k >= n:
+                raise AssertionError(f"element {int(idx[0])} has no order within {n} steps")
+            cur = table[cur, idx]
+            k += 1
+    return orders
+
+
 def naive_metacyclic_table(m: int, s: int, t: int, r: int) -> list[list[int]]:
     """Table of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> with a^i b^e at
     index e*m + i, built from right multiplication by the generators alone.

@@ -70,7 +70,8 @@ def test_counterexample_group_has_exponent_eight():
     g = group_from_text("D16*C2*C2*C2*C2")
     assert g.order == 256
     # exponent via brute-force max element order over the product table
-    assert max(naive_order(table_of(g), x) for x in range(g.order)) == 8
+    table = table_of(g)
+    assert max(naive_order(table, x) for x in range(g.order)) == 8
 
 
 @pytest.mark.parametrize("text", ["Q12", "H8", "H16", "D5", "D2", "M4", "M12", "Q4", "M1", "H1"])

@@ -1,6 +1,6 @@
-"""The n x n kernels: byte-identical tables by a second route, the same
-answers at every row-block size, memory bounds at n = 4096 and the refusal
-of builds that cannot fit in memory."""
+"""The n x n kernels: byte-identical tables and element orders by a second
+route, the same answers at every row-block size, memory bounds at n = 4096
+and the refusal of builds that cannot fit in memory."""
 
 import dataclasses
 import math
@@ -38,6 +38,7 @@ from oracle import (
     naive_latin_fault,
     naive_max_order_law_pair,
     naive_metacyclic_table,
+    stepwise_orders,
     table_of,
     whole_cyclic_table,
     whole_dihedral_table,
@@ -119,6 +120,35 @@ def _family_cases():
                                               for name, fn in _family_cases()])
 def test_family_table_matches_the_whole_table_formula(name, whole_table):
     _same_bytes(group_from_text(name).table, whole_table())
+
+
+# --- element orders by the divisors of n, against the step-by-step route --------
+
+# C4095 = 3^2 * 5 * 7 * 13: a divisor walk through an order that is not a prime power
+@pytest.mark.parametrize("name", ["C4096", "D4096", "Q4096", "M4096", "C64*C64", "C4095"])
+def test_orders_match_the_stepwise_route_at_the_table_limit(name):
+    g = group_from_text(name)
+    expected = stepwise_orders(g.table)
+    assert g.element_orders.dtype == expected.dtype
+    assert g.element_orders.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("name,divisors", [("C4096", 13), ("M4096", 13), ("C4095", 24)])
+def test_orders_take_at_most_one_power_per_divisor(monkeypatch, name, divisors):
+    exponents = []
+    power = groups._power
+    monkeypatch.setattr(groups, "_power", lambda table, e: exponents.append(e) or power(table, e))
+    g = group_from_text(name)
+    assert len(exponents) <= divisors
+    # the divisors of n in ascending order, up to the largest order (here the exponent)
+    top = int(g.element_orders.max())
+    assert exponents == [d for d in range(1, top + 1) if g.order % d == 0]
+
+
+def test_an_element_with_no_order_dividing_n_is_refused():
+    # 1 * 1 = 1: the powers of element 1 never reach the identity
+    with pytest.raises(TableFormatError, match="no order dividing 2"):
+        groups._compute_orders(np.array([[0, 1], [1, 1]], dtype=np.int32))
 
 
 # --- the metacyclic kernel on parameters no family uses -------------------------
