@@ -3,6 +3,13 @@
 Two independent deciders are provided: the definitional pairwise scan, which
 works for arbitrary finite groups, and the omega-set criterion for p-groups
 (every level's solution set of x^(p^i) = 1 is already a subgroup).
+
+The pairwise scan reads only the pairs that can fail.  Let M be the largest
+element order.  The product xy is an element, so o(xy) <= M; when o(x) = M
+or o(y) = M, then max(o(x), o(y)) = M >= o(xy) and the pair holds.  A
+violating pair therefore has both o(x) < M and o(y) < M, and scanning the
+elements of order below M against each other, in (x, y) order, finds the same
+first witness as scanning every pair.
 """
 
 from __future__ import annotations
@@ -30,26 +37,43 @@ class Cp2Report:
     failing_level: int | None = None
 
 
-def _first_pair(group: FiniteGroup, violates) -> tuple[int, int] | None:
+def _first_pair(group: FiniteGroup, violates, among=None) -> tuple[int, int] | None:
     """First pair (x, y), in (x, y) order, with ``violates(o(xy), o(x), o(y))``,
-    or None.  The rule is applied to int32 order arrays one row block at a
-    time: o(xy) as a block, o(x) as a column and o(y) as a row."""
+    or None.  Both x and y range over ``among``, ascending indices (every
+    element by default).  The rule is applied to int32 order arrays one row
+    block at a time: o(xy) as a block, o(x) as a column and o(y) as a row.  A
+    block has as many rows as a block of whole table rows, so it never holds
+    more entries."""
+    idx = np.arange(group.order) if among is None else among
     orders = group.element_orders.astype(np.int32)
-    for rows in _row_blocks(group.order, group.order):
-        bad = violates(orders[group.table[rows]], orders[rows, None], orders)
+    scanned = orders[idx]
+    for rows in _row_blocks(idx.size, group.order):
+        # over every element a block of whole table rows is a view: no gather;
+        # o(xy) is a temporary, freed before the next block is gathered
+        bad = violates(orders[group.table[rows] if among is None
+                              else group.table[np.ix_(idx[rows], idx)]],
+                       scanned[rows, None], scanned)
         if bad.any():
-            r, y = divmod(int(np.flatnonzero(bad)[0]), group.order)
-            return rows.start + r, y
+            r, c = divmod(int(np.flatnonzero(bad)[0]), idx.size)
+            return int(idx[rows.start + r]), int(idx[c])
     return None
 
 
 def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
-    """Scan all ordered pairs; on failure report the first witness by (x, y)."""
-    pair = _first_pair(group, lambda oxy, ox, oy: oxy > np.maximum(ox, oy))
+    """Decide CP2 by the pairs of elements of order below the largest order M;
+    on failure report the first witness by (x, y) over all pairs.
+
+    A pair with o(x) = M or o(y) = M cannot fail, as o(xy) <= M (see the
+    module docstring); the elements below M are scanned in ascending order, so
+    the first failing pair among them is the first of all pairs.
+    """
+    orders = group.element_orders
+    below_top = np.flatnonzero(orders < orders.max())
+    # o(xy) > max(o(x), o(y)) as two bool blocks: no int32 block for the maximum
+    pair = _first_pair(group, lambda oxy, ox, oy: (oxy > ox) & (oxy > oy), below_top)
     if pair is None:
         return Cp2Report(is_cp2=True, method="pairwise")
     x, y = pair
-    orders = group.element_orders
     return Cp2Report(
         is_cp2=False,
         method="pairwise",

@@ -149,10 +149,20 @@ class FiniteGroup:
 class Subgroup:
     """A subset of a parent group's indices, verified closed on construction.
     Members given as anything but a tuple are stored as a tuple of ints, so
-    they can key the parent's kept quotients."""
+    they can key the parent's kept quotients.
+
+    n strictly increasing members in [0, n) are every index, and every table
+    entry is an index, so that set is closed with no products read: the
+    whole group is accepted before the closure check gathers a table block.
+
+    ``_left_minima``, neither compared nor printed, keeps min(xN) for every x
+    once ``_left_coset_minima`` has computed it for ``is_normal`` and
+    ``quotient``."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
+    _left_minima: np.ndarray | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mem = _indices(self.members, "subgroup member")
@@ -169,6 +179,8 @@ class Subgroup:
             raise IndexError(f"subgroup member {int(mem[-1])} out of range for order {n}")
         if n % mem.size != 0:
             raise GroupError(f"subgroup size {mem.size} does not divide group order {n}")
+        if mem.size == n:
+            return
         inside = np.zeros(n, dtype=bool)
         inside[mem] = True
         for rows in _row_blocks(mem.size, mem.size):
@@ -509,6 +521,15 @@ def _require_parent(group: FiniteGroup, sub: Subgroup) -> None:
         raise GroupError("subgroup does not belong to this group")
 
 
+def _left_coset_minima(sub: Subgroup) -> np.ndarray:
+    """min(xN) for every x, by one n x |N| gather, computed once per subgroup
+    and kept on it."""
+    if sub._left_minima is None:
+        mem = np.asarray(sub.members, dtype=np.int64)
+        object.__setattr__(sub, "_left_minima", sub.parent.table[:, mem].min(axis=1))
+    return sub._left_minima
+
+
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff xN = Nx for every x, decided by the cosets' minimal indices.
 
@@ -518,17 +539,17 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """
     _require_parent(group, sub)
     mem = np.asarray(sub.members, dtype=np.int64)
-    return bool(np.array_equal(group.table[:, mem].min(axis=1),
-                               group.table[mem].min(axis=0)))
+    return bool(np.array_equal(_left_coset_minima(sub), group.table[mem].min(axis=0)))
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     """Quotient group on the cosets of a normal subgroup.
 
-    Coset representatives are the minimal element index of each coset; the
-    identity coset gets index 0.  Each quotient is built once per group and
-    kept on it, keyed by the subgroup's members, so normality is decided once
-    per subgroup; that ``normal`` belongs to ``group`` is checked every call.
+    Coset representatives are the minimal element index of each coset, the
+    left-coset minima ``is_normal`` has read; the identity coset gets index 0.
+    Each quotient is built once per group and kept on it, keyed by the
+    subgroup's members, so normality is decided once per subgroup; that
+    ``normal`` belongs to ``group`` is checked every call.
     """
     _require_parent(group, normal)
     kept = group._quotients.get(normal.members)
@@ -537,8 +558,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     if not is_normal(group, normal):
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
-    mem = np.asarray(normal.members, dtype=np.int64)
-    rep = group.table[:, mem].min(axis=1)  # min of each left coset xN
+    rep = _left_coset_minima(normal)
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep).astype(np.int32)
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)
@@ -554,9 +574,11 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
 
 
 def serialize_group(group: FiniteGroup) -> str:
-    """Render the table in GT1 format (header line, then one row per line)."""
+    """Render the table in GT1 format (header line, then one row per line).
+    Rows become Python ints one at a time: the whole table as a nested list
+    holds n^2 int objects, about 36 MB at n = 1024."""
     lines = [f"GT1 {group.order}"]
-    lines.extend(" ".join(map(str, row)) for row in group.table.tolist())
+    lines.extend(" ".join(map(str, row.tolist())) for row in group.table)
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,13 @@
 """The n x n kernels: byte-identical tables and element orders by a second
-route, the same answers at every row-block size, memory bounds at n = 4096
-and the refusal of builds that cannot fit in memory."""
+route, the same answers at every row-block size, memory bounds at n = 4096,
+the work the lemma-decided shortcuts skip, and the refusal of builds that
+cannot fit in memory."""
 
 import dataclasses
 import math
 import os
 import tracemalloc
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -17,8 +19,10 @@ from psigroups import (
     Catalog,
     Cp2Report,
     GroupBuildError,
+    Subgroup,
     TableFormatError,
     closure,
+    cp2,
     direct_product,
     group_from_table,
     group_from_text,
@@ -28,6 +32,7 @@ from psigroups import (
     omega_subgroup,
     parse_group_table,
     quotient,
+    serialize_group,
 )
 from psigroups.catalog import make_entry
 from psigroups.cli import cli_main
@@ -35,9 +40,11 @@ from psigroups.verify import _check_max_order_law
 from oracle import (
     naive_closure,
     naive_cp2_witness,
+    naive_is_normal,
     naive_latin_fault,
     naive_max_order_law_pair,
     naive_metacyclic_table,
+    naive_order,
     stepwise_orders,
     table_of,
     whole_cyclic_table,
@@ -240,6 +247,50 @@ def test_blocked_cp2_witness_matches_the_oracle(monkeypatch, block, name):
     assert report.witness == witness
 
 
+@given(group_names, st.sampled_from(BLOCK_ENTRIES))
+@settings(max_examples=60, deadline=None)
+def test_restricted_cp2_scan_matches_the_oracle(name, block):
+    # the scan reads only the elements below the top order, the oracle every pair
+    g = group_from_text(name)
+    with patch.object(groups, "_BLOCK_ENTRIES", block):
+        report = is_cp2_pairwise(g)
+    witness = naive_cp2_witness(table_of(g))
+    assert report == Cp2Report(is_cp2=witness is None, method="pairwise", witness=witness)
+
+
+@pytest.mark.parametrize("block", BLOCK_ENTRIES)
+@pytest.mark.parametrize("name,witness", [
+    ("C1", None),  # no element below the top order: nothing to scan
+    ("C2", None),
+    ("C2*C2*C2*C2*C2", None),
+    ("C6", (2, 3, 3, 2, 6)),  # not p-groups
+    ("D12", (2, 3, 3, 2, 6)),
+    ("C3*D8", (1, 8, 4, 3, 12)),
+    ("D8", (4, 5, 2, 2, 4)),  # the cp2_d8 golden
+])
+def test_cp2_scan_reads_the_elements_below_the_top_order(monkeypatch, block, name, witness):
+    g = group_from_text(name)
+    table = table_of(g)
+    orders = [naive_order(table, x) for x in range(g.order)]
+    among = []
+    first_pair = cp2._first_pair
+    monkeypatch.setattr(cp2, "_first_pair", lambda group, violates, idx: (
+        among.append(idx.tolist()) or first_pair(group, violates, idx)))
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    report = is_cp2_pairwise(g)
+    assert among == [[x for x in range(g.order) if orders[x] < max(orders)]]
+    assert report.witness == witness == naive_cp2_witness(table)
+    assert report.is_cp2 == (witness is None)
+
+
+def test_cp2_golden_through_the_restricted_scan(capsys, monkeypatch):
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", 1)
+    golden = Path(__file__).parent / "golden" / "cp2_d8.txt"
+    for argv, out in ((["cp2", "D8"], golden.read_text()), (["cp2", "C1"], "CP2: yes\n")):
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
 @pytest.mark.parametrize("name", ["D8", "C4*C4", "M27", "D16*C2", "Q8*D8", "C9*C3"])
 def test_blocked_max_order_law_detail_matches_the_oracle(monkeypatch, block, name):
@@ -306,6 +357,59 @@ def test_pair_scan_at_order_4096_holds_one_block(name):
     g = group_from_text(name)
     _, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert peak <= 24 * MB
+
+
+# --- work that a lemma decides is skipped ----------------------------------------
+# Each bound fails when the skipped n x n gathers run again.
+
+def test_whole_group_subgroup_reads_no_products():
+    g = group_from_text("C64*C64")
+    sub, peak = _peak_bytes(lambda: Subgroup(g, tuple(range(4096))))
+    assert sub.members == tuple(range(4096))
+    assert peak <= MB
+
+
+def test_pair_scan_of_c2_12_reads_no_products():
+    # every element but the identity has the top order 2
+    g = group_from_text("*".join(["C2"] * 12))
+    report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
+    assert report.is_cp2
+    assert peak <= MB
+
+
+def test_pair_scan_of_m4096_holds_half_a_full_scan():
+    # half of M4096 has the top order 2048; a scan of every pair peaks at 10 MB
+    g = group_from_text("M4096")
+    report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
+    assert report.is_cp2
+    assert peak <= 5 * MB
+
+
+@pytest.mark.parametrize("name", ["D8", "Q16*C2", "M27*C3", "C3*D8"])
+def test_quotient_reuses_the_coset_minima_of_is_normal(monkeypatch, name):
+    computed = []
+    minima = groups._left_coset_minima
+    monkeypatch.setattr(groups, "_left_coset_minima", lambda sub: (
+        computed.append(sub._left_minima is None) or minima(sub)))
+    g = group_from_text(name)
+    table = table_of(g)
+    cyclic = sorted({closure(g, [x]).members for x in range(g.order)})
+    normal = [members for members in cyclic if naive_is_normal(table, members)]
+    assert len(normal) > 1
+    for members in normal:
+        computed.clear()
+        q = quotient(g, Subgroup(g, members))
+        # one n x |N| gather, by is_normal; quotient reads the kept minima
+        assert computed == [True, False]
+        assert q.order == g.order // len(members)
+
+
+def test_gt1_export_holds_one_row_of_ints():
+    # the whole table as one nested list of Python ints holds 36 MB
+    g = group_from_text("C32*C32")
+    text, peak = _peak_bytes(lambda: serialize_group(g))
+    assert parse_group_table(text).table.tobytes() == g.table.tobytes()
+    assert peak <= 16 * MB
 
 
 def test_omega_filtration_at_order_4096_holds_one_block():
