@@ -37,25 +37,20 @@ class Cp2Report:
     failing_level: int | None = None
 
 
-def _first_pair(group: FiniteGroup, violates, among=None) -> tuple[int, int] | None:
+def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, int] | None:
     """First pair (x, y), in (x, y) order, with ``violates(o(xy), o(x), o(y))``,
-    or None.  Both x and y range over ``among``, ascending indices (every
-    element by default).  The rule is applied to int32 order arrays one row
-    block at a time: o(xy) as a block, o(x) as a column and o(y) as a row.  A
-    block has as many rows as a block of whole table rows, so it never holds
-    more entries."""
-    idx = np.arange(group.order) if among is None else among
+    or None.  Both x and y range over ``among``, ascending indices.  The rule
+    is applied to int32 order arrays one row block at a time: o(xy) as a
+    block, o(x) as a column and o(y) as a row.  A block has as many rows as a
+    block of whole table rows, so it never holds more entries."""
     orders = group.element_orders.astype(np.int32)
-    scanned = orders[idx]
-    for rows in _row_blocks(idx.size, group.order):
-        # over every element a block of whole table rows is a view: no gather;
-        # o(xy) is a temporary, freed before the next block is gathered
-        bad = violates(orders[group.table[rows] if among is None
-                              else group.table[np.ix_(idx[rows], idx)]],
+    scanned = orders[among]
+    for rows in _row_blocks(among.size, group.order):
+        bad = violates(orders[group.table[np.ix_(among[rows], among)]],
                        scanned[rows, None], scanned)
         if bad.any():
-            r, c = divmod(int(np.flatnonzero(bad)[0]), idx.size)
-            return int(idx[rows.start + r]), int(idx[c])
+            r, c = divmod(int(np.flatnonzero(bad)[0]), among.size)
+            return int(among[rows.start + r]), int(among[c])
     return None
 
 

@@ -130,7 +130,8 @@ def _check_max_order_law(cat: Catalog) -> TheoremReport:
             tally.record(entry.name, applicable=False)
             continue
         pair = _first_pair(
-            entry.group, lambda oxy, ox, oy: (ox != oy) & (oxy != np.maximum(ox, oy)))
+            entry.group, lambda oxy, ox, oy: (ox != oy) & (oxy != np.maximum(ox, oy)),
+            np.arange(entry.group.order))
         detail = ""
         if pair is not None:
             x, y = pair

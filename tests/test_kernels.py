@@ -32,7 +32,6 @@ from psigroups import (
     omega_subgroup,
     parse_group_table,
     quotient,
-    serialize_group,
 )
 from psigroups.catalog import make_entry
 from psigroups.cli import cli_main
@@ -402,14 +401,6 @@ def test_quotient_reuses_the_coset_minima_of_is_normal(monkeypatch, name):
         # one n x |N| gather, by is_normal; quotient reads the kept minima
         assert computed == [True, False]
         assert q.order == g.order // len(members)
-
-
-def test_gt1_export_holds_one_row_of_ints():
-    # the whole table as one nested list of Python ints holds 36 MB
-    g = group_from_text("C32*C32")
-    text, peak = _peak_bytes(lambda: serialize_group(g))
-    assert parse_group_table(text).table.tobytes() == g.table.tobytes()
-    assert peak <= 16 * MB
 
 
 def test_omega_filtration_at_order_4096_holds_one_block():
