@@ -147,10 +147,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except GroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

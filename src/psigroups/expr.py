@@ -6,10 +6,12 @@ Grammar (whitespace around tokens is ignored):
     term := ('C' | 'D' | 'Q' | 'H' | 'M') integer
 
 An expression is its tuple of factors, left to right: the direct product is
-associative, so the parse keeps no nesting.  ``C8`` is the cyclic group of
-order 8, ``D16`` the dihedral group of order 16, ``Q16`` the generalized
-quaternion group of order 16, ``H27`` the extraspecial group of order 27 and
-exponent 3, ``M27`` the group <a,b | a^9 = b^3 = 1, b^-1 a b = a^4>.
+associative, so the parse keeps no nesting, and ``build_group`` builds each
+atom and wraps a product as one group by a single ``direct_product`` call over
+every factor.  ``C8`` is the cyclic group of order 8, ``D16`` the dihedral
+group of order 16, ``Q16`` the generalized quaternion group of order 16,
+``H27`` the extraspecial group of order 27 and exponent 3, ``M27`` the group
+<a,b | a^9 = b^3 = 1, b^-1 a b = a^4>.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .groups import (
     quaternion_group,
 )
 
-CONSTRUCTOR_LETTERS = "CDQHM"
 _MAX_PARAM = 2**31 - 1
 
 
@@ -71,7 +72,7 @@ def parse_group_expr(text: str) -> GroupExpr:
         letter = text[pos]
         if not letter.isalpha():
             raise GroupExprError(f"expected a constructor letter, found {letter!r}", pos)
-        if letter not in CONSTRUCTOR_LETTERS:
+        if letter not in _BUILDERS:
             raise GroupExprError(f"unknown constructor {letter!r}", pos)
         pos += 1
         skip_ws()
@@ -116,23 +117,11 @@ def expr_order(expr: GroupExpr) -> int:
 def build_group(expr: GroupExpr) -> FiniteGroup:
     """Evaluate an expression to a validated FiniteGroup named by the normalized
     expression.  The whole group's order is checked against the table size
-    limit and physical memory before any factor is built."""
+    limit and physical memory before any factor is built; a product is then
+    laid out by one ``direct_product`` call over every factor."""
     _check_order_limit(expr_order(expr))
-    return _build(expr)
-
-
-def _build(expr: GroupExpr) -> FiniteGroup:
-    """Build every factor left to right, then multiply from the right.
-
-    Lexicographic indexing makes the product associative on tables and names
-    alike, and nesting to the right keeps each product's right factor, the
-    innermost axis of its broadcast, the larger one.
-    """
     factors = [_BUILDERS[atom.kind](atom.param) for atom in expr]
-    group = factors.pop()
-    for left in reversed(factors):
-        group = direct_product(left, group)
-    return group
+    return direct_product(*factors) if len(factors) > 1 else factors[0]
 
 
 def group_from_text(text: str) -> FiniteGroup:

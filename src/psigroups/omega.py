@@ -112,7 +112,7 @@ def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
     """All element indices x with x^(p^i) = identity, ascending."""
     i = _level(i)
     p = prime_of(group)
-    hits = np.flatnonzero(power_map(group, p**i) == 0)
+    hits = np.flatnonzero(power_map(group, pow(p, i, group.order)) == 0)
     return tuple(hits.tolist())
 
 

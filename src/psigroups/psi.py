@@ -245,19 +245,17 @@ def order_bijection(
     """Pair up elements of equal order, or report why that is impossible.
 
     When the order spectra agree, elements are paired per order value by
-    ascending index on both sides.  Otherwise the spectra are scanned from
-    the largest order downward and the first differing count is reported.
+    ascending index on both sides.  Otherwise the largest order whose counts
+    differ is reported.
     """
     _require_same_order(p_group, q_group)
     spec_p = order_spectrum(p_group)
     spec_q = order_spectrum(q_group)
     if spec_p != spec_q:
-        for value in sorted(set(spec_p) | set(spec_q), reverse=True):
-            count_p = spec_p.get(value, 0)
-            count_q = spec_q.get(value, 0)
-            if count_p != count_q:
-                return SpectrumMismatch(order=value, count_p=count_p, count_q=count_q)
-        raise AssertionError("spectra differ but all counts agree")
+        value = max(v for v in spec_p.keys() | spec_q.keys()
+                    if spec_p.get(v, 0) != spec_q.get(v, 0))
+        return SpectrumMismatch(order=value, count_p=spec_p.get(value, 0),
+                                count_q=spec_q.get(value, 0))
     by_order_p = np.argsort(p_group.element_orders, kind="stable")
     by_order_q = np.argsort(q_group.element_orders, kind="stable")
     pairs = tuple((int(a), int(b)) for a, b in zip(by_order_p, by_order_q))

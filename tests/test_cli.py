@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -248,3 +251,27 @@ def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "psi", "C32")
     assert code == 2
     assert "exceeds table size limit 16" in err
+
+
+# --- the documented entry point ----------------------------------------------------
+
+def _run_module(*argv):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    return subprocess.run([sys.executable, "-m", "psigroups", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_psigroups_prints_psi():
+    result = _run_module("psi", "C4")
+    assert result.returncode == 0
+    assert result.stdout == "psi(C4) = 11\n"
+    assert result.stderr == ""
+
+
+def test_python_m_psigroups_refuses_a_malformed_expression():
+    result = _run_module("psi", "C4*")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: expected a constructor term (at offset 3)\n"

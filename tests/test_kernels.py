@@ -1,9 +1,10 @@
 """The n x n kernels: byte-identical tables and element orders by a second
-route, the same answers at every row-block size, memory bounds at n = 4096,
-the work the lemma-decided shortcuts skip, and the refusal of builds that
-cannot fit in memory."""
+route, one product per product expression, the same answers at every
+row-block size, memory bounds at n = 4096, the work the lemma-decided
+shortcuts skip, and the refusal of builds that cannot fit in memory."""
 
 import dataclasses
+import functools
 import math
 import os
 import tracemalloc
@@ -24,13 +25,18 @@ from psigroups import (
     closure,
     cp2,
     direct_product,
+    expr,
+    expr_to_name,
     group_from_table,
     group_from_text,
     groups,
     is_cp2_pairwise,
     omega_filtration,
+    omega_set,
     omega_subgroup,
+    parse_group_expr,
     parse_group_table,
+    power_map,
     quotient,
 )
 from psigroups.catalog import make_entry
@@ -53,7 +59,7 @@ from oracle import (
     whole_modular_table,
     whole_quaternion_table,
 )
-from strategies import group_names
+from strategies import ATOMS, group_names
 
 MB = 2**20
 
@@ -89,10 +95,83 @@ def test_direct_product_matches_the_whole_table_formula_at_order_4096():
     c16 = group_from_text("C16")
     g = direct_product(d16q16, c16)  # nested to the left
     _same_bytes(g.table, whole_direct_product_table(d16q16.table, c16.table))
-    # the expression builder nests to the right: the same table and name
+    # the expression builder folds every factor in one call: the same table and name
     built = group_from_text("D16*Q16*C16")
     assert built.name == g.name
     _same_bytes(built.table, g.table)
+
+
+# --- a product expression is one group ------------------------------------------
+
+@st.composite
+def atom_lists(draw, max_order=1024):
+    """2 to 4 atom names (C1 among them) whose product has order <= max_order."""
+    names, order = [], 1
+    for _ in range(draw(st.integers(2, 4))):
+        names.append(draw(st.sampled_from([a for a in ATOMS if order * ATOMS[a] <= max_order])))
+        order *= ATOMS[names[-1]]
+    return names
+
+
+def _assert_product_of_every_factor(names):
+    factors = [group_from_text(name) for name in names]
+    g = direct_product(*factors)
+    right = functools.reduce(lambda acc, f: direct_product(f, acc), reversed(factors))
+    left = functools.reduce(direct_product, factors)
+    for nested in (right, left):
+        assert g.name == nested.name
+        _same_bytes(g.table, nested.table)
+    text = "*".join(names)
+    built = group_from_text(text)
+    assert built.name == g.name == expr_to_name(parse_group_expr(text))
+    _same_bytes(built.table, g.table)
+
+
+@given(atom_lists())
+@settings(max_examples=40, deadline=None)
+def test_direct_product_of_every_factor_matches_both_nestings(names):
+    _assert_product_of_every_factor(names)
+
+
+@pytest.mark.parametrize("names", [["C2"] * 12, ["D16", "Q16", "C16"]],
+                         ids=["C2^12", "D16*Q16*C16"])
+def test_direct_product_of_every_factor_matches_both_nestings_at_order_4096(names):
+    _assert_product_of_every_factor(names)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("text", [
+    "M27", "C2*C3", "D16*Q16*C16", "H27*C1*M27*C3", "*".join(["C2"] * 12)])
+def test_a_product_expression_wraps_one_group(monkeypatch, text):
+    # k atoms and one product: no intermediate group is built
+    counts = {"group_from_table": 0, "direct_product": 0}
+    _count_calls(monkeypatch, groups, "group_from_table", counts)
+    _count_calls(monkeypatch, expr, "direct_product", counts)
+    k = len(parse_group_expr(text))
+    assert group_from_text(text).name == text
+    products = 1 if k > 1 else 0
+    assert counts == {"group_from_table": k + products, "direct_product": products}
+
+
+def test_direct_product_refuses_the_whole_order_before_any_table():
+    # each partial product fits the limit; the whole order is checked first
+    factors = [group_from_text(name) for name in ("C2", "C64", "C64")]
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupBuildError, match="group order 8192 exceeds table size limit"):
+            direct_product(*factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MB
 
 
 @pytest.mark.parametrize("k,p,j", [(p**j, p, j) for p in (2, 3, 5, 7, 11, 13)
@@ -382,6 +461,41 @@ def test_pair_scan_of_m4096_holds_half_a_full_scan():
     report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert report.is_cp2
     assert peak <= 5 * MB
+
+
+def _record_power_exponents(monkeypatch) -> list[int]:
+    seen = []
+    power = groups._power
+    monkeypatch.setattr(groups, "_power", lambda table, e: seen.append(e) or power(table, e))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["C8", "D8", "Q16", "H27", "M27", "C6", "C3*D8", "C1"])
+def test_power_map_takes_the_exponent_mod_the_order(monkeypatch, name):
+    # x^n = 1 by Lagrange, so the kernel never needs an exponent of n or more
+    g = group_from_text(name)
+    e = 2**4096 + 3
+    unbounded = groups._power(g.table, e)
+    seen = _record_power_exponents(monkeypatch)
+    _same_bytes(power_map(g, e), unbounded)
+    assert seen and all(k < g.order for k in seen)
+
+
+@pytest.mark.parametrize("name", ["C8", "D8", "Q16", "H27", "M27", "C9*C3"])
+def test_omega_set_takes_the_exponent_mod_the_order(monkeypatch, name):
+    g = group_from_text(name)
+    seen = _record_power_exponents(monkeypatch)
+    assert omega_set(g, 5000) == tuple(range(g.order))
+    assert seen and all(k < g.order for k in seen)
+
+
+@given(group_names, st.integers(0, 2**70 + 5))
+@settings(max_examples=60, deadline=None)
+def test_power_map_depends_on_the_exponent_mod_the_order(name, e):
+    g = group_from_text(name)
+    result = power_map(g, e)
+    _same_bytes(result, power_map(g, e % g.order))
+    _same_bytes(result, groups._power(g.table, e))
 
 
 @pytest.mark.parametrize("name", ["D8", "Q16*C2", "M27*C3", "C3*D8"])
