@@ -140,10 +140,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
                 handle.write(serialize_group(group))
             return 0
         if args.command == "import":
-            # undecodable bytes become U+FFFD, which the parser rejects as non-ASCII
-            with open(args.path, encoding="ascii", errors="replace") as handle:
-                text = handle.read()
-            group = parse_group_table(text, name=args.path)
+            with open(args.path, "rb") as handle:
+                data = handle.read()
+            group = parse_group_table(data, name=args.path)
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

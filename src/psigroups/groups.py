@@ -28,13 +28,12 @@ place (C, D, Q and M in one metacyclic kernel, H in one broadcast, and
 ``direct_product`` folding every factor's table in from the right, one
 broadcast each, into a product wrapped as one group); only readers
 (the closure check, the closure step, the subgroup and quotient tables, the
-CP2 pair scan) go one block of whole rows at a time (``_row_blocks``).
-Validation of an untrusted table has two exceptions, which stand until its
-checks are rewritten by row block: Light's test holds four n x n temporaries
-(257 MB under tracemalloc at n = 4096), and ``_check_latin`` holds an n x n
-bool matrix.  Before a table is allocated, its order is checked against the
-table size limit and its bytes, the table plus one row block, against
-physical memory, so a build that cannot fit is refused with a
+CP2 pair scan, Light's test) go one block of whole rows at a time
+(``_row_blocks``).  Validation of an untrusted table has one exception,
+which stands until it is rewritten by row block: ``_check_latin`` holds an
+n x n bool matrix.  Before a table is allocated, its order is checked
+against the table size limit and its bytes, the table plus one row block,
+against physical memory, so a build that cannot fit is refused with a
 ``GroupBuildError`` instead of failing part-way.
 """
 
@@ -275,12 +274,14 @@ def _check_assoc_light(table: np.ndarray) -> None:
     gens: list[int] = []
     while not covered.all():
         g = int(np.argmin(covered))
-        # (xg)y and x(gy); np.take keeps the column gather in C order, where
-        # table[:, perm] comes back in Fortran order and slows the comparison
-        lhs, rhs = table[table[:, g]], np.take(table, table[g], axis=1)
-        if not np.array_equal(lhs, rhs):
-            x, y = np.argwhere(lhs != rhs)[0]
-            raise TableFormatError(f"associativity failure at ({int(x)},{g},{int(y)})")
+        for rows in _row_blocks(n, n):
+            # (xg)y and x(gy); np.take keeps the column gather in C order, where
+            # table[:, perm] comes back in Fortran order and slows the comparison
+            lhs, rhs = table[table[rows, g]], np.take(table[rows], table[g], axis=1)
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0]
+                raise TableFormatError(
+                    f"associativity failure at ({rows.start + int(x)},{g},{int(y)})")
         gens.append(g)
         frontier = np.flatnonzero(covered)
         while frontier.size:
@@ -587,9 +588,11 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
 
 
 def serialize_group(group: FiniteGroup) -> str:
-    """Render the table in GT1 format (header line, then one row per line)."""
+    """Render the table in GT1 format (header line, then one row per line).
+    Rows become Python ints one at a time: the whole table as a nested list
+    holds n^2 int objects, about 36 MB at n = 1024."""
     lines = [f"GT1 {group.order}"]
-    lines.extend(" ".join(map(str, row)) for row in group.table.tolist())
+    lines.extend(" ".join(map(str, row.tolist())) for row in group.table)
     return "\n".join(lines) + "\n"
 
 
@@ -597,10 +600,10 @@ _GT1_BLOCK_TOKENS = 1 << 16  # the tokeniser's block: whole rows, about this man
 _INT32_DIGITS = 9  # every decimal of up to 9 digits fits in int32
 
 
-def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
-    """Parse GT1 text and validate every group-table invariant, associativity
-    exactly; only ASCII text is accepted, so every entry is an ASCII decimal
-    integer.
+def parse_group_table(text: str | bytes, name: str = "GT1") -> FiniteGroup:
+    """Parse GT1 bytes (a ``str`` as its UTF-8 bytes, lone surrogates passed,
+    so an offset is a byte offset) and validate every group-table invariant,
+    associativity exactly; only ASCII is accepted, so entries are ASCII decimals.
 
     The body is tokenised in numpy, in blocks of whole rows holding about
     ``_GT1_BLOCK_TOKENS`` entries, straight into the int32 table.  A row the
@@ -609,14 +612,15 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
     ``_gt1_row``, in row order, so an error names the first bad row with the
     same message as a row-by-row parse.
     """
-    if not text.isascii():
-        bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    if not data.isascii():
+        bad = int(np.argmax(np.frombuffer(data, dtype=np.uint8) > 127))
         raise TableFormatError(
             f"non-ASCII character at offset {bad}: "
             "GT1 is ASCII text with decimal entries")
-    if not text.endswith("\n"):
+    if not data.endswith(b"\n"):
         raise TableFormatError("GT1 text must end with a newline")
-    head = text[:text.index("\n")]
+    head = data[:data.index(b"\n")].decode("ascii")
     header = head.split(" ")
     if len(header) != 2 or header[0] != "GT1" or not header[1].isdigit():
         raise TableFormatError(f"malformed header: {head!r}")
@@ -629,7 +633,7 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
              f"group order {digits} exceeds table size limit {limit}")
     n = int(digits)
     _check_order_limit(n)
-    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(head) + 1:]
+    body = np.frombuffer(data, dtype=np.uint8)[len(head) + 1:]
     row_ends = np.flatnonzero(body == ord("\n"))
     if row_ends.size != n:
         raise TableFormatError(f"expected {n} rows after the header, got {row_ends.size}")
@@ -637,7 +641,7 @@ def parse_group_table(text: str, name: str = "GT1") -> FiniteGroup:
     step = max(1, _GT1_BLOCK_TOKENS // n)
     for r0 in range(0, n, step):
         _parse_gt1_block(body, row_ends, r0, table[r0:r0 + step])
-    del body  # the encoded text is as large as the table: free it before validating
+    del data, body  # text encoded here is as large as the table: free it before validating
     return group_from_table(name, table)
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from psigroups import group_from_text
+from psigroups import GroupError, group_from_text, parse_group_table
 from psigroups.cli import cli_main
 from oracle import switch_intercalate
 
@@ -214,6 +214,23 @@ def test_import_non_ascii_exits_2(capsys, tmp_path, data):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "non-ASCII" in err
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"GT1 2\r\n0 1\r\n1 0\r\n", "malformed header: 'GT1 2\\r'"),
+    (b"GT1 2\r0 1\r1 0\r", "GT1 text must end with a newline"),
+], ids=["crlf", "lone-cr"])
+def test_import_refuses_crlf_and_lone_cr_newlines(capsys, tmp_path, data, message):
+    # GT1 rows end in LF alone: the file is read as bytes, with no newline translation
+    path = tmp_path / "table.gt1"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "import", str(path), "psi")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    with pytest.raises(GroupError) as library:
+        parse_group_table(data.decode())
+    assert str(library.value) == message
 
 
 @pytest.mark.parametrize("argv,fragment", [

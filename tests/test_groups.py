@@ -454,6 +454,8 @@ def test_round_trip_is_identity_on_tables(name):
     ("GT1 2\n0 1\n1 -0\n", "nonnegative decimal"),
     ("GT1 2\n0 1\n1 \u00b2\n", "non-ASCII character at offset 12"),
     ("GT1 \u0662\n0 1\n1 0\n", "non-ASCII character at offset 4"),
+    # a lone surrogate is a non-ASCII character, not an encoding error
+    ("GT1 1\n\udc80\n", "non-ASCII character at offset 6"),
     # two bad rows: the lower one is reported
     ("GT1 3\n0 1 2\n1 2 x\n2 0\n", "row 1: entries must be nonnegative decimal integers"),
     # a count error and a bad digit in one row: the count is reported
@@ -544,6 +546,11 @@ def _outcome(parse):
 def test_parse_group_table_matches_the_naive_parser(text, block):
     with patch.object(groups, "_GT1_BLOCK_TOKENS", block):
         fast = _outcome(lambda: parse_group_table(text))
+        as_bytes = _outcome(lambda: parse_group_table(text.encode()))
+    if isinstance(fast, tuple) or isinstance(as_bytes, tuple):
+        assert as_bytes == fast
+    else:
+        assert as_bytes.table.tobytes() == fast.table.tobytes()
     naive = _outcome(lambda: naive_parse_gt1(text, max_table_order()))
     if isinstance(naive, list):
         naive_table = naive
@@ -554,6 +561,17 @@ def test_parse_group_table_matches_the_naive_parser(text, block):
         assert fast.table.tolist() == naive_table
         assert fast.element_orders.tolist() == [
             naive_order(naive_table, x) for x in range(fast.order)]
+
+
+@pytest.mark.parametrize("last", [b"\xff", "\u00e9"], ids=["byte", "character"])
+def test_non_ascii_last_byte_of_an_order_1024_export_is_reported_at_its_byte_offset(
+        c1024_lines, last):
+    text = "\n".join(c1024_lines)
+    data = text[:-1] + last if isinstance(last, str) else text.encode()[:-1] + last
+    with pytest.raises(TableFormatError) as err:
+        parse_group_table(data)
+    assert str(err.value) == (f"non-ASCII character at offset {len(text) - 1}: "
+                              "GT1 is ASCII text with decimal entries")
 
 
 def test_parse_group_table_peak_memory_at_order_1024():
@@ -652,3 +670,27 @@ def test_light_agrees_with_the_triple_loop_on_small_tables_and_switched_copies()
 def test_group_from_table_validates_shape():
     with pytest.raises(TableFormatError):
         group_from_table("bad", [[0, 1], [1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("table,message", [
+    (np.zeros((0, 0), dtype=np.int32), "table must have at least one element"),
+    ([[0.0, 1.0], [1.0, 0.0]], "table entries must be integers, got float64"),
+    ([[0, 1], [1, -1]], "table entry out of range [0, n)"),
+    ([[0, 1], [1, 2]], "table entry out of range [0, n)"),
+], ids=["empty", "float", "negative", "entry-n"])
+def test_group_from_table_refuses_a_table_outside_its_domain(table, message):
+    with pytest.raises(TableFormatError) as err:
+        group_from_table("bad", table)
+    assert type(err.value) is TableFormatError and str(err.value) == message
+
+
+@pytest.mark.parametrize("members,error,message", [
+    ((), GroupError, "subgroup must contain the identity"),
+    ((1, 2), GroupError, "subgroup must contain index 0 as its first member"),
+    ((0, 2, 2), GroupError, "subgroup members must be strictly increasing"),
+    ((0, 8), IndexError, "subgroup member 8 out of range for order 8"),
+], ids=["empty", "no-identity", "repeated", "out-of-range"])
+def test_subgroup_refuses_members_outside_its_domain(members, error, message):
+    with pytest.raises(error) as err:
+        Subgroup(group_from_text("C8"), members)
+    assert type(err.value) is error and str(err.value) == message

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import tracemalloc
 from pathlib import Path
 from unittest.mock import patch
@@ -38,6 +39,7 @@ from psigroups import (
     parse_group_table,
     power_map,
     quotient,
+    serialize_group,
 )
 from psigroups.catalog import make_entry
 from psigroups.cli import cli_main
@@ -51,6 +53,7 @@ from oracle import (
     naive_metacyclic_table,
     naive_order,
     stepwise_orders,
+    switch_intercalate,
     table_of,
     whole_cyclic_table,
     whole_dihedral_table,
@@ -413,6 +416,39 @@ def test_blocked_quotient_table_matches(monkeypatch, block, name):
     _same_bytes(quotient(g, omega_subgroup(g, 1)).table, whole.table)
 
 
+def _switched_loops(name, count, rng):
+    """``count`` copies of ``name``'s table, each with one intercalate switched
+    away from row and column 0: latin loops with identity 0."""
+    table = table_of(group_from_text(name))
+    n = len(table)
+    involutions = [u for u in range(1, n) if table[u][u] == 0]
+    loops = []
+    while len(loops) < count:
+        u, r, c = rng.choice(involutions), rng.randrange(1, n), rng.randrange(1, n)
+        if table[r][u] and table[u][c]:
+            loops.append(np.array(switch_intercalate(table, u, r, c), dtype=np.int32))
+    return loops
+
+
+def _light_outcome(table):
+    try:
+        groups._check_assoc_light(table)
+    except TableFormatError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("block", BLOCK_ENTRIES)
+@pytest.mark.parametrize("name", ["D16", "Q16*C2", "C8*C4", "M16*C2", "D8*C3*C4", "Q8*C12"])
+def test_blocked_light_test_reports_the_same_triple(monkeypatch, block, name):
+    # the first failing (x, y) for the first failing generator, at every block size
+    loops = _switched_loops(name, 8, random.Random(name))
+    whole = [_light_outcome(t) for t in loops]
+    assert any(whole)
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    assert [_light_outcome(t) for t in loops] == whole
+
+
 # --- memory at the 4096-element limit -------------------------------------------
 # The table is 64 MB; a kernel may hold it plus one row block (4-8 MB).
 
@@ -435,6 +471,21 @@ def test_pair_scan_at_order_4096_holds_one_block(name):
     g = group_from_text(name)
     _, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert peak <= 24 * MB
+
+
+def test_light_test_at_order_4096_holds_one_block():
+    # (xg)y and x(gy) over the whole table are four 64 MB temporaries
+    table = group_from_text("C64*C64").table
+    _, peak = _peak_bytes(lambda: groups._check_assoc_light(table))
+    assert peak <= 24 * MB
+
+
+def test_gt1_export_holds_one_row_of_ints():
+    # the whole table as one nested list of Python ints holds 36 MB
+    g = group_from_text("C32*C32")
+    text, peak = _peak_bytes(lambda: serialize_group(g))
+    assert parse_group_table(text).table.tobytes() == g.table.tobytes()
+    assert peak <= 16 * MB
 
 
 # --- work that a lemma decides is skipped ----------------------------------------
