@@ -15,8 +15,8 @@ and member tuples, and a quotient is a group of its own, not a ``Subgroup``.
 
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
-for shape, entry range, the latin property, identity placement and
-associativity (Light's test, exact at every size).  Tables this module builds
+for shape, entry range, identity placement, associativity (Light's test,
+exact at every size) and element orders.  Tables this module builds
 itself are trusted and not re-checked: the C/D/Q/H/M constructors and
 ``direct_product`` write group laws by construction, ``Subgroup.as_group``
 restricts a table to a set the ``Subgroup`` closure check has accepted, and
@@ -29,9 +29,7 @@ place (C, D, Q and M in one metacyclic kernel, H in one broadcast, and
 broadcast each, into a product wrapped as one group); only readers
 (the closure check, the closure step, the subgroup and quotient tables, the
 CP2 pair scan, Light's test) go one block of whole rows at a time
-(``_row_blocks``).  Validation of an untrusted table has one exception,
-which stands until it is rewritten by row block: ``_check_latin`` holds an
-n x n bool matrix.  Before a table is allocated, its order is checked
+(``_row_blocks``).  Before a table is allocated, its order is checked
 against the table size limit and its bytes, the table plus one row block,
 against physical memory, so a build that cannot fit is refused with a
 ``GroupBuildError`` instead of failing part-way.
@@ -237,20 +235,13 @@ def _row_blocks(rows: int, cols: int) -> list[slice]:
 
 
 def _check_latin(table: np.ndarray) -> None:
-    """Every row, then every column, holds each index once.  The entries are
-    in range, so a line is a permutation iff it hits every value; the hits
-    are marked in an n x n bool matrix, one row block of the table at a time
-    (sorting the columns instead copies the table and reads it across rows)."""
+    """Every row, then every column, holds each index once: the entries are in
+    range, so a line is a permutation iff it counts every value."""
     n = table.shape[0]
-    lines = np.arange(n)
-    for kind in ("row", "column"):
-        hit = np.zeros((n, n), dtype=bool)  # hit[line, value]
-        for rows in _row_blocks(n, n):
-            hit[lines[rows, None] if kind == "row" else lines, table[rows]] = True
-        missing = ~hit.all(axis=1)
-        if missing.any():
-            raise TableFormatError(
-                f"not a latin square: {kind} {int(np.argmax(missing))} is not a permutation")
+    for kind, lines in (("row", table), ("column", table.T)):
+        for i, line in enumerate(lines):
+            if not np.bincount(line, minlength=n).all():
+                raise TableFormatError(f"not a latin square: {kind} {i} is not a permutation")
 
 
 def _check_identity(table: np.ndarray) -> None:
@@ -265,14 +256,17 @@ def _check_assoc_light(table: np.ndarray) -> None:
 
     The elements g with (xg)y = x(gy) for all x, y are closed under products,
     so it suffices to check a generating set: greedily the lowest element not
-    yet generated by the checked ones.  A group needs at most log2(n) of them,
-    for O(n^2 log n) work in all.
+    yet generated by the checked ones.  On a latin table with identity 0 they
+    generate a group that each new one at least doubles, so log2(n) of them
+    suffice, for O(n^2 log n) work in all; a table needing more is not latin.
     """
     n = table.shape[0]
     covered = np.zeros(n, dtype=bool)
     covered[0] = True
     gens: list[int] = []
     while not covered.all():
+        if len(gens) == n.bit_length():
+            raise TableFormatError(f"not a latin square: over {len(gens)} generators needed")
         g = int(np.argmin(covered))
         for rows in _row_blocks(n, n):
             # (xg)y and x(gy); np.take keeps the column gather in C order, where
@@ -317,8 +311,8 @@ def _compute_orders(table: np.ndarray) -> np.ndarray:
         f"element {int(np.argmin(orders))} has no order dividing {n} (not a group)")
 
 
-def _validated(table) -> np.ndarray:
-    """The table as contiguous int32 after every group-table check."""
+def _in_domain(table) -> np.ndarray:
+    """The table as contiguous int32, after the shape, dtype and range checks."""
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise TableFormatError(f"table must be square, got shape {arr.shape}")
@@ -328,23 +322,29 @@ def _validated(table) -> np.ndarray:
         raise TableFormatError(f"table entries must be integers, got {arr.dtype}")
     if arr.min() < 0 or arr.max() >= arr.shape[0]:
         raise TableFormatError("table entry out of range [0, n)")
-    arr = np.ascontiguousarray(arr, dtype=np.int32)
-    _check_latin(arr)
-    _check_identity(arr)
-    _check_assoc_light(arr)
-    return arr
+    return np.ascontiguousarray(arr, dtype=np.int32)
 
 
 def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Every check runs (shape, dtype, range, latin square, identity at index 0,
-    exact associativity) unless ``trusted`` is set, which only this module's
-    own constructors and operations do, for tables that are groups by
-    construction.
+    Every check runs (shape, dtype, range, identity at index 0, exact
+    associativity, orders dividing n) unless ``trusted`` is set, which only
+    this module's own constructors and operations do, for tables that are
+    groups by construction.  The last three decide group-ness, identity first
+    as Light's test grows its cover from index 0: when they pass, each x has
+    x^(o(x)-1) as an inverse.  A group is latin, so a non-latin table fails
+    one of them, and the latin check then names its first bad line.
     """
-    arr = np.ascontiguousarray(table, dtype=np.int32) if trusted else _validated(table)
-    orders = _compute_orders(arr)
+    arr = np.ascontiguousarray(table, dtype=np.int32) if trusted else _in_domain(table)
+    try:
+        if not trusted:
+            _check_identity(arr)
+            _check_assoc_light(arr)
+        orders = _compute_orders(arr)
+    except TableFormatError:
+        _check_latin(arr)
+        raise
     for a in (arr, orders):
         a.flags.writeable = False
     return FiniteGroup(name=name, table=arr, element_orders=orders)
@@ -591,9 +591,8 @@ def serialize_group(group: FiniteGroup) -> str:
     """Render the table in GT1 format (header line, then one row per line).
     Rows become Python ints one at a time: the whole table as a nested list
     holds n^2 int objects, about 36 MB at n = 1024."""
-    lines = [f"GT1 {group.order}"]
-    lines.extend(" ".join(map(str, row.tolist())) for row in group.table)
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(map(str, row.tolist())) for row in group.table)
+    return "\n".join([f"GT1 {group.order}", *rows, ""])  # ends in a newline: no second copy
 
 
 _GT1_BLOCK_TOKENS = 1 << 16  # the tokeniser's block: whole rows, about this many entries

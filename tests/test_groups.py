@@ -41,6 +41,7 @@ from oracle import (
     naive_is_associative,
     naive_is_group,
     naive_is_normal,
+    naive_latin_fault,
     naive_order,
     naive_parse_gt1,
     naive_power,
@@ -575,7 +576,8 @@ def test_non_ascii_last_byte_of_an_order_1024_export_is_reported_at_its_byte_off
 
 
 def test_parse_group_table_peak_memory_at_order_1024():
-    # the table is 4 MB and the text 4 MB; validation alone peaks near 17 MB
+    # the table is 4 MB and the text 4 MB; validation alone peaks near 17 MB,
+    # in Light's test, which holds two generators' (xg)y and x(gy) blocks at once
     text = serialize_group(group_from_text("C32*C32"))
     tracemalloc.start()
     try:
@@ -665,6 +667,85 @@ def test_light_agrees_with_the_triple_loop_on_small_tables_and_switched_copies()
             assert _light_accepts(t) == verdict
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@st.composite
+def edited_group_tables(draw):
+    """The table of a small group after zero to three edits: set an entry,
+    swap two entries of a row, switch an intercalate, or swap element 0 with
+    another element (which moves the identity and keeps the table latin)."""
+    table = table_of(group_from_text(draw(group_names)))
+    n = len(table)
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["set", "swap", "intercalate", "intercalate", "relabel"]))
+        if kind == "set":
+            table[draw(index)][draw(index)] = draw(index)
+        elif kind == "swap":
+            row, a, b = table[draw(index)], draw(index), draw(index)
+            row[a], row[b] = row[b], row[a]
+        elif kind == "intercalate":
+            involutions = [u for u in range(1, n) if table[u][u] == 0]
+            if involutions:
+                u, r, c = draw(st.sampled_from(involutions)), draw(index), draw(index)
+                if 0 not in (r, c, table[r][u], table[u][c]):
+                    table = switch_intercalate(table, u, r, c)
+        elif n > 1:
+            k = draw(st.integers(1, n - 1))
+            swap = {0: k, k: 0}
+            pi = [swap.get(x, x) for x in range(n)]
+            table = [[pi[table[pi[a]][pi[b]]] for b in range(n)] for a in range(n)]
+    return table
+
+
+@given(edited_group_tables())
+@settings(max_examples=80, deadline=None)
+def test_validation_reports_the_first_failing_check(table):
+    # the checks' order: latin lines, then the identity row and column, then
+    # associativity; a table that passes them all is a group
+    n, ids = len(table), list(range(len(table)))
+    try:
+        g = group_from_table("t", np.array(table))
+        message = None
+    except TableFormatError as exc:
+        message = str(exc)
+    fault = naive_latin_fault(table)
+    if fault is not None:
+        assert message == f"not a latin square: {fault} is not a permutation"
+    elif table[0] != ids or [row[0] for row in table] != ids:
+        assert message == "identity is not at index 0"
+    elif message is not None:
+        assert message.startswith("associativity failure at (")
+        a, b, c = map(int, message.split("(")[1].rstrip(")").split(","))
+        assert table[table[a][b]][c] != table[a][table[b][c]]  # a true witness
+    else:
+        assert naive_is_group(table)
+        assert g.element_orders.tolist() == [naive_order(table, x) for x in range(n)]
+
+
+def test_light_test_refuses_a_table_needing_over_log2_n_generators():
+    # x*y = max(x, y) is associative with identity 0 but not latin: Light's
+    # test would take each element as a generator, O(n^3), without the bound
+    values = np.arange(512, dtype=np.int32)
+    table = np.maximum.outer(values, values)
+    with pytest.raises(TableFormatError) as err:
+        groups._check_assoc_light(table)
+    assert str(err.value) == "not a latin square: over 10 generators needed"
+    with pytest.raises(TableFormatError) as err:
+        group_from_table("max", table)
+    assert str(err.value) == "not a latin square: row 1 is not a permutation"
+
+
+@pytest.mark.parametrize("name", ["C32*C32", "D16*Q16*C4"])
+def test_an_accepted_table_skips_the_latin_check(monkeypatch, name):
+    # identity, associativity and orders decide group-ness on their own
+    def refuse(table):
+        raise AssertionError("the latin check ran on a group table")
+
+    g = group_from_text(name)
+    text = serialize_group(g)
+    monkeypatch.setattr(groups, "_check_latin", refuse)
+    assert parse_group_table(text).table.tobytes() == g.table.tobytes()
 
 
 def test_group_from_table_validates_shape():
