@@ -136,8 +136,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             return code
         if args.command == "export":
             group = group_from_text(args.expr)
-            with open(args.out, "w", newline="\n") as handle:
-                handle.write(serialize_group(group))
+            with open(args.out, "wb") as handle:
+                serialize_group(group, handle)
             return 0
         if args.command == "import":
             with open(args.path, "rb") as handle:

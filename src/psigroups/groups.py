@@ -29,10 +29,11 @@ place (C, D, Q and M in one metacyclic kernel, H in one broadcast, and
 broadcast each, into a product wrapped as one group); only readers
 (the closure check, the closure step, the subgroup and quotient tables, the
 CP2 pair scan, Light's test) go one block of whole rows at a time
-(``_row_blocks``).  Before a table is allocated, its order is checked
-against the table size limit and its bytes, the table plus one row block,
-against physical memory, so a build that cannot fit is refused with a
-``GroupBuildError`` instead of failing part-way.
+(``_row_blocks``), and so does the GT1 export, in the GT1 tokeniser's blocks
+of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is allocated, its
+order is checked against the table size limit and its bytes, the table plus
+one row block, against physical memory, so a build that cannot fit is
+refused with a ``GroupBuildError`` instead of failing part-way.
 """
 
 from __future__ import annotations
@@ -276,6 +277,7 @@ def _check_assoc_light(table: np.ndarray) -> None:
                 x, y = np.argwhere(lhs != rhs)[0]
                 raise TableFormatError(
                     f"associativity failure at ({rows.start + int(x)},{g},{int(y)})")
+            del lhs, rhs  # the next block's pair is built after this one is freed
         gens.append(g)
         frontier = np.flatnonzero(covered)
         while frontier.size:
@@ -587,15 +589,32 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
 # GT1 serialization
 
 
-def serialize_group(group: FiniteGroup) -> str:
-    """Render the table in GT1 format (header line, then one row per line).
-    Rows become Python ints one at a time: the whole table as a nested list
-    holds n^2 int objects, about 36 MB at n = 1024."""
-    rows = (" ".join(map(str, row.tolist())) for row in group.table)
-    return "\n".join([f"GT1 {group.order}", *rows, ""])  # ends in a newline: no second copy
+_GT1_BLOCK_TOKENS = 1 << 16  # a GT1 block, written or read: whole rows, about this many entries
 
 
-_GT1_BLOCK_TOKENS = 1 << 16  # the tokeniser's block: whole rows, about this many entries
+def serialize_group(group: FiniteGroup, handle) -> None:
+    """Write the table in GT1 format (header line, then one row per line) to
+    the binary ``handle``, one block of whole rows of about
+    ``_GT1_BLOCK_TOKENS`` entries at a time.
+
+    Each entry is gathered from a per-value lookup of w + 1 bytes, w the
+    digit count of n - 1: its digits right-aligned behind NUL pad bytes, then
+    a space.  A row's last space becomes its newline, and one compress drops
+    the pads."""
+    n = group.order
+    handle.write(f"GT1 {n}\n".encode("ascii"))
+    width = len(str(n - 1))
+    lookup = np.frombuffer("".join(str(v).rjust(width, "\0") + " " for v in range(n)).encode(),
+                           dtype=np.uint8).reshape(n, width + 1)
+    step = max(1, _GT1_BLOCK_TOKENS // n)
+    for r0 in range(0, n, step):
+        # np.take copies whole lookup rows; lookup[...] is about 4x slower here
+        chunk = np.take(lookup, group.table[r0:r0 + step], axis=0)
+        chunk[:, -1, -1] = ord("\n")
+        chunk = chunk.ravel()
+        handle.write(chunk[chunk != 0])
+
+
 _INT32_DIGITS = 9  # every decimal of up to 9 digits fits in int32
 
 

@@ -167,6 +167,13 @@ def naive_parse_gt1(text: str, n_limit: int) -> list[list[int]]:
     return rows
 
 
+def naive_gt1_text(table: list[list[int]]) -> str:
+    """GT1 text by one Python str per entry: the header, then each row's
+    entries joined by spaces, every line ended by a newline."""
+    rows = (" ".join(map(str, row)) for row in table)
+    return "\n".join([f"GT1 {len(table)}", *rows, ""])
+
+
 # --- whole-table formulas ------------------------------------------------------
 # The library writes its tables in int32, in place or one row block at a time.
 # These are the earlier whole-table numpy formulas, each a single expression

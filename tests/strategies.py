@@ -1,12 +1,22 @@
-"""Hypothesis strategies for small group expressions."""
+"""Hypothesis strategies for small group expressions, and the GT1 bytes of a
+group."""
 
 from __future__ import annotations
 
+import io
 import re
 
 import hypothesis.strategies as st
 
 from psigroups import group_from_text, serialize_group
+
+
+def gt1_bytes(group) -> bytes:
+    """The GT1 bytes ``serialize_group`` writes for ``group``."""
+    sink = io.BytesIO()
+    serialize_group(group, sink)
+    return sink.getvalue()
+
 
 # atom name -> order of the group it denotes
 ATOMS = {
@@ -115,7 +125,7 @@ def _gt1_mutation(draw, text: str) -> str:
 @st.composite
 def gt1_mutants(draw) -> str:
     """The GT1 text of a small group after zero to three edits."""
-    text = serialize_group(group_from_text(draw(group_names)))
+    text = gt1_bytes(group_from_text(draw(group_names))).decode("ascii")
     for _ in range(draw(st.integers(0, 3))):
         if text:
             text = draw(_gt1_mutation(text))

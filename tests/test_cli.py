@@ -173,6 +173,36 @@ def test_export_then_import_psi(capsys, tmp_path):
     assert out == f"psi({out_path}) = 187\n"
 
 
+def test_export_refused_at_build_time_leaves_the_out_file_as_it_was(capsys, tmp_path):
+    # 8192 elements: over the table size limit, refused before --out is opened
+    path = tmp_path / "kept.gt1"
+    path.write_bytes(b"GT1 1\n0\n")
+    code, out, err = run_cli(capsys, "export", "C2*C64*C64", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "exceeds table size limit" in err
+    assert path.read_bytes() == b"GT1 1\n0\n"
+
+
+def test_export_to_a_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "export", "C4", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["psi", "spectrum"])
+def test_export_then_import_across_digit_widths(capsys, tmp_path, command):
+    # C10*C11 has 110 elements: entries of 1, 2 and 3 digits
+    path = tmp_path / "c110.gt1"
+    assert run_cli(capsys, "export", "C10*C11", "--out", str(path)) == (0, "", "")
+    code, imported, err = run_cli(capsys, "import", str(path), command)
+    assert (code, err) == (0, "")
+    _, direct, _ = run_cli(capsys, command, "C10*C11")
+    assert imported == direct.replace("C10*C11", str(path))
+
+
 def test_import_non_associative_table_of_order_1024_exits_2(capsys, tmp_path):
     # a latin loop with identity 0: only the associativity check can reject it
     table = switch_intercalate(group_from_text("C32*C32").table, 16, 1, 2)

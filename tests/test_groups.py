@@ -31,13 +31,13 @@ from psigroups import (
     psi_bottom_recursion,
     psi_brute,
     quotient,
-    serialize_group,
 )
 from psigroups import groups
 from psigroups.catalog import DEFAULT_CATALOGS
 from psigroups.groups import prime_power
 from oracle import (
     naive_closure,
+    naive_gt1_text,
     naive_is_associative,
     naive_is_group,
     naive_is_normal,
@@ -49,7 +49,7 @@ from oracle import (
     switch_intercalate,
     table_of,
 )
-from strategies import ATOMS, group_names, gt1_mutants, names_by_order
+from strategies import ATOMS, group_names, gt1_bytes, gt1_mutants, names_by_order
 
 
 # --- constructors -----------------------------------------------------------
@@ -425,12 +425,12 @@ def test_quotient_by_whole_group_is_trivial(name):
 # --- GT1 serialization ---------------------------------------------------------
 
 def test_serialize_c2_exact_bytes():
-    assert serialize_group(group_from_text("C2")) == "GT1 2\n0 1\n1 0\n"
+    assert gt1_bytes(group_from_text("C2")) == b"GT1 2\n0 1\n1 0\n"
 
 
 def test_round_trip_d8():
     g = group_from_text("D8")
-    h = parse_group_table(serialize_group(g))
+    h = parse_group_table(gt1_bytes(g))
     assert np.array_equal(g.table, h.table)
 
 
@@ -438,9 +438,39 @@ def test_round_trip_d8():
 @settings(max_examples=25)
 def test_round_trip_is_identity_on_tables(name):
     g = group_from_text(name)
-    h = parse_group_table(serialize_group(g), name=name)
-    assert np.array_equal(g.table, h.table)
-    assert np.array_equal(g.element_orders, h.element_orders)
+    data = gt1_bytes(g)
+    for text in (data, data.decode("ascii")):
+        h = parse_group_table(text, name=name)
+        assert np.array_equal(g.table, h.table)
+        assert np.array_equal(g.element_orders, h.element_orders)
+
+
+def _naive_gt1_bytes(group) -> bytes:
+    return naive_gt1_text(table_of(group)).encode("ascii")
+
+
+@given(group_names)
+@settings(max_examples=40, deadline=None)
+def test_export_matches_the_naive_writer(name):
+    g = group_from_text(name)
+    assert gt1_bytes(g) == _naive_gt1_bytes(g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 99, 100, 101, 1000, 1001])
+def test_export_matches_the_naive_writer_across_digit_widths(k):
+    # entries of 1 to len(str(k - 1)) digits behind the lookup's pad bytes
+    g = group_from_text(f"C{k}")
+    assert gt1_bytes(g) == _naive_gt1_bytes(g)
+
+
+@given(group_names, st.sampled_from(["1", "7n"]))
+@settings(max_examples=40, deadline=None)
+def test_export_matches_the_naive_writer_at_every_block_size(name, block):
+    # one row per block, or seven rows with a shorter last block
+    g = group_from_text(name)
+    with patch.object(groups, "_GT1_BLOCK_TOKENS", 1 if block == "1" else 7 * g.order):
+        data = gt1_bytes(g)
+    assert data == _naive_gt1_bytes(g)
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -509,7 +539,7 @@ def test_parse_group_table_accepts_leading_zeros(text, table):
 
 @pytest.fixture(scope="module")
 def c1024_lines():
-    return serialize_group(group_from_text("C32*C32")).split("\n")
+    return gt1_bytes(group_from_text("C32*C32")).decode("ascii").split("\n")
 
 
 @pytest.mark.parametrize("edits,message", [
@@ -576,9 +606,9 @@ def test_non_ascii_last_byte_of_an_order_1024_export_is_reported_at_its_byte_off
 
 
 def test_parse_group_table_peak_memory_at_order_1024():
-    # the table is 4 MB and the text 4 MB; validation alone peaks near 17 MB,
-    # in Light's test, which holds two generators' (xg)y and x(gy) blocks at once
-    text = serialize_group(group_from_text("C32*C32"))
+    # the table is 4 MB and the text 4 MB; validation alone peaks near 10 MB,
+    # in Light's test, which holds one block's (xg)y and x(gy) at a time
+    text = gt1_bytes(group_from_text("C32*C32")).decode("ascii")
     tracemalloc.start()
     try:
         parse_group_table(text)
@@ -743,7 +773,7 @@ def test_an_accepted_table_skips_the_latin_check(monkeypatch, name):
         raise AssertionError("the latin check ran on a group table")
 
     g = group_from_text(name)
-    text = serialize_group(g)
+    text = gt1_bytes(g)
     monkeypatch.setattr(groups, "_check_latin", refuse)
     assert parse_group_table(text).table.tobytes() == g.table.tobytes()
 

@@ -481,20 +481,46 @@ def test_light_test_at_order_4096_holds_one_block():
 
 
 def test_untrusted_validation_at_order_4096_holds_one_block():
-    # the latin check's n x n bool matrix was 16 MB more
+    # the latin check's n x n bool matrix was 16 MB more, and Light's test
+    # holding two blocks' (xg)y and x(gy) at once 7 MB more
     g = group_from_text("C64*C64")
     h, peak = _peak_bytes(lambda: group_from_table("untrusted", g.table))
     assert np.array_equal(h.element_orders, g.element_orders)
-    assert peak <= 20 * MB
+    assert peak <= 12 * MB
 
 
-def test_gt1_export_holds_one_row_of_ints():
-    # the whole table as one nested list of Python ints holds 36 MB, and the
-    # text (4 MB) is copied once more if its last newline is appended
+def test_untrusted_validation_at_order_1024_holds_one_block():
+    # one block is the whole 4 MB table: Light's test holds one (xg)y and
+    # x(gy) pair, where two pairs at once peak at 17 MB
     g = group_from_text("C32*C32")
-    text, peak = _peak_bytes(lambda: serialize_group(g))
-    assert parse_group_table(text).table.tobytes() == g.table.tobytes()
-    assert peak <= 10 * MB
+    h, peak = _peak_bytes(lambda: group_from_table("untrusted", g.table))
+    assert np.array_equal(h.element_orders, g.element_orders)
+    assert peak <= 12 * MB
+
+
+class _CountingSink:
+    """A binary handle that counts the bytes written to it and keeps none."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, data) -> int:
+        nbytes = memoryview(data).nbytes
+        self.size += nbytes
+        return nbytes
+
+
+@pytest.mark.parametrize("name,cap", [("C32*C32", 2 * MB), ("C64*C64", 4 * MB)],
+                         ids=["C32*C32", "C64*C64"])
+def test_gt1_export_holds_one_row_block(name, cap):
+    # one Python str per entry held 7.9 MB at n = 1024 and 152 MB at n = 4096
+    g = group_from_text(name)
+    sink = _CountingSink()
+    _, peak = _peak_bytes(lambda: serialize_group(g, sink))
+    # every row is a permutation of 0..n-1, so every line has the same bytes
+    n = g.order
+    assert sink.size == len(f"GT1 {n}\n") + n * sum(len(str(v)) + 1 for v in range(n))
+    assert peak <= cap
 
 
 # --- work that a lemma decides is skipped ----------------------------------------
