@@ -4,8 +4,8 @@ For each prime the catalog realizes every abelian p-group up to the order
 cap (one entry per partition of the exponent vector), the dihedral and
 generalized quaternion 2-groups, the extraspecial exponent-p group and the
 modular groups for odd p, and the classic order-256 counterexample pair.
-Entries carry their filtration, CP2 report, psi and per-level psi values so
-the verification harness never recomputes them.
+Entries carry their filtration, CP2 report, psi, per-level psi values and
+commutativity so the verification harness never recomputes them.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ class CatalogEntry:
     cp2: Cp2Report
     psi: int
     level_psi: tuple[int, ...]
+    is_abelian: bool
 
     @property
     def order(self) -> int:
@@ -51,10 +52,6 @@ class CatalogEntry:
     @property
     def exponent(self) -> int:
         return self.filtration.p**self.filtration.m
-
-    @property
-    def is_abelian(self) -> bool:
-        return self.group.is_abelian
 
     def level_psi_at(self, i: int) -> int:
         """psi(Omega_i), extended by psi(G) above the top level."""
@@ -100,34 +97,22 @@ def abelian_names(p: int, k: int) -> list[str]:
 
 
 def catalog_names(primes: Iterable[int], max_order: int) -> list[str]:
-    """Deduplicated entry names for the catalog parameters."""
-    names: dict[str, None] = {}
+    """Deduplicated entry names for the catalog parameters, order by order."""
+    names: list[str] = []
     for p in primes:
         k = 1
-        while p ** (k + 1) <= max_order:
+        while (q := p**k) <= max_order:
+            names += abelian_names(p, k)
+            if p == 2 and k >= 3:
+                names += [f"D{q}", f"Q{q}"]
+            if p != 2 and k == 3:
+                names.append(f"H{q}")
+            if p != 2 and k >= 3:
+                names.append(f"M{q}")
+            if q == 256:
+                names += COUNTEREXAMPLE_PAIR
             k += 1
-        if p > max_order:
-            continue
-        for exp in range(1, k + 1):
-            for name in abelian_names(p, exp):
-                names.setdefault(name, None)
-        if p == 2:
-            size = 8
-            while size <= max_order:
-                names.setdefault(f"D{size}", None)
-                names.setdefault(f"Q{size}", None)
-                size *= 2
-            if max_order >= 256:
-                for name in COUNTEREXAMPLE_PAIR:
-                    names.setdefault(name, None)
-        else:
-            if p**3 <= max_order:
-                names.setdefault(f"H{p**3}", None)
-            j = 3
-            while p**j <= max_order:
-                names.setdefault(f"M{p**j}", None)
-                j += 1
-    return list(names)
+    return list(dict.fromkeys(names))
 
 
 def make_entry(group: FiniteGroup) -> CatalogEntry:
@@ -141,19 +126,22 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
         cp2=is_cp2_pairwise(group),
         psi=psi_brute(group),
         level_psi=level_psi,
+        is_abelian=group.is_abelian,
     )
 
 
 def check_catalog_spec(primes: Iterable[int], max_order: int) -> tuple[int, ...]:
-    """The distinct primes, ascending; GroupBuildError for a non-prime or an
-    order cap outside [1, table size limit]."""
+    """The distinct primes, ascending; GroupBuildError for a non-prime, a
+    prime or an order cap above the table size limit, or a cap below 1."""
     primes = tuple(sorted(set(int(p) for p in primes)))
+    limit = max_table_order()
     for p in primes:
+        if p > limit:  # no p-group fits, and prime_power(p) could run for hours
+            raise GroupBuildError(f"{p} exceeds table size limit {limit}")
         if prime_power(p) != (p, 1):
             raise GroupBuildError(f"{p} is not a prime")
     if max_order < 1:
         raise GroupBuildError(f"max order must be positive, got {max_order}")
-    limit = max_table_order()
     if max_order > limit:
         raise GroupBuildError(
             f"max order {max_order} exceeds table size limit {limit}")

@@ -1,9 +1,14 @@
-"""Parser and evaluator for the group construction expression language.
+r"""Parser and evaluator for the group construction expression language.
 
 Grammar (whitespace around tokens is ignored):
 
     expr := term ('*' term)*
     term := ('C' | 'D' | 'Q' | 'H' | 'M') integer
+
+``parse_group_expr`` reads it one term at a time with one pattern,
+``\s*(\S?)\s*([0-9]*)\s*``: a letter, then ASCII decimal digits, with the
+whitespace (the ``str.isspace`` class) around them; a group is empty where
+its part is missing, and the first missing or wrong part is the error.
 
 An expression is its tuple of factors, left to right: the direct product is
 associative, so the parse keeps no nesting, and ``build_group`` builds each
@@ -17,6 +22,7 @@ group of order 16, ``Q16`` the generalized quaternion group of order 16,
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .groups import (
@@ -32,6 +38,8 @@ from .groups import (
 )
 
 _MAX_PARAM = 2**31 - 1
+
+_TERM = re.compile(r"\s*(\S?)\s*([0-9]*)\s*")
 
 
 @dataclass(frozen=True)
@@ -56,51 +64,35 @@ _BUILDERS = {
 def parse_group_expr(text: str) -> GroupExpr:
     """Parse an expression string into its factors, left to right (a single
     atom is a 1-tuple)."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def parse_term() -> Atom:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise GroupExprError("expected a constructor term", pos)
-        letter = text[pos]
-        if not letter.isalpha():
-            raise GroupExprError(f"expected a constructor letter, found {letter!r}", pos)
-        if letter not in _BUILDERS:
-            raise GroupExprError(f"unknown constructor {letter!r}", pos)
-        pos += 1
-        skip_ws()
-        start = pos
-        while pos < n and text[pos].isascii() and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise GroupExprError(f"expected an integer after {letter!r}", pos)
-        # compared as a decimal string first: int() refuses over 4300 digits
-        digits = text[start:pos].lstrip("0") or "0"
-        if len(digits) > len(str(_MAX_PARAM)) or int(digits) > _MAX_PARAM:
-            raise GroupExprError("integer constant too large", start)
-        value = int(digits)
-        if value < 1:
-            raise GroupExprError("integer constant must be >= 1", start)
-        return Atom(letter, value)
-
     if not text.strip():
         raise GroupExprError("empty expression", 0)
-    factors = [parse_term()]
-    skip_ws()
-    while pos < n:
+    factors = []
+    pos = 0
+    while True:
+        term = _TERM.match(text, pos)
+        letter, digits = term.groups()
+        if not letter:
+            raise GroupExprError("expected a constructor term", term.start(1))
+        if not letter.isalpha():
+            raise GroupExprError(f"expected a constructor letter, found {letter!r}", term.start(1))
+        if letter not in _BUILDERS:
+            raise GroupExprError(f"unknown constructor {letter!r}", term.start(1))
+        if not digits:
+            raise GroupExprError(f"expected an integer after {letter!r}", term.start(2))
+        # compared as a decimal string first: int() refuses over 4300 digits
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_PARAM)) or int(digits) > _MAX_PARAM:
+            raise GroupExprError("integer constant too large", term.start(2))
+        value = int(digits)
+        if value < 1:
+            raise GroupExprError("integer constant must be >= 1", term.start(2))
+        factors.append(Atom(letter, value))
+        pos = term.end()
+        if pos == len(text):
+            return tuple(factors)
         if text[pos] != "*":
             raise GroupExprError(f"unexpected character {text[pos]!r}", pos)
         pos += 1
-        factors.append(parse_term())
-        skip_ws()
-    return tuple(factors)
 
 
 def expr_to_name(expr: GroupExpr) -> str:

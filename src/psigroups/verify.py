@@ -311,12 +311,10 @@ def _check_exp_gap_bound(pairs: Pairs) -> TheoremReport:
     return tally.report()
 
 
-def _check_abelian_injectivity(cat: Catalog, pairs: Pairs) -> TheoremReport:
+def _check_abelian_injectivity(pairs: Pairs) -> TheoremReport:
     tally = _Tally("abelian-psi-injective")
-    # is_abelian scans the whole table, so test each entry once, not once per pair
-    abelian = {entry.name for entry in cat.entries if entry.is_abelian}
     for a, b, _ in pairs:
-        if a.name in abelian and b.name in abelian:
+        if a.is_abelian and b.is_abelian:
             tally.record(
                 _pair_name(a, b), applicable=True, ok=a.psi != b.psi,
                 detail=f"distinct abelian groups share psi = {a.psi}")
@@ -352,5 +350,5 @@ def verify_theorems(cat: Catalog) -> list[TheoremReport]:
         _check_t14(pairs),
         _check_psi_mod_p(cat),
         _check_exp_gap_bound(pairs),
-        _check_abelian_injectivity(cat, pairs),
+        _check_abelian_injectivity(pairs),
     ]

@@ -174,6 +174,33 @@ def naive_gt1_text(table: list[list[int]]) -> str:
     return "\n".join([f"GT1 {len(table)}", *rows, ""])
 
 
+def naive_catalog_names(p: int, cap: int) -> set[str]:
+    """The catalog's names for one prime, from its definition: every abelian
+    p-group of order at most cap as a non-increasing list of cyclic factors
+    C(p^e), the dihedral and quaternion 2-groups D and Q of order 8 and up,
+    H(p^3) and every M(p^j), j >= 3, for odd p, and the order-256 pair."""
+    cyclic = [p**e for e in range(1, cap.bit_length() + 1) if p**e <= cap]
+
+    def factor_lists(largest: int, room: int):
+        # every non-increasing list of cyclic orders <= largest, product <= room
+        yield []
+        for order in cyclic:
+            if order <= min(largest, room):
+                for rest in factor_lists(order, room // order):
+                    yield [order] + rest
+
+    names = {"*".join(f"C{order}" for order in factors)
+             for factors in factor_lists(cap, cap) if factors}
+    big = [order for order in cyclic if order >= p**3]
+    if p == 2:
+        names |= {f"{kind}{order}" for order in big for kind in "DQ"}
+        if cap >= 256:
+            names |= {"D16*C2*C2*C2*C2", "C4*C4*C4*C4"}
+    elif big:
+        names |= {f"H{p**3}"} | {f"M{order}" for order in big}
+    return names
+
+
 # --- whole-table formulas ------------------------------------------------------
 # The library writes its tables in int32, in place or one row block at a time.
 # These are the earlier whole-table numpy formulas, each a single expression

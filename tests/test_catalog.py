@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import pytest
 
+from oracle import naive_catalog_names
 from psigroups import (
     GroupBuildError,
     build_catalog,
@@ -11,6 +14,7 @@ from psigroups import (
     psi_brute,
     psi_subset,
 )
+from psigroups.catalog import catalog_names
 
 
 def test_partitions_of_five():
@@ -53,6 +57,15 @@ def test_catalog_names_unique():
     assert len(set(cat.names())) == len(cat.names())
 
 
+@pytest.mark.parametrize("primes", [(2,), (3,), (5,), (7,), *combinations((2, 3, 5, 7), 2)],
+                         ids=lambda primes: ",".join(map(str, primes)))
+def test_catalog_names_match_the_definition(primes):
+    for cap in [*range(1, 301), 343, 625, 729, 1024, 2401, 4096]:
+        names = catalog_names(primes, cap)
+        assert len(names) == len(set(names)), (primes, cap)
+        assert set(names) == set().union(*(naive_catalog_names(p, cap) for p in primes)), (primes, cap)
+
+
 def test_catalog_rejects_bad_parameters():
     with pytest.raises(GroupBuildError):
         build_catalog([4], 16)
@@ -60,6 +73,16 @@ def test_catalog_rejects_bad_parameters():
         build_catalog([2], 0)
     with pytest.raises(GroupBuildError):
         build_catalog([2], 10**9)
+    # a prime above the table size limit is refused before its primality test
+    with pytest.raises(GroupBuildError, match="4099 exceeds table size limit"):
+        build_catalog([4099], 16)
+    # below the limit the prime is judged before the cap
+    with pytest.raises(GroupBuildError, match="4 is not a prime"):
+        build_catalog([4], 0)
+
+
+def test_a_prime_above_the_cap_gives_an_empty_catalog():
+    assert build_catalog([4093], 16).entries == ()
 
 
 def test_cached_values_match_fresh_recomputation():
@@ -69,6 +92,7 @@ def test_cached_values_match_fresh_recomputation():
         assert entry.psi == psi_brute(g)
         assert entry.filtration == omega_filtration(g)
         assert entry.cp2 == is_cp2_pairwise(g)
+        assert entry.is_abelian == g.is_abelian
         assert entry.level_psi == tuple(
             psi_subset(g, omega_subgroup(g, i).members)
             for i in range(entry.filtration.m + 1))

@@ -302,12 +302,12 @@ def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):
 
 # --- the documented entry point ----------------------------------------------------
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=120):
     src = str(Path(__file__).parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
     return subprocess.run([sys.executable, "-m", "psigroups", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_python_m_psigroups_prints_psi():
@@ -322,3 +322,12 @@ def test_python_m_psigroups_refuses_a_malformed_expression():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: expected a constructor term (at offset 3)\n"
+
+
+def test_verify_refuses_a_prime_above_the_table_limit_at_once():
+    # trial division of this prime runs for minutes, so the limit is checked first
+    result = _run_module("verify", "--p", "1000000000000000003", "--max-order", "16", timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: 1000000000000000003 exceeds table size limit 4096\n")

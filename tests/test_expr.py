@@ -66,6 +66,40 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("text,expected", [
+    # whitespace is the str.isspace class; U+200B is not in it
+    ("C\u30004", (Atom("C", 4),)),
+    ("C\u00a04", (Atom("C", 4),)),
+    ("\u001cC4", (Atom("C", 4),)),
+    ("\u200bC4", ("expected a constructor letter, found '\\u200b'", 0)),
+    ("C4 \t* C2", (Atom("C", 4), Atom("C", 2))),
+    # letters are the five constructors; digits are ASCII
+    ("c4", ("unknown constructor 'c'", 0)),
+    ("\u00c74", ("unknown constructor '\u00c7'", 0)),
+    ("C\u0664", ("expected an integer after 'C'", 1)),
+    ("C\u00b2", ("expected an integer after 'C'", 1)),
+    # the '*' between terms
+    ("C4**C2", ("expected a constructor letter, found '*'", 3)),
+    ("*", ("expected a constructor letter, found '*'", 0)),
+    ("C4*", ("expected a constructor term", 3)),
+    ("C 4 C2", ("unexpected character 'C'", 4)),
+    # the constant's value, judged as a decimal string
+    ("C00", ("integer constant must be >= 1", 1)),
+    ("C2147483647", (Atom("C", 2147483647),)),
+    ("C2147483648", ("integer constant too large", 1)),
+    pytest.param("C" + "0" * 5000 + "1", (Atom("C", 1),), id="5000-zeros-then-1"),
+])
+def test_each_branch_under_each_character_class(text, expected):
+    if isinstance(expected[0], Atom):
+        assert parse_group_expr(text) == expected
+        return
+    message, offset = expected
+    with pytest.raises(GroupExprError) as err:
+        parse_group_expr(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
 def test_zero_padded_constant_beyond_the_digit_limit():
     assert parse_group_expr("C" + "0" * 5000 + "8") == (Atom("C", 8),)
 

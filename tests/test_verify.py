@@ -1,4 +1,7 @@
+import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +11,7 @@ from psigroups import Catalog, TheoremReport, build_catalog, groups, verify_theo
 from psigroups.verify import REPORT_ORDER, format_reports
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
+EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,7 @@ def test_format_reports_lists_violations_and_notes():
     ("2:x", "expected P:MAX"),
     ("4:16", "4 is not a prime"),
     ("2:0", "max order must be positive"),
+    ("1000000000000000003:16", "1000000000000000003 exceeds table size limit"),
 ])
 def test_script_rejects_malformed_catalog_spec(capsys, monkeypatch, spec, fragment):
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--catalogs", spec])
@@ -122,6 +127,21 @@ def test_script_rejects_malformed_catalog_spec(capsys, monkeypatch, spec, fragme
     assert "error: argument --catalogs" in captured.err and fragment in captured.err
 
 
+def test_script_refuses_a_prime_above_the_table_limit_at_once():
+    # trial division of this prime runs for minutes, so the limit is checked first
+    src = str(SCRIPT.parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--catalogs", "1000000000000000003:16"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert errors == ["run_verification.py: error: argument --catalogs: 1000000000000000003:16: "
+                      "1000000000000000003 exceeds table size limit 4096"]
+
+
 def test_script_runs_a_small_catalog(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--catalogs", "3:27"])
     with pytest.raises(SystemExit) as exc:
@@ -131,3 +151,11 @@ def test_script_runs_a_small_catalog(capsys, monkeypatch):
     assert lines[0].startswith("== catalog p=3 max_order=27: ")
     assert lines[1:] == [
         "  " + line for line in format_reports(verify_theorems(build_catalog([3], 27))).splitlines()]
+
+
+@pytest.mark.parametrize("prime,cap", [(2, 256), (3, 243), (5, 125)])
+def test_default_catalog_reports_match_the_frozen_lines(prime, cap):
+    """The benchmark's frozen report lines, checked in tier-1 too, so a
+    change to a default catalog's contents fails here first."""
+    expected = json.loads(EXPECTED.read_text())["catalog-verify"][str(prime)]
+    assert format_reports(verify_theorems(build_catalog([prime], cap))).splitlines() == expected
