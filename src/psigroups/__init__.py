@@ -9,7 +9,6 @@ from .expr import (
     GroupExpr,
     build_group,
     expr_order,
-    expr_to_name,
     group_from_text,
     parse_group_expr,
 )
@@ -28,7 +27,6 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
-    element_order,
     group_from_table,
     heisenberg_group,
     is_normal,

@@ -18,6 +18,7 @@ from .expr import group_from_text
 from .groups import (
     FiniteGroup,
     GroupBuildError,
+    _check_order_limit,
     max_table_order,
     prime_power,
 )
@@ -132,12 +133,14 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
 
 def check_catalog_spec(primes: Iterable[int], max_order: int) -> tuple[int, ...]:
     """The distinct primes, ascending; GroupBuildError for a non-prime, a
-    prime or an order cap above the table size limit, or a cap below 1."""
+    prime or an order cap above the table size limit, a prime whose cyclic
+    group cannot fit in physical memory, or a cap below 1."""
     primes = tuple(sorted(set(int(p) for p in primes)))
     limit = max_table_order()
     for p in primes:
         if p > limit:  # no p-group fits, and prime_power(p) could run for hours
             raise GroupBuildError(f"{p} exceeds table size limit {limit}")
+        _check_order_limit(p)  # C_p must fit in memory before trial division
         if prime_power(p) != (p, 1):
             raise GroupBuildError(f"{p} is not a prime")
     if max_order < 1:

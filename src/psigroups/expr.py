@@ -95,11 +95,6 @@ def parse_group_expr(text: str) -> GroupExpr:
         pos += 1
 
 
-def expr_to_name(expr: GroupExpr) -> str:
-    """Normalized expression string: tokens joined by '*', no whitespace."""
-    return "*".join(f"{atom.kind}{atom.param}" for atom in expr)
-
-
 def expr_order(expr: GroupExpr) -> int:
     """Order of the group the expression denotes (every constructor's
     parameter is its order)."""

@@ -69,7 +69,7 @@ class TableFormatError(GroupError):
 class GroupExprError(GroupError):
     """Group expression rejected by the parser.
 
-    ``offset`` is the byte offset of the offending character.
+    ``offset`` is the index of the offending character in the expression ``str``.
     """
 
     def __init__(self, message: str, offset: int):
@@ -485,14 +485,6 @@ def prime_power(k: int) -> tuple[int, int] | None:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def element_order(group: FiniteGroup, x: int) -> int:
-    """Smallest k >= 1 with x^k = identity."""
-    x = _integer(x, "element index")
-    if not 0 <= x < group.order:
-        raise IndexError(f"element index {x} out of range for order {group.order}")
-    return int(group.element_orders[x])
 
 
 def order_spectrum(group: FiniteGroup) -> dict[int, int]:

@@ -68,10 +68,6 @@ class OmegaFiltration:
     def subgroup_sizes(self) -> tuple[int, ...]:
         return tuple(level.subgroup_size for level in self.levels)
 
-    @property
-    def set_sizes(self) -> tuple[int, ...]:
-        return tuple(level.set_size for level in self.levels)
-
     def subgroup_size_at(self, i: int) -> int:
         """|Omega_i|, extended by |G| above the top level."""
         return self.levels[min(i, self.m)].subgroup_size

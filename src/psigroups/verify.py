@@ -27,22 +27,6 @@ from .psi import (
     psi_top_recursion,
 )
 
-REPORT_ORDER = (
-    "cp2-agreement",
-    "max-order-law",
-    "cp2-quotient-closure",
-    "omega-quotient-sizes",
-    "psi-oracle-equivalence",
-    "T1.1",
-    "T1.2",
-    "T1.3",
-    "T1.4",
-    "psi-mod-p",
-    "exp-gap-bound",
-    "abelian-psi-injective",
-)
-
-
 @dataclass(frozen=True)
 class TheoremReport:
     """Outcome of checking one property over the catalog."""

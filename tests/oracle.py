@@ -7,11 +7,16 @@ computation paths are independent.
 
 from __future__ import annotations
 
-from psigroups import GroupBuildError, TableFormatError
+from psigroups import GroupBuildError, GroupExpr, TableFormatError
 
 
 def table_of(group) -> list[list[int]]:
     return [[int(v) for v in row] for row in group.table]
+
+
+def expr_to_name(expr: GroupExpr) -> str:
+    """Normalized expression string: tokens joined by '*', no whitespace."""
+    return "*".join(f"{atom.kind}{atom.param}" for atom in expr)
 
 
 def naive_order(table: list[list[int]], x: int) -> int:

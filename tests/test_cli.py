@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,3 +332,13 @@ def test_verify_refuses_a_prime_above_the_table_limit_at_once():
     assert result.stdout == ""
     assert result.stderr == (
         "error: 1000000000000000003 exceeds table size limit 4096\n")
+
+
+def test_verify_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory(monkeypatch):
+    # a raised limit lets the prime past the limit check; memory still bounds it
+    monkeypatch.setenv("PSIGROUPS_MAX_ORDER", "1000000000000000000000")
+    result = _run_module("verify", "--p", "1000000000000000003", "--max-order", "16", timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert re.fullmatch(r"error: group order 1000000000000000003 needs about \d+ bytes, "
+                        r"more than the \d+ bytes of physical memory\n", result.stderr)

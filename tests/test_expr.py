@@ -5,9 +5,9 @@ from psigroups import (
     Atom,
     GroupExprError,
     expr_order,
-    expr_to_name,
     parse_group_expr,
 )
+from oracle import expr_to_name
 from strategies import group_names
 
 

@@ -27,7 +27,6 @@ from psigroups import (
     cp2,
     direct_product,
     expr,
-    expr_to_name,
     group_from_table,
     group_from_text,
     groups,
@@ -45,6 +44,7 @@ from psigroups.catalog import make_entry
 from psigroups.cli import cli_main
 from psigroups.verify import _check_max_order_law
 from oracle import (
+    expr_to_name,
     naive_closure,
     naive_cp2_witness,
     naive_is_normal,

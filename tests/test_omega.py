@@ -130,7 +130,7 @@ def test_filtration_subgroup_sizes(name, sizes):
 def test_filtration_d16_sets_versus_subgroups():
     filtration = omega_filtration(group_from_text("D16"))
     assert filtration.subgroup_sizes == (1, 16, 16, 16)
-    assert filtration.set_sizes == (1, 10, 12, 16)
+    assert tuple(level.set_size for level in filtration.levels) == (1, 10, 12, 16)
     assert [level.set_is_subgroup for level in filtration.levels] == [
         True, False, False, True]
 

@@ -8,7 +8,6 @@ from psigroups import (
     OrderBijection,
     SpectrumMismatch,
     compare_filtrations,
-    element_order,
     group_from_text,
     is_cp2_pairwise,
     omega_filtration,
@@ -264,4 +263,4 @@ def test_bijection_preserves_orders_and_covers(name_p, name_q):
     assert sorted(a for a, _ in result.pairs) == list(range(p_group.order))
     assert sorted(b for _, b in result.pairs) == list(range(q_group.order))
     for a, b in result.pairs:
-        assert element_order(p_group, a) == element_order(q_group, b)
+        assert p_group.element_orders[a] == q_group.element_orders[b]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -8,10 +9,14 @@ from pathlib import Path
 import pytest
 
 from psigroups import Catalog, TheoremReport, build_catalog, groups, verify_theorems
-from psigroups.verify import REPORT_ORDER, format_reports
+from psigroups.verify import format_reports
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
 EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
+
+sys.path.insert(0, str(EXPECTED.parent))
+
+import tracer  # noqa: E402  (read only: its THEOREMS lists the twelve properties in report order)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +30,7 @@ def reports_p2_8():
 
 
 def test_one_report_per_property(reports_p3_27):
-    assert tuple(reports_p3_27) == REPORT_ORDER
+    assert tuple(reports_p3_27) == tracer.THEOREMS
 
 
 def test_p3_catalog_fully_verified(reports_p3_27):
@@ -140,6 +145,24 @@ def test_script_refuses_a_prime_above_the_table_limit_at_once():
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
     assert errors == ["run_verification.py: error: argument --catalogs: 1000000000000000003:16: "
                       "1000000000000000003 exceeds table size limit 4096"]
+
+
+def test_script_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory():
+    # a raised limit lets the prime past the limit check; memory still bounds it
+    src = str(SCRIPT.parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src,
+           "PSIGROUPS_MAX_ORDER": "1000000000000000000000"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--catalogs", "1000000000000000003:16"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    errors = [line for line in result.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert re.fullmatch(r"run_verification.py: error: argument --catalogs: 1000000000000000003:16: "
+                        r"group order 1000000000000000003 needs about \d+ bytes, "
+                        r"more than the \d+ bytes of physical memory", errors[0])
 
 
 def test_script_runs_a_small_catalog(capsys, monkeypatch):
