@@ -78,9 +78,6 @@ class Catalog:
 def partitions(k: int) -> Iterator[tuple[int, ...]]:
     """All partitions of k as non-increasing tuples, lexicographically
     descending."""
-    if k == 0:
-        yield ()
-        return
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:

@@ -142,7 +142,9 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         if args.command == "import":
             with open(args.path, "rb") as handle:
                 data = handle.read()
-            group = parse_group_table(data, name=args.path)
+            # argv holds undecodable path bytes as surrogates, which stdout cannot encode
+            name = args.path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+            group = parse_group_table(data, name=name)
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -158,14 +158,11 @@ class Subgroup:
     entry is an index, so that set is closed with no products read: the
     whole group is accepted before the closure check gathers a table block.
 
-    ``_left_minima``, neither compared nor printed, keeps min(xN) for every x
-    once ``_left_coset_minima`` has computed it for ``is_normal`` and
-    ``quotient``."""
+    A normal subgroup N names each coset by its least index, min(Nx), which
+    is min(xN) as well: ``quotient`` reads these from N's rows."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
-    _left_minima: np.ndarray | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         mem = _indices(self.members, "subgroup member")
@@ -529,15 +526,6 @@ def _require_parent(group: FiniteGroup, sub: Subgroup) -> None:
         raise GroupError("subgroup does not belong to this group")
 
 
-def _left_coset_minima(sub: Subgroup) -> np.ndarray:
-    """min(xN) for every x, by one n x |N| gather, computed once per subgroup
-    and kept on it."""
-    if sub._left_minima is None:
-        mem = np.asarray(sub.members, dtype=np.int64)
-        object.__setattr__(sub, "_left_minima", sub.parent.table[:, mem].min(axis=1))
-    return sub._left_minima
-
-
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff xN = Nx for every x, decided by the cosets' minimal indices.
 
@@ -547,17 +535,18 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """
     _require_parent(group, sub)
     mem = np.asarray(sub.members, dtype=np.int64)
-    return bool(np.array_equal(_left_coset_minima(sub), group.table[mem].min(axis=0)))
+    return bool(np.array_equal(group.table[:, mem].min(axis=1), group.table[mem].min(axis=0)))
 
 
 def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     """Quotient group on the cosets of a normal subgroup.
 
-    Coset representatives are the minimal element index of each coset, the
-    left-coset minima ``is_normal`` has read; the identity coset gets index 0.
-    Each quotient is built once per group and kept on it, keyed by the
-    subgroup's members, so normality is decided once per subgroup; that
-    ``normal`` belongs to ``group`` is checked every call.
+    Coset representatives are the minimal element index of each coset,
+    min(Nx), read from N's rows by one gather; as N is normal this is min(xN)
+    too.  The identity coset gets index 0.  Each quotient is built once per
+    group and kept on it, keyed by the subgroup's members, so normality is
+    decided once per subgroup; that ``normal`` belongs to ``group`` is checked
+    every call.
     """
     _require_parent(group, normal)
     kept = group._quotients.get(normal.members)
@@ -566,7 +555,7 @@ def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
     if not is_normal(group, normal):
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
-    rep = _left_coset_minima(normal)
+    rep = group.table[np.asarray(normal.members, dtype=np.int64)].min(axis=0)
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep).astype(np.int32)
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp2 import cp2_from_filtration, is_cp2_omega
+from .cp2 import Cp2Report, cp2_from_filtration, is_cp2_omega
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -111,16 +111,18 @@ def psi_top_recursion(group: FiniteGroup) -> int:
     return psi_top_recursion(sub.as_group()) + len(sub) * p**m * (n // len(sub) - 1)
 
 
+def _require_cp2(group: FiniteGroup, report: Cp2Report, formula: str) -> None:
+    if not report.is_cp2:
+        raise NotCp2Error(f"{group.name} is not CP2 (omega set not closed at level "
+                          f"{report.failing_level}); {formula} needs CP2")
+
+
 def psi_bottom_recursion(group: FiniteGroup) -> int:
     """psi via the quotient reduction psi(G) = 1 - p + p^(r+1) psi(G/N) with
     N the level-1 omega subgroup of size p^r, for CP2 p-groups."""
     if group.order == 1:
         return 1
-    report = is_cp2_omega(group)
-    if not report.is_cp2:
-        raise NotCp2Error(
-            f"{group.name} is not CP2 (omega set not closed at level "
-            f"{report.failing_level}); quotient reduction needs CP2")
+    _require_cp2(group, is_cp2_omega(group), "quotient reduction")
     sub = omega_subgroup(group, 1)
     p, r = prime_power(len(sub))
     return 1 - p + p ** (r + 1) * psi_bottom_recursion(quotient(group, sub))
@@ -132,11 +134,7 @@ def psi_filtration(group: FiniteGroup) -> int:
     if group.order == 1:
         return 1
     filtration = omega_filtration(group)
-    report = cp2_from_filtration(filtration)
-    if not report.is_cp2:
-        raise NotCp2Error(
-            f"{group.name} is not CP2 (omega set not closed at level "
-            f"{report.failing_level}); the filtration formula needs CP2")
+    _require_cp2(group, cp2_from_filtration(filtration), "the filtration formula")
     sizes = filtration.subgroup_sizes
     return 1 + sum(
         (sizes[j] - sizes[j - 1]) * filtration.p**j for j in range(1, filtration.m + 1))

@@ -82,6 +82,16 @@ def naive_is_normal(table: list[list[int]], members) -> bool:
     return True
 
 
+def naive_quotient_table(table: list[list[int]], members) -> list[list[int]]:
+    """The quotient by a normal subgroup: each coset, taken as a set, is
+    represented by its least element, the representatives are sorted, and the
+    product of cosets i and j is the coset holding rep_i rep_j."""
+    cosets = {frozenset(table[x][s] for s in members) for x in range(len(table))}
+    reps = sorted(min(coset) for coset in cosets)
+    index_of = {x: reps.index(min(coset)) for coset in cosets for x in coset}
+    return [[index_of[table[a][b]] for b in reps] for a in reps]
+
+
 def naive_omega_set(table: list[list[int]], p: int, i: int) -> list[int]:
     return [x for x in range(len(table)) if naive_power(table, x, p**i) == 0]
 

@@ -1,14 +1,21 @@
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psigroups import GroupError, group_from_text, parse_group_table
+from psigroups import GroupError, group_from_text, parse_group_table, serialize_group
 from psigroups.cli import cli_main
 from oracle import switch_intercalate
+from strategies import group_names, gt1_mutants
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -303,12 +310,12 @@ def test_env_var_overrides_limit(capsys, tmp_path, monkeypatch):
 
 # --- the documented entry point ----------------------------------------------------
 
-def _run_module(*argv, timeout=120):
+def _run_module(*argv, timeout=120, text=True, cwd=None, **env):
     src = str(Path(__file__).parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
-    return subprocess.run([sys.executable, "-m", "psigroups", *argv],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+    env = {**os.environ, **env, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    return subprocess.run([sys.executable, "-m", "psigroups", *argv], cwd=cwd,
+                          capture_output=True, text=text, env=env, timeout=timeout)
 
 
 def test_python_m_psigroups_prints_psi():
@@ -323,6 +330,17 @@ def test_python_m_psigroups_refuses_a_malformed_expression():
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == "error: expected a constructor term (at offset 3)\n"
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8"}, {"LC_ALL": "C"}],
+                         ids=["strict-utf-8", "posix-locale"])
+def test_import_names_a_path_with_undecodable_bytes_by_their_escapes(tmp_path, env):
+    # argv holds the byte 0xff as a surrogate, which strict UTF-8 cannot print
+    with open(os.fsencode(tmp_path) + b"/a\xff.gt1", "wb") as handle:
+        serialize_group(group_from_text("C4"), handle)
+    result = _run_module(b"import", b"a\xff.gt1", b"psi", text=False, cwd=tmp_path, **env)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout == b"psi(a\\xff.gt1) = 11\n"
 
 
 def test_verify_refuses_a_prime_above_the_table_limit_at_once():
@@ -342,3 +360,50 @@ def test_verify_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory(monkeypa
     assert result.stdout == ""
     assert re.fullmatch(r"error: group order 1000000000000000003 needs about \d+ bytes, "
                         r"more than the \d+ bytes of physical memory\n", result.stderr)
+
+
+# --- fuzzed argv, in process ----------------------------------------------------------
+
+_COMMANDS = ("psi", "omega", "cp2", "spectrum", "compare", "verify", "export", "import")
+# expression characters, near misses that str.isdigit or a parser may accept, and
+# separators; "--out" cannot be spelled from them, so no draw writes outside a temp dir
+_TEXTS = st.text("CDQHM0123456789* \u3000\u0663\u00b2x-", max_size=8)
+_EXPRS = st.one_of(group_names, _TEXTS, st.sampled_from(["C" + "1" * 5000, "C1"]))
+_VERIFY_INTS = st.one_of(st.integers(-1, 40).map(str), _TEXTS)
+_JUNK = st.lists(st.one_of(_TEXTS, st.sampled_from(
+    _COMMANDS + ("--p", "--max-order", "-h", "--help", "--bogus", "-", ""))), max_size=5)
+
+
+def _captured_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(st.sampled_from(_COMMANDS + ("junk",)), st.data())
+@settings(max_examples=300, deadline=5000)
+def test_fuzzed_argv_exits_0_or_2_with_one_error_line(command, data):
+    draw = data.draw
+    limit = {"PSIGROUPS_MAX_ORDER": "256"}
+    with tempfile.TemporaryDirectory() as tmp, patch.dict(os.environ, limit):
+        path = os.path.join(tmp, "table.gt1")
+        if command in ("psi", "omega", "cp2", "spectrum"):
+            argv = [command, draw(_EXPRS)]
+        elif command == "compare":
+            argv = [command, draw(_EXPRS), draw(_EXPRS)]
+        elif command == "verify":
+            argv = [command, "--p", draw(_VERIFY_INTS), "--max-order", draw(_VERIFY_INTS)]
+        elif command == "export":
+            argv = [command, draw(_EXPRS), "--out", path]
+        elif command == "import":
+            Path(path).write_bytes(draw(gt1_mutants()).encode())
+            argv = [command, path, draw(st.sampled_from(["psi", "omega", "cp2", "spectrum"]))]
+        else:
+            argv = draw(_JUNK)
+        code, out, err = _captured_cli(argv)
+        assert code in ((0, 1, 2) if argv[:1] == ["verify"] else (0, 2)), (argv, code)
+        if code == 2:
+            assert re.fullmatch(r"error: [^\n]*\n", err) or err.startswith("usage:"), err
+        if code == 0 and command != "export":
+            assert _captured_cli(argv)[1] == out

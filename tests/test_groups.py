@@ -44,6 +44,7 @@ from oracle import (
     naive_order,
     naive_parse_gt1,
     naive_power,
+    naive_quotient_table,
     naive_spectrum,
     switch_intercalate,
     table_of,
@@ -311,6 +312,19 @@ def test_is_normal_matches_oracle_on_every_cyclic_subgroup(name):
         assert is_normal(g, sub) == verdict, x
         verdicts.add(verdict)
     assert verdicts == {True, False}  # both sides of the coset criterion
+
+
+@given(group_names)
+@settings(max_examples=40, deadline=None)
+def test_is_normal_and_quotient_match_the_oracle_on_every_cyclic_subgroup(name):
+    g = group_from_text(name)
+    t = table_of(g)
+    for members in sorted({closure(g, [x]).members for x in range(g.order)}):
+        sub = Subgroup(g, members)
+        normal = naive_is_normal(t, members)
+        assert is_normal(g, sub) == normal, members
+        if normal:
+            assert quotient(g, sub).table.tolist() == naive_quotient_table(t, members), members
 
 
 def test_subgroup_as_group_restricts_table():

@@ -585,21 +585,23 @@ def test_power_map_depends_on_the_exponent_mod_the_order(name, e):
 
 
 @pytest.mark.parametrize("name", ["D8", "Q16*C2", "M27*C3", "C3*D8"])
-def test_quotient_reuses_the_coset_minima_of_is_normal(monkeypatch, name):
-    computed = []
-    minima = groups._left_coset_minima
-    monkeypatch.setattr(groups, "_left_coset_minima", lambda sub: (
-        computed.append(sub._left_minima is None) or minima(sub)))
+def test_quotient_decides_normality_once_per_subgroup(monkeypatch, name):
+    calls = []
+    decide = groups.is_normal
+    monkeypatch.setattr(groups, "is_normal", lambda group, sub: (
+        calls.append(sub.members) or decide(group, sub)))
     g = group_from_text(name)
     table = table_of(g)
     cyclic = sorted({closure(g, [x]).members for x in range(g.order)})
     normal = [members for members in cyclic if naive_is_normal(table, members)]
     assert len(normal) > 1
     for members in normal:
-        computed.clear()
+        calls.clear()
         q = quotient(g, Subgroup(g, members))
-        # one n x |N| gather, by is_normal; quotient reads the kept minima
-        assert computed == [True, False]
+        assert calls == [members]
+        # the kept quotient is returned without deciding normality again
+        assert quotient(g, Subgroup(g, members)) is q
+        assert calls == [members]
         assert q.order == g.order // len(members)
 
 

@@ -55,8 +55,10 @@ def test_bottom_recursion_c9c3():
 
 
 def test_bottom_recursion_rejects_non_cp2():
-    with pytest.raises(NotCp2Error):
+    with pytest.raises(NotCp2Error) as err:
         psi_bottom_recursion(group_from_text("D8"))
+    assert str(err.value) == (
+        "D8 is not CP2 (omega set not closed at level 1); quotient reduction needs CP2")
 
 
 # --- filtration formula -----------------------------------------------------------
@@ -74,8 +76,10 @@ def test_filtration_formula_examples(name, value):
 
 
 def test_filtration_formula_rejects_non_cp2():
-    with pytest.raises(NotCp2Error):
+    with pytest.raises(NotCp2Error) as err:
         psi_filtration(group_from_text("D16"))
+    assert str(err.value) == (
+        "D16 is not CP2 (omega set not closed at level 1); the filtration formula needs CP2")
 
 
 @given(p_group_names)
