@@ -32,15 +32,18 @@ DEFAULT_CATALOGS = ((2, 256), (3, 243), (5, 125))
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One catalog group with all derived data cached at build time."""
+    """One catalog group, named by its group, with derived data cached at build time."""
 
-    name: str
     group: FiniteGroup
     filtration: OmegaFiltration
     cp2: Cp2Report
     psi: int
     level_psi: tuple[int, ...]
     is_abelian: bool
+
+    @property
+    def name(self) -> str:
+        return self.group.name
 
     @property
     def order(self) -> int:
@@ -61,12 +64,9 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    primes: tuple[int, ...]
-    max_order: int
-    entries: tuple[CatalogEntry, ...]
+    """The entries of one build, sorted by order and then name."""
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
+    entries: tuple[CatalogEntry, ...]
 
     def get(self, name: str) -> CatalogEntry:
         for entry in self.entries:
@@ -118,7 +118,6 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
     filtration = omega_filtration(group)
     level_psi = tuple(psi_subset(group, level.members) for level in filtration.levels)
     return CatalogEntry(
-        name=group.name,
         group=group,
         filtration=filtration,
         cp2=is_cp2_pairwise(group),
@@ -154,4 +153,4 @@ def build_catalog(primes: Iterable[int], max_order: int) -> Catalog:
     entries = [make_entry(group_from_text(name))
                for name in catalog_names(primes, max_order)]
     entries.sort(key=lambda e: (e.order, e.name))
-    return Catalog(primes=primes, max_order=max_order, entries=tuple(entries))
+    return Catalog(entries=tuple(entries))

@@ -148,7 +148,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (GroupError, OSError) as exc:
+    # UnicodeEncodeError: open() of a path holding a lone surrogate
+    except (GroupError, OSError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,17 +24,19 @@ from .omega import OmegaFiltration, omega_filtration
 
 @dataclass(frozen=True)
 class Cp2Report:
-    """Decision plus a witness of failure.
+    """A CP2 decision as its witness of failure: CP2 exactly when there is none.
 
     ``witness`` is (x, y, o(x), o(y), o(xy)) for the lexicographically first
-    violating pair under the pairwise method; ``failing_level`` is the first
-    omega level whose set is not closed under the omega method.
+    violating pair, set by the pairwise scan; ``failing_level`` is the first
+    omega level whose set is not closed, set by the omega criterion.
     """
 
-    is_cp2: bool
-    method: str
     witness: tuple[int, int, int, int, int] | None = None
     failing_level: int | None = None
+
+    @property
+    def is_cp2(self) -> bool:
+        return self.witness is None and self.failing_level is None
 
 
 def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, int] | None:
@@ -67,21 +69,18 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     # o(xy) > max(o(x), o(y)) as two bool blocks: no int32 block for the maximum
     pair = _first_pair(group, lambda oxy, ox, oy: (oxy > ox) & (oxy > oy), below_top)
     if pair is None:
-        return Cp2Report(is_cp2=True, method="pairwise")
+        return Cp2Report()
     x, y = pair
     return Cp2Report(
-        is_cp2=False,
-        method="pairwise",
-        witness=(x, y, int(orders[x]), int(orders[y]), int(orders[group.table[x, y]])),
-    )
+        witness=(x, y, int(orders[x]), int(orders[y]), int(orders[group.table[x, y]])))
 
 
 def cp2_from_filtration(filtration: OmegaFiltration) -> Cp2Report:
     """Omega-criterion decision from an already computed filtration."""
     for i, level in enumerate(filtration.levels):
         if not level.set_is_subgroup:
-            return Cp2Report(is_cp2=False, method="omega-criterion", failing_level=i)
-    return Cp2Report(is_cp2=True, method="omega-criterion")
+            return Cp2Report(failing_level=i)
+    return Cp2Report()
 
 
 def is_cp2_omega(group: FiniteGroup) -> Cp2Report:

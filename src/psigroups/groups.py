@@ -8,10 +8,11 @@ repeated-squaring kernel ``_power`` decides, one call per divisor at most.
 
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
-(``omega.omega_filtration``) and its quotient by each normal subgroup
-(``quotient``).  A kept value must never reference the group itself, or the
-group would only be freed by the cycle collector: the filtration holds sizes
-and member tuples, and a quotient is a group of its own, not a ``Subgroup``.
+(``omega.omega_filtration``) and its quotient by each normal subgroup N,
+kept on ``N.parent`` by ``quotient(N)``.  A kept value must never reference
+the group itself, or the group would only be freed by the cycle collector:
+the filtration holds sizes and member tuples, and a quotient is a group of
+its own, not a ``Subgroup``.
 
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
@@ -124,8 +125,8 @@ class FiniteGroup:
 
     Two private fields, neither compared nor printed, keep results derived
     from the table on their first computation: ``_filtration``, the omega
-    filtration, and ``_quotients``, each quotient keyed by the members of the
-    normal subgroup.  Nothing kept may reference the group.
+    filtration, and ``_quotients``, where ``quotient(N)`` keeps its result on
+    ``N.parent`` keyed by ``N.members``.  Nothing kept may reference the group.
     """
 
     name: str
@@ -521,38 +522,32 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
                 inside[group.table[np.ix_(cur[rows], cur)]] = True
 
 
-def _require_parent(group: FiniteGroup, sub: Subgroup) -> None:
-    if sub.parent is not group:
-        raise GroupError("subgroup does not belong to this group")
-
-
-def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
-    """True iff xN = Nx for every x, decided by the cosets' minimal indices.
+def is_normal(sub: Subgroup) -> bool:
+    """True iff xN = Nx for every x in N.parent, decided by the cosets' minima.
 
     N is normal iff min(xN) = min(Nx) for every x.  When the minima agree,
     every y in the left coset L with minimum m has m in Ny, so L lies inside
     the right coset Nm; both have |N| elements, hence L = Nm = mN.
     """
-    _require_parent(group, sub)
+    table = sub.parent.table
     mem = np.asarray(sub.members, dtype=np.int64)
-    return bool(np.array_equal(group.table[:, mem].min(axis=1), group.table[mem].min(axis=0)))
+    return bool(np.array_equal(table[:, mem].min(axis=1), table[mem].min(axis=0)))
 
 
-def quotient(group: FiniteGroup, normal: Subgroup) -> FiniteGroup:
-    """Quotient group on the cosets of a normal subgroup.
+def quotient(normal: Subgroup) -> FiniteGroup:
+    """Quotient of N's parent group on the cosets of the normal subgroup N.
 
     Coset representatives are the minimal element index of each coset,
     min(Nx), read from N's rows by one gather; as N is normal this is min(xN)
-    too.  The identity coset gets index 0.  Each quotient is built once per
-    group and kept on it, keyed by the subgroup's members, so normality is
-    decided once per subgroup; that ``normal`` belongs to ``group`` is checked
-    every call.
+    too.  The identity coset gets index 0.  Each quotient is built once and
+    kept on ``normal.parent``, keyed by the subgroup's members, so normality
+    is decided once per subgroup.
     """
-    _require_parent(group, normal)
+    group = normal.parent
     kept = group._quotients.get(normal.members)
     if kept is not None:
         return kept
-    if not is_normal(group, normal):
+    if not is_normal(normal):
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
     rep = group.table[np.asarray(normal.members, dtype=np.int64)].min(axis=0)

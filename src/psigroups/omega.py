@@ -30,35 +30,38 @@ class OmegaLevel:
 
 @dataclass(frozen=True)
 class OmegaFiltration:
-    """Per-level omega data for a p-group of order ``order`` and exponent p^m.
-
-    ``levels[i]`` covers level i for i = 0..m; level 0 is the trivial
-    subgroup, level m is the whole group.
+    """Per-level omega data for a p-group of order ``order`` and exponent p^m,
+    both read from ``levels``: ``levels[i]`` covers level i for i = 0..m,
+    level 0 is the trivial subgroup and level m, the last, the whole group.
     """
 
     p: int
-    m: int
-    order: int
     levels: tuple[OmegaLevel, ...]
 
     def __post_init__(self):
-        if len(self.levels) != self.m + 1:
-            raise ValueError(f"expected {self.m + 1} levels, got {len(self.levels)}")
+        if not self.levels:
+            raise GroupError("an omega filtration needs at least level 0")
         if self.levels[0].set_size != 1 or self.levels[0].subgroup_size != 1:
-            raise ValueError("level 0 must be the trivial subgroup")
-        if self.levels[-1].subgroup_size != self.order:
-            raise ValueError("top level must be the whole group")
+            raise GroupError("level 0 must be the trivial subgroup")
         for lo, hi in zip(self.levels, self.levels[1:]):
             if lo.set_size > hi.set_size or lo.subgroup_size > hi.subgroup_size:
-                raise ValueError("omega levels must be non-decreasing")
+                raise GroupError("omega levels must be non-decreasing")
         for level in self.levels:
             if level.set_size > level.subgroup_size:
-                raise ValueError("omega set cannot exceed its generated subgroup")
+                raise GroupError("omega set cannot exceed its generated subgroup")
         if self.all_levels_closed:
             # strict chain up to the whole group when every set is closed
             for i, (lo, hi) in enumerate(zip(self.levels, self.levels[1:])):
                 if lo.subgroup_size >= hi.subgroup_size and hi.subgroup_size < self.order:
-                    raise ValueError(f"omega chain stalls at level {i + 1}")
+                    raise GroupError(f"omega chain stalls at level {i + 1}")
+
+    @property
+    def m(self) -> int:
+        return len(self.levels) - 1
+
+    @property
+    def order(self) -> int:
+        return self.levels[-1].subgroup_size
 
     @property
     def all_levels_closed(self) -> bool:
@@ -136,7 +139,7 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
             generated = closure(group, members)
             levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
                                      members=generated.members))
-        filtration = OmegaFiltration(p=p, m=m, order=group.order, levels=tuple(levels))
+        filtration = OmegaFiltration(p=p, levels=tuple(levels))
         object.__setattr__(group, "_filtration", filtration)  # FiniteGroup is frozen
     return group._filtration
 

@@ -125,7 +125,7 @@ def psi_bottom_recursion(group: FiniteGroup) -> int:
     _require_cp2(group, is_cp2_omega(group), "quotient reduction")
     sub = omega_subgroup(group, 1)
     p, r = prime_power(len(sub))
-    return 1 - p + p ** (r + 1) * psi_bottom_recursion(quotient(group, sub))
+    return 1 - p + p ** (r + 1) * psi_bottom_recursion(quotient(sub))
 
 
 def psi_filtration(group: FiniteGroup) -> int:

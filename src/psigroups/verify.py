@@ -132,7 +132,7 @@ def _check_cp2_quotient_closure(cat: Catalog) -> TheoremReport:
         if not entry.cp2.is_cp2:
             tally.record(entry.name, applicable=False)
             continue
-        quo = quotient(entry.group, omega_subgroup(entry.group, 1))
+        quo = quotient(omega_subgroup(entry.group, 1))
         verdict = is_cp2_pairwise(quo)
         tally.record(
             entry.name, applicable=True, ok=verdict.is_cp2,
@@ -147,7 +147,7 @@ def _check_omega_quotient_sizes(cat: Catalog) -> TheoremReport:
             tally.record(entry.name, applicable=False)
             continue
         omega1 = entry.filtration.subgroup_size_at(1)
-        quo = quotient(entry.group, omega_subgroup(entry.group, 1))
+        quo = quotient(omega_subgroup(entry.group, 1))
         if quo.order == 1:
             tally.record(entry.name, applicable=True, ok=True)
             continue

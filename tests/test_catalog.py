@@ -42,19 +42,20 @@ def test_catalog_p2_order8():
 
 def test_catalog_p2_order2():
     cat = build_catalog([2], 2)
-    assert cat.names() == ("C2",)
+    assert [e.name for e in cat.entries] == ["C2"]
 
 
 def test_catalog_includes_counterexample_pair_at_256():
     cat = build_catalog([2], 256)
-    names = cat.names()
+    names = [e.name for e in cat.entries]
     assert "D16*C2*C2*C2*C2" in names
     assert "C4*C4*C4*C4" in names
 
 
 def test_catalog_names_unique():
     cat = build_catalog([2, 3], 32)
-    assert len(set(cat.names())) == len(cat.names())
+    names = [e.name for e in cat.entries]
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("primes", [(2,), (3,), (5,), (7,), *combinations((2, 3, 5, 7), 2)],

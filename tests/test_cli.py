@@ -343,6 +343,15 @@ def test_import_names_a_path_with_undecodable_bytes_by_their_escapes(tmp_path, e
     assert result.stdout == b"psi(a\\xff.gt1) = 11\n"
 
 
+@pytest.mark.parametrize("argv", [("import", "\ud800", "psi"), ("export", "C4", "--out", "\ud800")],
+                         ids=["import", "export"])
+def test_a_path_with_a_lone_surrogate_exits_2(capsys, argv):
+    # a lone surrogate outside U+DC80-U+DCFF, which only a library caller can pass
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "\\ud800" in err
+
+
 def test_verify_refuses_a_prime_above_the_table_limit_at_once():
     # trial division of this prime runs for minutes, so the limit is checked first
     result = _run_module("verify", "--p", "1000000000000000003", "--max-order", "16", timeout=10)

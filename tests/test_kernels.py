@@ -336,7 +336,7 @@ def test_restricted_cp2_scan_matches_the_oracle(name, block):
     with patch.object(groups, "_BLOCK_ENTRIES", block):
         report = is_cp2_pairwise(g)
     witness = naive_cp2_witness(table_of(g))
-    assert report == Cp2Report(is_cp2=witness is None, method="pairwise", witness=witness)
+    assert report == Cp2Report(witness=witness)
 
 
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
@@ -377,9 +377,9 @@ def test_cp2_golden_through_the_restricted_scan(capsys, monkeypatch):
 def test_blocked_max_order_law_detail_matches_the_oracle(monkeypatch, block, name):
     # every entry is declared CP2, so the law is checked on groups where it fails
     entry = dataclasses.replace(make_entry(group_from_text(name)),
-                                cp2=Cp2Report(is_cp2=True, method="pairwise"))
+                                cp2=Cp2Report())
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
-    report = _check_max_order_law(Catalog(primes=(2,), max_order=96, entries=(entry,)))
+    report = _check_max_order_law(Catalog(entries=(entry,)))
     table = table_of(entry.group)
     pair = naive_max_order_law_pair(table)
     if pair is None:
@@ -410,10 +410,10 @@ def test_blocked_closure_and_subgroup_tables_match(monkeypatch, block, name):
 @pytest.mark.parametrize("name", ["C8*C4", "Q16*C2", "M27*C3", "D8*C2*C2"])
 def test_blocked_quotient_table_matches(monkeypatch, block, name):
     first = group_from_text(name)
-    whole = quotient(first, omega_subgroup(first, 1))
+    whole = quotient(omega_subgroup(first, 1))
     g = group_from_text(name)
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
-    _same_bytes(quotient(g, omega_subgroup(g, 1)).table, whole.table)
+    _same_bytes(quotient(omega_subgroup(g, 1)).table, whole.table)
 
 
 def _switched_loops(name, count, rng):
@@ -588,8 +588,8 @@ def test_power_map_depends_on_the_exponent_mod_the_order(name, e):
 def test_quotient_decides_normality_once_per_subgroup(monkeypatch, name):
     calls = []
     decide = groups.is_normal
-    monkeypatch.setattr(groups, "is_normal", lambda group, sub: (
-        calls.append(sub.members) or decide(group, sub)))
+    monkeypatch.setattr(groups, "is_normal", lambda sub: (
+        calls.append(sub.members) or decide(sub)))
     g = group_from_text(name)
     table = table_of(g)
     cyclic = sorted({closure(g, [x]).members for x in range(g.order)})
@@ -597,10 +597,10 @@ def test_quotient_decides_normality_once_per_subgroup(monkeypatch, name):
     assert len(normal) > 1
     for members in normal:
         calls.clear()
-        q = quotient(g, Subgroup(g, members))
+        q = quotient(Subgroup(g, members))
         assert calls == [members]
         # the kept quotient is returned without deciding normality again
-        assert quotient(g, Subgroup(g, members)) is q
+        assert quotient(Subgroup(g, members)) is q
         assert calls == [members]
         assert q.order == g.order // len(members)
 

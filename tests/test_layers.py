@@ -11,6 +11,8 @@ import hashlib
 import os
 import sys
 
+import pytest
+
 import psigroups
 import psigroups.cli  # noqa: F401  (the package does not import it; the tracer wraps cli_main)
 
@@ -22,8 +24,10 @@ import workloads  # noqa: E402
 from oracle import naive_gt1_text, table_of  # noqa: E402
 
 
-def test_every_catalog_verify_layer_records_a_call():
-    # 2/16 and 3/27 build every atom family (C, D, Q at p = 2; H, M at p = 3)
+@pytest.fixture(scope="module")
+def catalog_verify_trace():
+    """The tracer and its one cycle over catalogs 2/16 and 3/27, which build
+    every atom family (C, D, Q at p = 2; H, M at p = 3)."""
     spans = tracer.Tracer()
     spans.install()
     try:
@@ -31,9 +35,38 @@ def test_every_catalog_verify_layer_records_a_call():
             psigroups.verify_theorems(psigroups.build_catalog([p], cap))
     finally:
         spans.uninstall()
-    rows = spans.take_cycle()["rows"]
+    return spans, spans.take_cycle()["rows"]
+
+
+def test_every_catalog_verify_layer_records_a_call(catalog_verify_trace):
+    spans, rows = catalog_verify_trace
     assert sorted(name for name in workloads._CATALOG_SPANS if name not in rows) == []
     assert sorted(set(tracer.THEOREMS) - set(spans.theorem_of.values())) == []
+
+
+# Calls per traced span over catalogs 2/16 and 3/27.  A change that does more
+# or less work, or routes a call around a traced function, changes a count;
+# a refactor that does the same work call for call changes none.
+CATALOG_VERIFY_CALLS = {
+    "groups.group_from_table": 122, "groups.direct_product": 10, "groups.cyclic_group": 32,
+    "groups.dihedral_group": 2, "groups.quaternion_group": 2, "groups.heisenberg_group": 1,
+    "groups.modular_group": 1, "groups.power_map": 129, "groups.closure": 125,
+    "groups.is_normal": 37, "groups.quotient": 77, "groups.Subgroup.as_group": 37,
+    "groups.parse_group_table": 0, "groups.serialize_group": 0,
+    "expr.parse_group_expr": 23, "expr.build_group": 23,
+    "omega.omega_set": 129, "omega.omega_subgroup": 117, "omega.omega_filtration": 92,
+    "cp2.is_cp2_pairwise": 43, "cp2.is_cp2_omega": 37,
+    "psi.psi_top_recursion": 23, "psi.psi_bottom_recursion": 20, "psi.psi_filtration": 20,
+    "psi.predict_order": 0, "psi.order_bijection": 43,
+    "catalog.make_entry": 23, "catalog.build_catalog": 2,
+    "verify.verify_theorems": 2, "cli.cli_main": 0,
+}
+
+
+def test_catalog_verify_makes_the_pinned_calls(catalog_verify_trace):
+    _, rows = catalog_verify_trace
+    calls = {name: int(rows[name]["calls"]) if name in rows else 0 for name in tracer.SPAN_NAMES}
+    assert calls == CATALOG_VERIFY_CALLS
 
 
 def test_every_gt1_import_op_records_its_spans(monkeypatch, tmp_path):

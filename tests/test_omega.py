@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from psigroups import (
     GroupError,
     NotPGroupError,
+    OmegaFiltration,
+    OmegaLevel,
     closure,
     exponent,
     exponent_log,
@@ -133,6 +135,24 @@ def test_filtration_d16_sets_versus_subgroups():
     assert tuple(level.set_size for level in filtration.levels) == (1, 10, 12, 16)
     assert [level.set_is_subgroup for level in filtration.levels] == [
         True, False, False, True]
+
+
+def test_filtration_reads_m_and_order_from_its_levels():
+    filtration = OmegaFiltration(2, (OmegaLevel(1, 1), OmegaLevel(2, 2), OmegaLevel(4, 4)))
+    assert (filtration.m, filtration.order) == (2, 4)
+    assert filtration == omega_filtration(group_from_text("C4"))
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ((), "needs at least level 0"),
+    (((2, 2), (2, 2)), "level 0 must be the trivial subgroup"),
+    (((1, 1), (3, 4), (2, 4)), "non-decreasing"),
+    (((1, 1), (4, 2), (4, 4)), "cannot exceed its generated subgroup"),
+    (((1, 1), (2, 2), (2, 2), (4, 4)), "omega chain stalls at level 2"),
+], ids=["empty", "level-0", "decreasing", "set-above-subgroup", "stalled-chain"])
+def test_filtration_refuses_inconsistent_levels(sizes, message):
+    with pytest.raises(GroupError, match=message):
+        OmegaFiltration(2, tuple(OmegaLevel(*pair) for pair in sizes))
 
 
 @given(p_group_names)

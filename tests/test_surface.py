@@ -7,8 +7,10 @@ definition line and the package's ``__init__.py`` re-exports.  Tests do not
 count: code that only a test calls is a second route no path needs.
 
 The match is by name, as a whole word, not by binding, so a use of anything
-else with the same name masks a dead definition: ``Catalog.get`` counts as
-used through every ``dict.get``.
+else with the same name masks a dead definition.  Methods and properties are
+held to more: each must be read as an attribute (``.name``) somewhere in those
+trees, so a local variable or a function of the same name does not count.
+``Catalog.get`` still counts as used through every ``dict.get``.
 """
 
 import ast
@@ -52,3 +54,17 @@ def test_every_definition_is_referenced_outside_its_own_line():
             for line, name in _definitions(ast.parse(path.read_text()))
             if not re.fullmatch(r"__\w+__", name) and not uses[name] - {(path, line)}]
     assert dead == []
+
+
+def test_every_method_and_property_is_read_as_an_attribute():
+    read = {node.attr for top in ("src", "scripts", "perfbench")
+            for path in (ROOT / top).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name} {cls.name}.{node.name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in ast.walk(ast.parse(path.read_text())) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not re.fullmatch(r"__\w+__", node.name) and node.name not in read]
+    assert unread == []

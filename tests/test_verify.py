@@ -71,7 +71,7 @@ def test_status_flags():
 
 
 def test_empty_catalog_is_vacuous():
-    empty = Catalog(primes=(), max_order=1, entries=())
+    empty = Catalog(entries=())
     for report in verify_theorems(empty):
         assert report.status == "vacuous"
         assert report.pairs_checked == 0
