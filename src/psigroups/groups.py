@@ -5,6 +5,8 @@ index of a*b.  Index 0 is always the identity.  Element orders are computed
 eagerly, so a constructed group is immutable and safe to share: by Lagrange,
 o(x) is the least divisor d of n with x^d = 1, which ``power_map``'s
 repeated-squaring kernel ``_power`` decides, one call per divisor at most.
+o(x) does not depend on the group it is taken in, so ``Subgroup.as_group``
+reads its orders from the parent's instead.
 
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
@@ -25,16 +27,17 @@ restricts a table to a set the ``Subgroup`` closure check has accepted, and
 
 Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers build whole tables in
-place (C, D, Q and M in one metacyclic kernel, H in one broadcast, and
-``direct_product`` folding every factor's table in from the right, one
-broadcast each, into a product wrapped as one group); only readers
-(the closure check, the closure step, the subgroup and quotient tables, the
-CP2 pair scan, Light's test) go one block of whole rows at a time
-(``_row_blocks``), and so does the GT1 export, in the GT1 tokeniser's blocks
-of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is allocated, its
-order is checked against the table size limit and its bytes, the table plus
-one row block, against physical memory, so a build that cannot fit is
-refused with a ``GroupBuildError`` instead of failing part-way.
+place: C, D, Q and M in one metacyclic kernel, which writes one row block of
+whole rows (``_row_blocks``) at a time with an add and a conditional
+subtract, no division; H in one broadcast; and ``direct_product`` folding
+every factor's table in from the right, one broadcast each, into a product
+wrapped as one group.  The readers (the closure check, the closure step, the
+subgroup and quotient tables, the CP2 pair scan, Light's test) go one row
+block at a time too, and so does the GT1 export, in the GT1 tokeniser's
+blocks of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is
+allocated, its order is checked against the table size limit and its bytes,
+the table plus one row block, against physical memory, so a build that
+cannot fit is refused with a ``GroupBuildError`` instead of failing part-way.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ class FiniteGroup:
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
     Products are read from ``table`` and powers from ``power_map``;
     ``element_orders`` is computed once at construction, as the least d | n
-    with x^d = 1.  Instances are immutable; all operations on them are pure.
+    with x^d = 1, or read from the parent's for a subgroup's group.
+    Instances are immutable; all operations on them are pure.
 
     Two private fields, neither compared nor printed, keep results derived
     from the table on their first computation: ``_filtration``, the omega
@@ -195,13 +199,15 @@ class Subgroup:
         """The subgroup as a standalone group via table restriction.
 
         Member k of the subgroup becomes element k of the new group, so the
-        identity stays at index 0.
+        identity stays at index 0.  The orders are read from the parent's, not
+        computed: o(x) does not depend on the group it is taken in.
         """
         mem = np.asarray(self.members, dtype=np.int64)
         restricted = np.empty((mem.size, mem.size), dtype=np.int32)
         for rows in _row_blocks(mem.size, mem.size):
             restricted[rows] = np.searchsorted(mem, self.parent.table[np.ix_(mem[rows], mem)])
-        return group_from_table(f"{self.parent.name}[{len(mem)}]", restricted, trusted=True)
+        return _frozen_group(f"{self.parent.name}[{len(mem)}]", restricted,
+                             self.parent.element_orders[mem])
 
     def __repr__(self) -> str:
         return f"<Subgroup of {self.parent.name} size {len(self.members)}>"
@@ -345,9 +351,14 @@ def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
     except TableFormatError:
         _check_latin(arr)
         raise
-    for a in (arr, orders):
+    return _frozen_group(name, arr, orders)
+
+
+def _frozen_group(name: str, table: np.ndarray, orders: np.ndarray) -> FiniteGroup:
+    """A table and its element orders, both made read-only, as a group."""
+    for a in (table, orders):
         a.flags.writeable = False
-    return FiniteGroup(name=name, table=arr, element_orders=orders)
+    return FiniteGroup(name=name, table=table, element_orders=orders)
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +388,38 @@ def _check_order_limit(k: int) -> None:
 def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = False) -> np.ndarray:
     """Table of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> (King 1973), of
     order m*s when r^s = 1 and t(r - 1) = 0 mod m, with a^i b^e at e*m + i:
-    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + i2 r^-e1 + t[e1 + e2 >= s]) b^((e1 + e2) mod s),
-    written in place one m x m block per (e1, e2).  ``transposed`` writes
-    through ``table.T``: for r^2 = 1, the table with b^e a^i at e*m + i."""
-    _check_order_limit(m * s)
-    table = np.empty((m * s, m * s), dtype=np.int32)
-    out = table.T if transposed else table
-    i = np.arange(m, dtype=np.int64)
-    i1 = i.astype(np.int32)[:, None]
+    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + i2 r^-e1 + t[e1 + e2 >= s]) b^((e1 + e2) mod s).
+    ``transposed`` is, for r^2 = 1, the table with b^e a^i at e*m + i:
+    b^e1 a^i1 * b^e2 a^i2 = b^((e1 + e2) mod s) a^(i1 r^-e2 + t[e1 + e2 >= s] + i2).
+
+    The rows of each e1 slab are written in row blocks of whole rows
+    (``_row_blocks``) with no division: entry (e1, i1; e2, i2) is
+    (row term + column term) mod m + ((e1 + e2) mod s) m, both terms in
+    [0, m), so the sum u is reduced by min(u, u - m) on unsigned views.
+    The row term is i1, or i1 r^-e2 + t[e1 + e2 >= s] mod m when transposed;
+    the column term is the rest."""
+    n = m * s
+    _check_order_limit(n)
+    table = np.empty((n, n), dtype=np.int32)
+    i = np.arange(m, dtype=np.int32)
+    e = np.arange(s)
+    twisted = np.outer([pow(r, -x, m) for x in range(s)], np.arange(m)) % m  # [e, i]: i r^-e mod m
     for e1 in range(s):
-        twisted = (i * pow(r, -e1, m) % m).astype(np.int32)  # i2 r^-e1 mod m
-        for e2 in range(s):
-            block = out[e1 * m:(e1 + 1) * m, e2 * m:(e2 + 1) * m]
-            np.add(i1, twisted + t * (e1 + e2 >= s), out=block)
-            np.remainder(block, m, out=block)
-            block += (e1 + e2) % s * m
+        carry = t * (e1 + e >= s)
+        if transposed:
+            row_term = ((twisted.T + carry) % m).astype(np.int32)[:, :, None]
+            col_term = i
+        else:
+            row_term = i[:, None, None]
+            col_term = ((twisted[e1] + carry[:, None]) % m).astype(np.int32)
+        offset = ((e1 + e) % s * m).astype(np.int32)[:, None]
+        slab = table[e1 * m:(e1 + 1) * m].reshape(m, s, m)  # [i1, e2, i2]
+        for rows in _row_blocks(m, n):
+            block = slab[rows]
+            np.add(row_term[rows], col_term, out=block)
+            u = block.view(np.uint32)
+            np.minimum(u, u - m, out=u)  # u - m wraps past u when u < m
+            block += offset
     return table
 
 

@@ -239,6 +239,23 @@ def test_an_element_with_no_order_dividing_n_is_refused():
         groups._compute_orders(np.array([[0, 1], [1, 1]], dtype=np.int32))
 
 
+@given(group_names, st.data())
+@settings(max_examples=40, deadline=None)
+def test_subgroup_group_reads_its_orders_from_the_parent(name, data):
+    g = group_from_text(name)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    sub = closure(g, seed)
+    exponents = []
+    power = groups._power
+    with patch.object(groups, "_power", lambda table, e: exponents.append(e) or power(table, e)):
+        h = sub.as_group()
+    assert exponents == []
+    expected = stepwise_orders(h.table)
+    assert h.element_orders.dtype == expected.dtype
+    assert h.element_orders.tobytes() == expected.tobytes()
+    assert not h.table.flags.writeable and not h.element_orders.flags.writeable
+
+
 # --- the metacyclic kernel on parameters no family uses -------------------------
 
 # every (m, s, t, r mod m) of a family table of order <= 512
@@ -287,8 +304,11 @@ def test_metacyclic_kernel_is_the_presented_group(params):
 BLOCK_ENTRIES = [1, 7 * 96]
 
 
+# D54's 27-row slabs end inside a 12-row block of 7 * 96 entries; M125 has
+# s = 5 slabs of 25 rows
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
-@pytest.mark.parametrize("name", ["C12", "D16", "Q16", "H27", "M27", "M16*C2", "D8*C3*C4"])
+@pytest.mark.parametrize("name", ["C12", "D16", "D54", "Q16", "H27", "M27", "M125", "M16*C2",
+                                  "D8*C3*C4"])
 def test_tables_do_not_depend_on_the_block_size(monkeypatch, block, name):
     whole = group_from_text(name)
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
@@ -457,6 +477,18 @@ def test_build_at_order_4096_holds_the_table_and_one_block(name):
     g, peak = _peak_bytes(lambda: group_from_text(name))
     assert g.order == 4096
     assert peak <= 72 * MB
+
+
+@pytest.mark.parametrize("params", [(4096, 1, 0, 1, False), (2048, 2, 0, 2047, True),
+                                    (2048, 2, 1024, 2047, False), (2048, 2, 0, 1025, False)],
+                         ids=["C4096", "D4096", "Q4096", "M4096"])
+def test_metacyclic_kernel_holds_what_the_order_check_budgets(params):
+    # _check_order_limit budgets the int32 table and one row block of int64
+    m, s, t, r, transposed = params
+    n = m * s
+    table, peak = _peak_bytes(lambda: groups._metacyclic_table(m, s, t, r, transposed=transposed))
+    assert table.shape == (n, n)
+    assert peak <= 4 * n * n + 8 * max(n, groups._BLOCK_ENTRIES)
 
 
 def test_heisenberg_build_holds_the_table_and_small_terms():
