@@ -56,7 +56,6 @@ from .psi import (
     OrderBijection,
     OrderDecision,
     PsiComparison,
-    SpectrumMismatch,
     compare_filtrations,
     order_bijection,
     predict_order,

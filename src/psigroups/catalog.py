@@ -68,12 +68,6 @@ class Catalog:
 
     entries: tuple[CatalogEntry, ...]
 
-    def get(self, name: str) -> CatalogEntry:
-        for entry in self.entries:
-            if entry.name == name:
-                return entry
-        raise KeyError(name)
-
 
 def partitions(k: int) -> Iterator[tuple[int, ...]]:
     """All partitions of k as non-increasing tuples, lexicographically

@@ -21,7 +21,7 @@ from .expr import group_from_text
 from .groups import FiniteGroup, GroupError, parse_group_table, serialize_group
 from .groups import order_spectrum
 from .omega import omega_filtration, psi_brute
-from .psi import OrderBijection, order_bijection, predict_order
+from .psi import order_bijection, predict_order
 from .verify import format_reports, verify_theorems
 
 
@@ -61,9 +61,8 @@ def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
     for check in comparison.hypothesis_log:
         mark = "pass" if check.passed else "fail"
         lines.append(f"  [{mark}] {check.name}: {check.detail}")
-    bijection = order_bijection(p_group, q_group)
     lines.append(
-        "bijection: yes" if isinstance(bijection, OrderBijection) else "bijection: no")
+        "bijection: yes" if order_bijection(p_group, q_group) is not None else "bijection: no")
     return "\n".join(lines) + "\n"
 
 

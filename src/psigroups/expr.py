@@ -29,6 +29,7 @@ from .groups import (
     FiniteGroup,
     GroupExprError,
     _check_order_limit,
+    _exceeds,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -79,9 +80,8 @@ def parse_group_expr(text: str) -> GroupExpr:
             raise GroupExprError(f"unknown constructor {letter!r}", term.start(1))
         if not digits:
             raise GroupExprError(f"expected an integer after {letter!r}", term.start(2))
-        # compared as a decimal string first: int() refuses over 4300 digits
         digits = digits.lstrip("0") or "0"
-        if len(digits) > len(str(_MAX_PARAM)) or int(digits) > _MAX_PARAM:
+        if _exceeds(digits, _MAX_PARAM):
             raise GroupExprError("integer constant too large", term.start(2))
         value = int(digits)
         if value < 1:

@@ -1,12 +1,15 @@
 """Finite groups as dense multiplication tables over 0-based element indices.
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
-index of a*b.  Index 0 is always the identity.  Element orders are computed
-eagerly, so a constructed group is immutable and safe to share: by Lagrange,
-o(x) is the least divisor d of n with x^d = 1, which ``power_map``'s
-repeated-squaring kernel ``_power`` decides, one call per divisor at most.
-o(x) does not depend on the group it is taken in, so ``Subgroup.as_group``
-reads its orders from the parent's instead.
+index of a*b.  Index 0 is always the identity.  Element orders are known
+from construction, so a constructed group is immutable and safe to share.
+Only an atom (the C/D/Q/H/M constructors), a quotient and a table passed in
+from outside have theirs computed: by Lagrange, o(x) is the least divisor d
+of n with x^d = 1, which ``power_map``'s repeated-squaring kernel ``_power``
+decides, one call per divisor at most.  The rest are read from groups that
+already hold them: o(x) does not depend on the group it is taken in, so
+``Subgroup.as_group`` reads its orders from the parent's, and
+``direct_product`` folds its factors' orders by o((a, b)) = lcm(o(a), o(b)).
 
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
@@ -32,12 +35,13 @@ whole rows (``_row_blocks``) at a time with an add and a conditional
 subtract, no division; H in one broadcast; and ``direct_product`` folding
 every factor's table in from the right, one broadcast each, into a product
 wrapped as one group.  The readers (the closure check, the closure step, the
-subgroup and quotient tables, the CP2 pair scan, Light's test) go one row
-block at a time too, and so does the GT1 export, in the GT1 tokeniser's
-blocks of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is
-allocated, its order is checked against the table size limit and its bytes,
-the table plus one row block, against physical memory, so a build that
-cannot fit is refused with a ``GroupBuildError`` instead of failing part-way.
+subgroup and quotient tables, the coset minima of ``is_normal`` and
+``quotient``, the CP2 pair scan, Light's test) go one row block at a time
+too, and so does the GT1 export, in the GT1 tokeniser's blocks of about
+``_GT1_BLOCK_TOKENS`` entries.  Before a table is allocated, its order is
+checked against the table size limit and its bytes, the table plus one row
+block, against physical memory, so a build that cannot fit is refused with a
+``GroupBuildError`` instead of failing part-way.
 """
 
 from __future__ import annotations
@@ -123,8 +127,10 @@ class FiniteGroup:
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
     Products are read from ``table`` and powers from ``power_map``;
-    ``element_orders`` is computed once at construction, as the least d | n
-    with x^d = 1, or read from the parent's for a subgroup's group.
+    ``element_orders`` is set once at construction: computed as the least
+    d | n with x^d = 1 for an atom, a quotient or an outside table, read from
+    the parent's for a subgroup's group, and folded from the factors' by lcm
+    for a direct product.
     Instances are immutable; all operations on them are pure.
 
     Two private fields, neither compared nor printed, keep results derived
@@ -229,6 +235,13 @@ def _integer(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise GroupError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _exceeds(digits: str, bound: int) -> bool:
+    """Whether the decimal ``digits``, without leading zeros, is above
+    ``bound``: compared by length first, as int() refuses more than 4300
+    digits."""
+    return len(digits) > len(str(bound)) or int(digits) > bound
 
 
 def _row_blocks(rows: int, cols: int) -> list[slice]:
@@ -483,17 +496,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     so the table, viewed as |A| x |B| x |A| x |B|, is one broadcast sum.
     Lexicographic indexing is associative, so the factors' tables are folded
     in from the right: each broadcast's innermost operand is the product
-    already built, not a single factor.
+    already built, not a single factor.  The orders are folded beside them,
+    o((a1, b1)) = lcm(o(a1), o(b1)) at the same index, not computed.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    table = factors[-1].table
+    table, orders = factors[-1].table, factors[-1].element_orders
     for left in reversed(factors[:-1]):
         na, nb = left.order, table.shape[0]
         out = np.empty((na, nb, na, nb), dtype=np.int32)
         np.add((left.table * nb)[:, None, :, None], table[None, :, None, :], out=out)
         table = out.reshape(na * nb, na * nb)
-    return group_from_table("*".join(g.name for g in factors), table, trusted=True)
+        orders = np.lcm.outer(left.element_orders, orders).ravel()
+    return _frozen_group("*".join(g.name for g in factors), table, orders)
 
 
 def prime_power(k: int) -> tuple[int, int] | None:
@@ -550,6 +565,24 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
                 inside[group.table[np.ix_(cur[rows], cur)]] = True
 
 
+def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:
+    """min(xN) (``left``) or min(Nx) for every x in N.parent, one row block
+    at a time: min(xN) over blocks of rows x of the columns N, min(Nx) as a
+    running minimum over blocks of N's rows."""
+    table = sub.parent.table
+    mem = np.asarray(sub.members, dtype=np.int64)
+    n = table.shape[0]
+    if left:
+        out = np.empty(n, dtype=table.dtype)
+        for rows in _row_blocks(n, mem.size):
+            out[rows] = np.take(table[rows], mem, axis=1).min(axis=1)
+        return out
+    out = np.full(n, n, dtype=table.dtype)
+    for rows in _row_blocks(mem.size, n):
+        np.minimum(out, table[mem[rows]].min(axis=0), out=out)
+    return out
+
+
 def is_normal(sub: Subgroup) -> bool:
     """True iff xN = Nx for every x in N.parent, decided by the cosets' minima.
 
@@ -557,17 +590,15 @@ def is_normal(sub: Subgroup) -> bool:
     every y in the left coset L with minimum m has m in Ny, so L lies inside
     the right coset Nm; both have |N| elements, hence L = Nm = mN.
     """
-    table = sub.parent.table
-    mem = np.asarray(sub.members, dtype=np.int64)
-    return bool(np.array_equal(table[:, mem].min(axis=1), table[mem].min(axis=0)))
+    return bool(np.array_equal(_coset_minima(sub, left=True), _coset_minima(sub, left=False)))
 
 
 def quotient(normal: Subgroup) -> FiniteGroup:
     """Quotient of N's parent group on the cosets of the normal subgroup N.
 
     Coset representatives are the minimal element index of each coset,
-    min(Nx), read from N's rows by one gather; as N is normal this is min(xN)
-    too.  The identity coset gets index 0.  Each quotient is built once and
+    min(Nx), read from N's rows; as N is normal this is min(xN) too.  The
+    identity coset gets index 0.  Each quotient is built once and
     kept on ``normal.parent``, keyed by the subgroup's members, so normality
     is decided once per subgroup.
     """
@@ -578,7 +609,7 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     if not is_normal(normal):
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
-    rep = group.table[np.asarray(normal.members, dtype=np.int64)].min(axis=0)
+    rep = _coset_minima(normal, left=False)
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep).astype(np.int32)
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)
@@ -650,9 +681,7 @@ def parse_group_table(text: str | bytes, name: str = "GT1") -> FiniteGroup:
     if digits == "0":
         raise TableFormatError("group order must be at least 1")
     limit = max_table_order()
-    # compared as a decimal string first: int() refuses over 4300 digits
-    _require(len(digits) <= len(str(limit)),
-             f"group order {digits} exceeds table size limit {limit}")
+    _require(not _exceeds(digits, limit), f"group order {digits} exceeds table size limit {limit}")
     n = int(digits)
     _check_order_limit(n)
     body = np.frombuffer(data, dtype=np.uint8)[len(head) + 1:]
@@ -705,9 +734,9 @@ def _parse_gt1_block(body: np.ndarray, row_ends: np.ndarray, r0: int, out: np.nd
 
 def _gt1_row(r: int, line: str, n: int) -> list[int]:
     """Row r of a GT1 table, checked and parsed on its own: the entry count,
-    then that every entry is decimal, then the range.  Entries are compared as
-    decimal strings without leading zeros, as int() refuses more than 4300
-    digits; the message prints the row's largest entry exactly.
+    then that every entry is decimal, then the range, by ``_exceeds`` on the
+    entries without leading zeros; the message prints the row's largest entry
+    exactly.
     """
     tokens = line.split(" ")
     if len(tokens) != n:
@@ -716,6 +745,6 @@ def _gt1_row(r: int, line: str, n: int) -> list[int]:
         raise TableFormatError(f"row {r}: entries must be nonnegative decimal integers")
     values = [t.lstrip("0") or "0" for t in tokens]
     top = max(values, key=lambda v: (len(v), v))
-    if len(top) > len(str(n)) or int(top) >= n:
+    if _exceeds(top, n - 1):
         raise TableFormatError(f"row {r}: entry {top} out of range [0, {n})")
     return [int(v) for v in values]

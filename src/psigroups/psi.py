@@ -1,5 +1,5 @@
 """Fast psi formulas, psi-equality and psi-ordering decision procedures, and
-the order-preserving bijection between groups with matching order spectra.
+the order-preserving bijection between groups with equal sorted element orders.
 
 All formulas return exact integers and are expected to agree with the
 brute-force sum ``psi_brute``; the verification harness asserts that
@@ -18,7 +18,6 @@ from .groups import (
     GroupError,
     NotCp2Error,
     OmegaChainError,
-    order_spectrum,
     prime_power,
     quotient,
 )
@@ -74,21 +73,12 @@ class PsiComparison:
     hypothesis_log: tuple[HypothesisCheck, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderBijection:
-    """An order-preserving pairing of two groups' element indices."""
+    """An order-preserving pairing of two groups' element indices: row k of
+    the n x 2 array ``pairs`` is (x, y) with x in P and y in Q paired."""
 
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SpectrumMismatch:
-    """No order-preserving bijection exists: the largest element order whose
-    counts differ, with both counts."""
-
-    order: int
-    count_p: int
-    count_q: int
+    pairs: np.ndarray
 
 
 def psi_top_recursion(group: FiniteGroup) -> int:
@@ -237,24 +227,17 @@ def predict_order(p_group: FiniteGroup, q_group: FiniteGroup) -> PsiComparison:
     )
 
 
-def order_bijection(
-    p_group: FiniteGroup, q_group: FiniteGroup
-) -> OrderBijection | SpectrumMismatch:
-    """Pair up elements of equal order, or report why that is impossible.
+def order_bijection(p_group: FiniteGroup, q_group: FiniteGroup) -> OrderBijection | None:
+    """Pair up elements of equal order, or None when no such pairing exists.
 
-    When the order spectra agree, elements are paired per order value by
-    ascending index on both sides.  Otherwise the largest order whose counts
-    differ is reported.
+    Each side is sorted by order once, stably, so equal orders keep ascending
+    index; a pairing exists exactly when the sorted orders are equal, and
+    then the k-th elements of the two sorts are paired.
     """
     _require_same_order(p_group, q_group)
-    spec_p = order_spectrum(p_group)
-    spec_q = order_spectrum(q_group)
-    if spec_p != spec_q:
-        value = max(v for v in spec_p.keys() | spec_q.keys()
-                    if spec_p.get(v, 0) != spec_q.get(v, 0))
-        return SpectrumMismatch(order=value, count_p=spec_p.get(value, 0),
-                                count_q=spec_q.get(value, 0))
     by_order_p = np.argsort(p_group.element_orders, kind="stable")
     by_order_q = np.argsort(q_group.element_orders, kind="stable")
-    pairs = tuple((int(a), int(b)) for a, b in zip(by_order_p, by_order_q))
-    return OrderBijection(pairs=pairs)
+    if not np.array_equal(p_group.element_orders[by_order_p],
+                          q_group.element_orders[by_order_q]):
+        return None
+    return OrderBijection(pairs=np.column_stack((by_order_p, by_order_q)))

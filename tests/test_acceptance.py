@@ -26,6 +26,10 @@ from psigroups.cli import cli_main
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _entry(cat, name):
+    return next(entry for entry in cat.entries if entry.name == name)
+
+
 def report(criterion: int, ok: bool, detail: str):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
@@ -98,7 +102,7 @@ def test_criterion_4_t11_suite(default_catalogs):
         for cat in default_catalogs.values()
         for r in verify_theorems(cat) if r.theorem == "T1.1")
     cat3 = default_catalogs[3]
-    pair = (cat3.get("C9*C3"), cat3.get("M27"))
+    pair = (_entry(cat3, "C9*C3"), _entry(cat3, "M27"))
     nontrivial = (pair[0].psi == pair[1].psi == 187
                   and pair[0].name != pair[1].name)
     ok = violations == 0 and nontrivial
@@ -111,8 +115,8 @@ def test_criterion_5_t13_suite(default_catalogs):
            for p, cat in default_catalogs.items()}
     violations = sum(len(r.violations) for r in t13.values())
     applicable = t13[3].hypothesis_applicable
-    big = default_catalogs[3].get("C9*C9")
-    small = default_catalogs[3].get("C9*C3*C3")
+    big = _entry(default_catalogs[3], "C9*C9")
+    small = _entry(default_catalogs[3], "C9*C3*C3")
     pair_ok = (big.psi == 673 and small.psi == 565
                and big.exponent == small.exponent == 9
                and big.filtration.subgroup_size_at(1) < small.filtration.subgroup_size_at(1)
@@ -128,8 +132,8 @@ def test_criterion_6_cp2_agreement(default_catalogs):
         for cat in default_catalogs.values()
         for r in verify_theorems(cat) if r.theorem == "cp2-agreement")
     cat2, cat3 = default_catalogs[2], default_catalogs[3]
-    negatives = [cat2.get("D8"), cat2.get("D16")]
-    positives = [cat2.get("Q8"), cat3.get("H27"), cat3.get("M27")]
+    negatives = [_entry(cat2, "D8"), _entry(cat2, "D16")]
+    positives = [_entry(cat2, "Q8"), _entry(cat3, "H27"), _entry(cat3, "M27")]
     positives += [e for cat in default_catalogs.values()
                   for e in cat.entries if e.is_abelian]
     ok = (disagreements == 0

@@ -26,11 +26,13 @@ from psigroups import (
     closure,
     cp2,
     direct_product,
+    exponent_log,
     expr,
     group_from_table,
     group_from_text,
     groups,
     is_cp2_pairwise,
+    is_normal,
     omega_filtration,
     omega_set,
     omega_subgroup,
@@ -40,7 +42,7 @@ from psigroups import (
     quotient,
     serialize_group,
 )
-from psigroups.catalog import make_entry
+from psigroups.catalog import DEFAULT_CATALOGS, catalog_names, make_entry
 from psigroups.cli import cli_main
 from psigroups.verify import _check_max_order_law
 from oracle import (
@@ -52,6 +54,7 @@ from oracle import (
     naive_max_order_law_pair,
     naive_metacyclic_table,
     naive_order,
+    naive_quotient_table,
     stepwise_orders,
     switch_intercalate,
     table_of,
@@ -154,14 +157,44 @@ def _count_calls(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("text", [
     "M27", "C2*C3", "D16*Q16*C16", "H27*C1*M27*C3", "*".join(["C2"] * 12)])
 def test_a_product_expression_wraps_one_group(monkeypatch, text):
-    # k atoms and one product: no intermediate group is built
+    # k atoms and one product: no intermediate group is built, and the
+    # product is wrapped with its folded orders, not by group_from_table
     counts = {"group_from_table": 0, "direct_product": 0}
     _count_calls(monkeypatch, groups, "group_from_table", counts)
     _count_calls(monkeypatch, expr, "direct_product", counts)
     k = len(parse_group_expr(text))
     assert group_from_text(text).name == text
     products = 1 if k > 1 else 0
-    assert counts == {"group_from_table": k + products, "direct_product": products}
+    assert counts == {"group_from_table": k, "direct_product": products}
+
+
+def _assert_orders_by_lagrange(g):
+    assert np.array_equal(g.element_orders, groups._compute_orders(g.table)), g.name
+    assert not g.element_orders.flags.writeable
+
+
+def test_product_orders_are_the_computed_orders_over_the_default_catalogs():
+    for p, cap in DEFAULT_CATALOGS:
+        for name in catalog_names([p], cap):
+            _assert_orders_by_lagrange(group_from_text(name))
+
+
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_product_orders_are_the_computed_orders(name):
+    _assert_orders_by_lagrange(group_from_text(name))
+
+
+def test_direct_product_computes_no_orders_and_wraps_no_table(monkeypatch):
+    factors = [group_from_text(name) for name in ("D8", "C3", "Q8", "C1")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct_product must fold its factors' orders")
+    monkeypatch.setattr(groups, "_compute_orders", refuse)
+    monkeypatch.setattr(groups, "group_from_table", refuse)
+    g = direct_product(*factors)
+    assert (g.name, g.order) == ("D8*C3*Q8*C1", 192)
+    assert sorted(set(g.element_orders.tolist())) == [1, 2, 3, 4, 6, 12]
 
 
 def test_direct_product_refuses_the_whole_order_before_any_table():
@@ -635,6 +668,31 @@ def test_quotient_decides_normality_once_per_subgroup(monkeypatch, name):
         assert quotient(Subgroup(g, members)) is q
         assert calls == [members]
         assert q.order == g.order // len(members)
+
+
+@pytest.mark.parametrize("block", BLOCK_ENTRIES)
+@pytest.mark.parametrize("name", ["D16", "Q16*C2", "M27*C3", "C3*D8", "H27"])
+def test_coset_minima_do_not_depend_on_the_block_size(monkeypatch, block, name):
+    g = group_from_text(name)
+    table = table_of(g)
+    monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
+    for members in sorted({closure(g, [x]).members for x in range(g.order)}):
+        normal = naive_is_normal(table, members)
+        assert is_normal(Subgroup(g, members)) == normal, members
+        if normal:
+            q = quotient(Subgroup(g, members))
+            assert q.table.tolist() == naive_quotient_table(table, members), members
+
+
+def test_coset_minima_at_order_4096_hold_one_block():
+    # Omega_(m-1)(D2048*C2) is the whole group: an n x |N| gather held 64 MB
+    g = group_from_text("D2048*C2")
+    sub = omega_subgroup(g, exponent_log(g)[1] - 1)
+    assert len(sub) == g.order
+    normal, peak = _peak_bytes(lambda: is_normal(sub))
+    assert normal and peak <= 8 * MB
+    q, peak = _peak_bytes(lambda: quotient(sub))
+    assert q.order == 1 and peak <= 8 * MB
 
 
 def test_omega_filtration_at_order_4096_holds_one_block():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,6 +19,7 @@ from psigroups import (
     psi_subset,
 )
 from oracle import naive_exponent, naive_omega_set, naive_psi, table_of
+from psigroups.catalog import DEFAULT_CATALOGS, catalog_names
 from psigroups.groups import prime_power
 from strategies import group_names, p_group_names
 
@@ -230,6 +232,29 @@ def test_psi_lower_bound():
             assert psi_brute(g) == 1
         else:
             assert psi_brute(g) > g.order
+
+
+def _assert_omega_sets_read_the_orders(g):
+    # the power map's route to Omega_i against the element orders': x^(p^i) = 1
+    # iff o(x) divides p^i, at every level and one above the top
+    p, m = exponent_log(g)
+    for i in range(m + 2):
+        expected = np.flatnonzero(p**i % g.element_orders == 0)
+        assert omega_set(g, i) == tuple(expected.tolist()), (g.name, i)
+
+
+def test_omega_sets_are_the_elements_of_order_dividing_p_to_the_i_over_the_default_catalogs():
+    for p, cap in DEFAULT_CATALOGS:
+        for name in catalog_names([p], cap):
+            _assert_omega_sets_read_the_orders(group_from_text(name))
+
+
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_omega_sets_are_the_elements_of_order_dividing_p_to_the_i(name):
+    g = group_from_text(name)
+    if g.order > 1 and prime_power(g.order) is not None:
+        _assert_omega_sets_read_the_orders(g)
 
 
 def test_closure_of_omega_set_is_omega_subgroup():

@@ -10,7 +10,6 @@ The match is by name, as a whole word, not by binding, so a use of anything
 else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
-``Catalog.get`` still counts as used through every ``dict.get``.
 """
 
 import ast

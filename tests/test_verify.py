@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from psigroups import Catalog, TheoremReport, build_catalog, groups, verify_theorems
+from psigroups.cli import cli_main
 from psigroups.verify import format_reports
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
@@ -17,6 +19,10 @@ EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
 sys.path.insert(0, str(EXPECTED.parent))
 
 import tracer  # noqa: E402  (read only: its THEOREMS lists the twelve properties in report order)
+
+
+def _entry(cat, name):
+    return next(entry for entry in cat.entries if entry.name == name)
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +51,8 @@ def test_p3_catalog_fully_verified(reports_p3_27):
 def test_t11_covers_the_equal_pair(reports_p3_27):
     report = reports_p3_27["T1.1"]
     cat = build_catalog([3], 27)
-    assert cat.get("C9*C3").psi == 187
-    assert cat.get("M27").psi == 187
+    assert _entry(cat, "C9*C3").psi == 187
+    assert _entry(cat, "M27").psi == 187
     # 5 CP2 entries at order 27, 3 below: C(5,2) + C(2,2 choose...) pairs all applicable
     assert report.hypothesis_applicable == report.pairs_checked == 11
 
@@ -55,9 +61,25 @@ def test_p2_catalog_t12_pair(reports_p2_8):
     report = reports_p2_8["T1.2"]
     assert report.status == "verified"
     cat = build_catalog([2], 8)
-    assert cat.get("C8").psi == 43
-    assert cat.get("D8").psi == 19
-    assert cat.get("C8").exponent > cat.get("D8").exponent
+    assert _entry(cat, "C8").psi == 43
+    assert _entry(cat, "D8").psi == 19
+    assert _entry(cat, "C8").exponent > _entry(cat, "D8").exponent
+
+
+# sha256 of `psigroups verify` stdout on catalogs past the default caps,
+# T1.4 over 1078 pairs at 2/512
+VERIFY_DIGESTS = {
+    (2, 512): "330ee60bee9e1dae6a13cdf09e26f559cf0cb47c1772c159c020e93534976f4c",
+    (3, 729): "3a1e07abed4c2a7ea3d8c52d69b706eb598eb5b37ddf7737a88012ec64250b7b",
+    (5, 625): "125183c8528179bab2ea0093419b910019b4011c85216afff4a9d6bd4a96b4ba",
+}
+
+
+@pytest.mark.parametrize("p,cap", sorted(VERIFY_DIGESTS))
+def test_verify_stdout_is_pinned(capsys, p, cap):
+    assert cli_main(["verify", "--p", str(p), "--max-order", str(cap)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[(p, cap)]
 
 
 def test_status_flags():
