@@ -32,16 +32,23 @@ Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers build whole tables in
 place: C, D, Q and M in one metacyclic kernel, which writes one row block of
 whole rows (``_row_blocks``) at a time with an add and a conditional
-subtract, no division; H in one broadcast; and ``direct_product`` folding
-every factor's table in from the right, one broadcast each, into a product
-wrapped as one group.  The readers (the closure check, the closure step, the
-subgroup and quotient tables, the coset minima of ``is_normal`` and
-``quotient``, the CP2 pair scan, Light's test) go one row block at a time
-too, and so does the GT1 export, in the GT1 tokeniser's blocks of about
-``_GT1_BLOCK_TOKENS`` entries.  Before a table is allocated, its order is
-checked against the table size limit and its bytes, the table plus one row
-block, against physical memory, so a build that cannot fit is refused with a
-``GroupBuildError`` instead of failing part-way.
+subtract, no division; H in one broadcast; and ``direct_product`` joining
+its factors, bracketed so that each side's order is near the root of the
+whole, one row block of the left side at a time, into a product wrapped as
+one group.  The readers (the subgroup and quotient tables, the coset minima
+of ``is_normal`` and ``quotient``, the CP2 pair scan, Light's test) go one
+row block at a time too, and so does the GT1 export, in the GT1 tokeniser's
+blocks of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is
+allocated, its order is checked against the table size limit and its bytes,
+the table plus one row block, against physical memory, so a build that
+cannot fit is refused with a ``GroupBuildError`` instead of failing part-way.
+
+A subgroup is grown from generators by one cover routine, ``_cover``: the
+BFS step of Dimino's algorithm, each generator entering with its squares,
+so its rounds number about log2(n), not n.  Light's test grows its checked
+elements by the same step.  The ``Subgroup`` check and ``closure`` use it
+on a set of over 128 elements (|S|^2 above 1/64 of a row block), and gather
+all |S|^2 products at once below that.
 """
 
 from __future__ import annotations
@@ -167,7 +174,10 @@ class Subgroup:
 
     n strictly increasing members in [0, n) are every index, and every table
     entry is an index, so that set is closed with no products read: the
-    whole group is accepted before the closure check gathers a table block.
+    whole group is accepted before the closure check reads a product.  A
+    set S of up to 128 members is closed when all |S|^2 products, gathered
+    at once, lie in S; a larger one when ``_cover`` of S, the subgroup S
+    generates, never leaves S.
 
     A normal subgroup N names each coset by its least index, min(Nx), which
     is min(xN) as well: ``quotient`` reads these from N's rows."""
@@ -194,9 +204,13 @@ class Subgroup:
             return
         inside = np.zeros(n, dtype=bool)
         inside[mem] = True
-        for rows in _row_blocks(mem.size, mem.size):
-            if not inside[self.parent.table[np.ix_(mem[rows], mem)]].all():
-                raise GroupError("subset is not closed under multiplication")
+        table = self.parent.table
+        if _gathers(mem.size):
+            closed = inside[table[np.ix_(mem, mem)]].all()
+        else:
+            closed = _cover(table, mem, stop_inside=inside) is not None
+        if not closed:
+            raise GroupError("subset is not closed under multiplication")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -277,14 +291,19 @@ def _check_assoc_light(table: np.ndarray) -> None:
     yet generated by the checked ones.  On a latin table with identity 0 they
     generate a group that each new one at least doubles, so log2(n) of them
     suffice, for O(n^2 log n) work in all; a table needing more is not latin.
+    The generated elements are grown by ``_add_generator``: the squares it
+    adds with each checked g are products of checked elements, so they need
+    no check of their own, and as x(gg) = (xg)g they reach no element the
+    checked ones do not.
     """
     n = table.shape[0]
     covered = np.zeros(n, dtype=bool)
     covered[0] = True
     gens: list[int] = []
+    checked = 0
     while not covered.all():
-        if len(gens) == n.bit_length():
-            raise TableFormatError(f"not a latin square: over {len(gens)} generators needed")
+        if checked == n.bit_length():
+            raise TableFormatError(f"not a latin square: over {checked} generators needed")
         g = int(np.argmin(covered))
         for rows in _row_blocks(n, n):
             # (xg)y and x(gy); np.take keeps the column gather in C order, where
@@ -295,12 +314,72 @@ def _check_assoc_light(table: np.ndarray) -> None:
                 raise TableFormatError(
                     f"associativity failure at ({rows.start + int(x)},{g},{int(y)})")
             del lhs, rhs  # the next block's pair is built after this one is freed
-        gens.append(g)
-        frontier = np.flatnonzero(covered)
-        while frontier.size:
-            prods = table[np.ix_(frontier, gens)].ravel()
-            frontier = np.unique(prods[~covered[prods]])
-            covered[frontier] = True
+        checked += 1
+        _add_generator(table, covered, gens, g)
+
+
+def _gathers(size: int) -> bool:
+    """Whether a set of ``size`` elements is checked or grown by gathering
+    all its size^2 products at once, rather than by ``_cover``: up to 1/64
+    of a row block's entries (128 elements) the gather's one numpy call is
+    cheaper than the cover's rounds."""
+    return size * size <= _BLOCK_ENTRIES >> 6
+
+
+def _cover(table: np.ndarray, seed: np.ndarray,
+           stop_inside: np.ndarray | None = None) -> np.ndarray | None:
+    """Mask of the subgroup generated by ``seed``, grown from index 0 by right
+    products with generators, or None as soon as a product leaves the mask
+    ``stop_inside``.  Each generator is the first seed element not yet
+    covered, added by ``_add_generator``; in a group each new one at least
+    doubles the cover, so there are at most log2(n) of them."""
+    covered = np.zeros(table.shape[0], dtype=bool)
+    covered[0] = True
+    gens: list[int] = []
+    while (left := seed[~covered[seed]]).size:
+        if not _add_generator(table, covered, gens, int(left[0]), stop_inside):
+            return None
+    return covered
+
+
+def _add_generator(table: np.ndarray, covered: np.ndarray, gens: list[int], g: int,
+                   stop_inside: np.ndarray | None = None) -> bool:
+    """Grow ``covered``, closed under right products with ``gens``, by the
+    generator g: the BFS step of Dimino's algorithm (Butler, Fundamental
+    Algorithms for Permutation Groups, 1991).  The first round multiplies the
+    whole cover by g's chain, every later one the elements new in the round
+    before by every generator.  Returns False as soon as a product leaves
+    ``stop_inside``, True when a round finds nothing new.
+
+    g enters with its squares g^(2^j), so each power of g is a product of at
+    most log2(n) chain members, and the rounds number about log2(o(g)), not
+    o(g).  The chain stops at a square already covered or repeated, or after
+    (n - 1).bit_length() members: at odd order the squares never reach 0."""
+    chain: list[int] = []
+    while not covered[g] and g not in chain and len(chain) < (table.shape[0] - 1).bit_length():
+        chain.append(g)
+        g = int(table[g, g])
+    gens.extend(chain)
+    frontier, by = np.flatnonzero(covered), chain
+    while frontier.size:
+        frontier = _cover_round(table, covered, frontier, by, stop_inside)
+        if frontier is None:
+            return False
+        by = gens
+    return True
+
+
+def _cover_round(table: np.ndarray, covered: np.ndarray, frontier: np.ndarray, by: list[int],
+                 stop_inside: np.ndarray | None) -> np.ndarray | None:
+    """One round of ``_add_generator``: the products x*h, x in ``frontier``
+    and h in ``by``, not yet covered, marked covered and returned ascending;
+    None when one of the products is outside ``stop_inside``."""
+    prods = table[np.ix_(frontier, by)].ravel()
+    if stop_inside is not None and not stop_inside[prods].all():
+        return None
+    new = np.unique(prods[~covered[prods]])
+    covered[new] = True
+    return new
 
 
 def _power(table: np.ndarray, e: int) -> np.ndarray:
@@ -494,21 +573,37 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
 
     (a1, b1) * (a2, b2) = (a1 a2, b1 b2) sits at index (a1 a2) * |B| + b1 b2,
     so the table, viewed as |A| x |B| x |A| x |B|, is one broadcast sum.
-    Lexicographic indexing is associative, so the factors' tables are folded
-    in from the right: each broadcast's innermost operand is the product
-    already built, not a single factor.  The orders are folded beside them,
-    o((a1, b1)) = lcm(o(a1), o(b1)) at the same index, not computed.
+    Lexicographic indexing is associative, so every bracketing of the
+    factors writes the same bytes: ``_product`` splits them where each
+    side's order is near the root of the whole, so no partial product of
+    more than a root's order is held beside the output, and scales the left
+    side's table one row block at a time.  The build then holds the output
+    and one block, as ``_check_order_limit`` budgets.  The orders are joined
+    beside the tables, o((a1, b1)) = lcm(o(a1), o(b1)) at the same index,
+    not computed.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    table, orders = factors[-1].table, factors[-1].element_orders
-    for left in reversed(factors[:-1]):
-        na, nb = left.order, table.shape[0]
-        out = np.empty((na, nb, na, nb), dtype=np.int32)
-        np.add((left.table * nb)[:, None, :, None], table[None, :, None, :], out=out)
-        table = out.reshape(na * nb, na * nb)
-        orders = np.lcm.outer(left.element_orders, orders).ravel()
+    table, orders = _product(factors)
     return _frozen_group("*".join(g.name for g in factors), table, orders)
+
+
+def _product(factors: tuple[FiniteGroup, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Table and element orders of the product of ``factors``, split where
+    the larger side's order is least, so each side's is near the root of the
+    whole.  The left side's scaled table is written one row block at a time."""
+    if len(factors) == 1:
+        return factors[0].table, factors[0].element_orders
+    sizes = [g.order for g in factors]
+    total = math.prod(sizes)
+    split = min(range(1, len(sizes)),
+                key=lambda k: max(math.prod(sizes[:k]), total // math.prod(sizes[:k])))
+    (left, left_orders), (right, right_orders) = _product(factors[:split]), _product(factors[split:])
+    na, nb = left.shape[0], right.shape[0]
+    out = np.empty((na, nb, na, nb), dtype=np.int32)
+    for rows in _row_blocks(na, na):
+        np.add((left[rows] * nb)[:, None, :, None], right[None, :, None, :], out=out[rows])
+    return out.reshape(na * nb, na * nb), np.lcm.outer(left_orders, right_orders).ravel()
 
 
 def prime_power(k: int) -> tuple[int, int] | None:
@@ -544,10 +639,13 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
 
 
 def closure(group: FiniteGroup, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed``: seed and identity, grown by
-    products until ``Subgroup`` accepts the set (its GroupError means "not
-    closed" for a sorted, in-range set holding 0).  A finite set closed under
-    products is a subgroup, since x^-1 = x^(o(x)-1), so no inverse is taken.
+    """Smallest subgroup containing ``seed``: seed and identity, grown until
+    ``Subgroup`` accepts the set (its GroupError means "not closed" for a
+    sorted, in-range set holding 0).  A set S of up to 128 members grows by
+    all of S*S at once; a larger one, which a small seed of a large group
+    reaches after a few such rounds, is replaced by its ``_cover``.  A finite
+    set closed under products is a subgroup, since x^-1 = x^(o(x)-1), so no
+    inverse is taken.
     """
     seed = _indices(seed, "seed")
     if seed.size and (seed.min() < 0 or seed.max() >= group.order):
@@ -561,8 +659,10 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
         try:
             return Subgroup(group, tuple(cur.tolist()))
         except GroupError:
-            for rows in _row_blocks(cur.size, cur.size):
-                inside[group.table[np.ix_(cur[rows], cur)]] = True
+            if _gathers(cur.size):
+                inside[group.table[np.ix_(cur, cur)]] = True
+            else:
+                inside = _cover(group.table, cur)
 
 
 def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:

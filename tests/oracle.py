@@ -72,6 +72,11 @@ def naive_closure(table: list[list[int]], seed) -> list[int]:
         cur = new
 
 
+def naive_is_closed(table: list[list[int]], members) -> bool:
+    inside = set(members)
+    return all(table[a][b] in inside for a in members for b in members)
+
+
 def naive_is_normal(table: list[list[int]], members) -> bool:
     inside = set(members)
     for g in range(len(table)):

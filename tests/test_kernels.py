@@ -21,6 +21,7 @@ from psigroups import (
     Catalog,
     Cp2Report,
     GroupBuildError,
+    GroupError,
     Subgroup,
     TableFormatError,
     closure,
@@ -49,6 +50,7 @@ from oracle import (
     expr_to_name,
     naive_closure,
     naive_cp2_witness,
+    naive_is_closed,
     naive_is_normal,
     naive_latin_fault,
     naive_max_order_law_pair,
@@ -469,6 +471,74 @@ def test_blocked_quotient_table_matches(monkeypatch, block, name):
     _same_bytes(quotient(omega_subgroup(g, 1)).table, whole.table)
 
 
+# --- subgroups from generators: the cover -------------------------------------
+# At _BLOCK_ENTRIES = 1 every set of two or more elements is checked and grown
+# by the cover, not by a gather of its products.
+
+@given(group_names, st.data())
+@settings(max_examples=60, deadline=None)
+def test_cover_closure_matches_the_oracle(name, data):
+    g = group_from_text(name)
+    seed = data.draw(st.lists(st.integers(0, g.order - 1), max_size=4))
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        sub = closure(g, seed)
+    assert list(sub.members) == naive_closure(table_of(g), seed)
+
+
+@st.composite
+def subsets_holding_0(draw):
+    """A group of ``group_names`` and a subset holding 0 whose size divides
+    its order: a subgroup, a subgroup with one member traded for an outsider,
+    or any such subset."""
+    g = group_from_text(draw(group_names))
+    n = g.order
+    kind = draw(st.sampled_from(["subgroup", "traded", "any"]))
+    if kind == "any":
+        size = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        rest = draw(st.lists(st.integers(1, n - 1), min_size=size - 1, max_size=size - 1,
+                             unique=True)) if n > 1 else []
+        return g, sorted({0, *rest})
+    members = set(closure(g, draw(st.lists(st.integers(0, n - 1), max_size=3))).members)
+    outside = sorted(set(range(n)) - members)
+    if kind == "traded" and len(members) > 1 and outside:
+        members.remove(draw(st.sampled_from(sorted(members - {0}))))
+        members.add(draw(st.sampled_from(outside)))
+    return g, sorted(members)
+
+
+@given(subsets_holding_0(), st.sampled_from([1, 1 << 12]))
+@settings(max_examples=120, deadline=None)
+def test_subgroup_accepts_exactly_the_closed_subsets(drawn, block):
+    g, members = drawn
+    with patch.object(groups, "_BLOCK_ENTRIES", block):
+        try:
+            Subgroup(g, tuple(members))
+            message = None
+        except GroupError as exc:
+            message = str(exc)
+    closed = naive_is_closed(table_of(g), members)
+    assert message == (None if closed else "subset is not closed under multiplication")
+
+
+def _light(g):
+    groups._check_assoc_light(g.table)
+
+
+@pytest.mark.parametrize("name,run", [
+    ("C4096", _light), ("M4096", _light),
+    ("C4096", lambda g: closure(g, [1])), ("M4096", lambda g: closure(g, [1, 2048]))],
+    ids=["light-C4096", "light-M4096", "closure-C4096", "closure-M4096"])
+def test_cover_rounds_are_logarithmic(monkeypatch, name, run):
+    # Light's test added one product per round: 4095 rounds on C4096
+    g = group_from_text(name)
+    rounds = []
+    step = groups._cover_round
+    monkeypatch.setattr(groups, "_cover_round", lambda *args: rounds.append(1) or step(*args))
+    result = run(g)
+    assert result is None or len(result) == g.order
+    assert 0 < len(rounds) <= 2 * math.log2(g.order)
+
+
 def _switched_loops(name, count, rng):
     """``count`` copies of ``name``'s table, each with one intercalate switched
     away from row and column 0: latin loops with identity 0."""
@@ -521,6 +591,18 @@ def test_metacyclic_kernel_holds_what_the_order_check_budgets(params):
     n = m * s
     table, peak = _peak_bytes(lambda: groups._metacyclic_table(m, s, t, r, transposed=transposed))
     assert table.shape == (n, n)
+    assert peak <= 4 * n * n + 8 * max(n, groups._BLOCK_ENTRIES)
+
+
+@pytest.mark.parametrize("names", [["C2"] * 12, ["Q2048", "C2"], ["C4"] * 6],
+                         ids=["C2^12", "Q2048*C2", "C4^6"])
+def test_direct_product_holds_what_the_order_check_budgets(names):
+    # folded from the right, C2^12 held its 2048-element partial product
+    # beside the output, and Q2048*C2 a scaled copy of Q2048: 80 MB each
+    factors = [group_from_text(name) for name in names]
+    g, peak = _peak_bytes(lambda: direct_product(*factors))
+    n = g.order
+    assert n == 4096
     assert peak <= 4 * n * n + 8 * max(n, groups._BLOCK_ENTRIES)
 
 
