@@ -105,7 +105,8 @@ def build_group(expr: GroupExpr) -> FiniteGroup:
     """Evaluate an expression to a validated FiniteGroup named by the normalized
     expression.  The whole group's order is checked against the table size
     limit and physical memory before any factor is built; a product is then
-    laid out by one ``direct_product`` call over every factor."""
+    wrapped by one ``direct_product`` call over every factor, which writes
+    its table when the table is first read."""
     _check_order_limit(expr_order(expr))
     factors = [_BUILDERS[atom.kind](atom.param) for atom in expr]
     return direct_product(*factors) if len(factors) > 1 else factors[0]

@@ -3,6 +3,8 @@
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
 index of a*b.  Index 0 is always the identity.  Element orders are known
 from construction, so a constructed group is immutable and safe to share.
+A direct product holds its factors instead of its table until the table is
+first read, and writes it then: its order and orders come without it.
 Only an atom (the C/D/Q/H/M constructors), a quotient and a table passed in
 from outside have theirs computed: by Lagrange, o(x) is the least divisor d
 of n with x^d = 1, which ``power_map``'s repeated-squaring kernel ``_power``
@@ -32,10 +34,10 @@ Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers build whole tables in
 place: C, D, Q and M in one metacyclic kernel, which writes one row block of
 whole rows (``_row_blocks``) at a time with an add and a conditional
-subtract, no division; H in one broadcast; and ``direct_product`` joining
-its factors, bracketed so that each side's order is near the root of the
-whole, one row block of the left side at a time, into a product wrapped as
-one group.  The readers (the subgroup and quotient tables, the coset minima
+subtract, no division; H in one broadcast; and a direct product, on the
+first read of its table, joining its factors, bracketed so that each side's
+order is near the root of the whole, one row block of the left side at a
+time.  The readers (the subgroup and quotient tables, the coset minima
 of ``is_normal`` and ``quotient``, the CP2 pair scan, Light's test) go one
 row block at a time too, and so does the GT1 export, in the GT1 tokeniser's
 blocks of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is
@@ -137,26 +139,43 @@ class FiniteGroup:
     ``element_orders`` is set once at construction: computed as the least
     d | n with x^d = 1 for an atom, a quotient or an outside table, read from
     the parent's for a subgroup's group, and folded from the factors' by lcm
-    for a direct product.
+    for a direct product.  The order is the length of ``element_orders``.
     Instances are immutable; all operations on them are pure.
 
-    Two private fields, neither compared nor printed, keep results derived
-    from the table on their first computation: ``_filtration``, the omega
-    filtration, and ``_quotients``, where ``quotient(N)`` keeps its result on
-    ``N.parent`` keyed by ``N.members``.  Nothing kept may reference the group.
+    A direct product holds its factors, ``_factors``, until its table is
+    first read: ``table`` then writes it from them, read-only, keeps it in
+    ``_table`` and drops the factors.  Every other group holds its table from
+    construction.  So the order, the orders and what is read from them alone
+    (psi, the spectrum) never write a product's table.
+
+    Two more private fields, neither compared nor printed, keep results
+    derived from the table on their first computation: ``_filtration``, the
+    omega filtration, and ``_quotients``, where ``quotient(N)`` keeps its
+    result on ``N.parent`` keyed by ``N.members``.  Nothing kept may
+    reference the group.
     """
 
     name: str
-    table: np.ndarray
     element_orders: np.ndarray
+    _table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _factors: tuple[FiniteGroup, ...] = field(default=(), compare=False, repr=False)
     _filtration: OmegaFiltration | None = field(
         default=None, init=False, compare=False, repr=False)
     _quotients: dict[tuple[int, ...], FiniteGroup] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     @property
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            table = _product(self._factors)
+            table.flags.writeable = False
+            object.__setattr__(self, "_table", table)  # frozen dataclass
+            object.__setattr__(self, "_factors", ())
+        return self._table
+
+    @property
     def order(self) -> int:
-        return int(self.table.shape[0])
+        return int(self.element_orders.size)
 
     @property
     def is_abelian(self) -> bool:
@@ -446,11 +465,15 @@ def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
     return _frozen_group(name, arr, orders)
 
 
-def _frozen_group(name: str, table: np.ndarray, orders: np.ndarray) -> FiniteGroup:
-    """A table and its element orders, both made read-only, as a group."""
-    for a in (table, orders):
-        a.flags.writeable = False
-    return FiniteGroup(name=name, table=table, element_orders=orders)
+def _frozen_group(name: str, table: np.ndarray | None, orders: np.ndarray,
+                  factors: tuple[FiniteGroup, ...] = ()) -> FiniteGroup:
+    """A table and its element orders, both made read-only, as a group; or,
+    with no table, a direct product of ``factors`` whose table is written
+    when it is first read."""
+    orders.flags.writeable = False
+    if table is not None:
+        table.flags.writeable = False
+    return FiniteGroup(name=name, element_orders=orders, _table=table, _factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -571,39 +594,45 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     """Direct product of every factor with lexicographic indexing, left factor
     major, wrapped as one group named by the factors' names joined by '*'.
 
-    (a1, b1) * (a2, b2) = (a1 a2, b1 b2) sits at index (a1 a2) * |B| + b1 b2,
-    so the table, viewed as |A| x |B| x |A| x |B|, is one broadcast sum.
-    Lexicographic indexing is associative, so every bracketing of the
-    factors writes the same bytes: ``_product`` splits them where each
-    side's order is near the root of the whole, so no partial product of
-    more than a root's order is held beside the output, and scales the left
-    side's table one row block at a time.  The build then holds the output
-    and one block, as ``_check_order_limit`` budgets.  The orders are joined
-    beside the tables, o((a1, b1)) = lcm(o(a1), o(b1)) at the same index,
-    not computed.
+    The whole order is checked against the table size limit and physical
+    memory first.  The orders are then folded from the factors', left to
+    right, o((a1, b1)) = lcm(o(a1), o(b1)) at index a1 * |B| + b1, not
+    computed.  The group holds its factors and writes its table by
+    ``_product`` when the table is first read, so what reads only the
+    orders never builds it.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    table, orders = _product(factors)
-    return _frozen_group("*".join(g.name for g in factors), table, orders)
+    orders = factors[0].element_orders
+    for g in factors[1:]:
+        orders = np.lcm.outer(orders, g.element_orders).ravel()
+    return _frozen_group("*".join(g.name for g in factors), None, orders, factors)
 
 
-def _product(factors: tuple[FiniteGroup, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Table and element orders of the product of ``factors``, split where
-    the larger side's order is least, so each side's is near the root of the
-    whole.  The left side's scaled table is written one row block at a time."""
+def _product(factors: tuple[FiniteGroup, ...]) -> np.ndarray:
+    """Table of the product of ``factors``: (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
+    sits at index (a1 a2) * |B| + b1 b2, so the table, viewed as
+    |A| x |B| x |A| x |B|, is one broadcast sum.
+
+    Lexicographic indexing is associative, so every bracketing of the
+    factors writes the same bytes: the factors are split where the larger
+    side's order is least, so each side's is near the root of the whole and
+    no partial product of more than a root's order is held beside the
+    output, and the left side's scaled table is written one row block at a
+    time.  The write then holds the output and one block, as
+    ``_check_order_limit`` budgets."""
     if len(factors) == 1:
-        return factors[0].table, factors[0].element_orders
+        return factors[0].table
     sizes = [g.order for g in factors]
     total = math.prod(sizes)
     split = min(range(1, len(sizes)),
                 key=lambda k: max(math.prod(sizes[:k]), total // math.prod(sizes[:k])))
-    (left, left_orders), (right, right_orders) = _product(factors[:split]), _product(factors[split:])
+    left, right = _product(factors[:split]), _product(factors[split:])
     na, nb = left.shape[0], right.shape[0]
     out = np.empty((na, nb, na, nb), dtype=np.int32)
     for rows in _row_blocks(na, na):
         np.add((left[rows] * nb)[:, None, :, None], right[None, :, None, :], out=out[rows])
-    return out.reshape(na * nb, na * nb), np.lcm.outer(left_orders, right_orders).ravel()
+    return out.reshape(na * nb, na * nb)
 
 
 def prime_power(k: int) -> tuple[int, int] | None:

@@ -5,6 +5,7 @@ shortcuts skip, and the refusal of builds that cannot fit in memory."""
 
 import dataclasses
 import functools
+import hashlib
 import math
 import os
 import random
@@ -37,9 +38,11 @@ from psigroups import (
     omega_filtration,
     omega_set,
     omega_subgroup,
+    order_spectrum,
     parse_group_expr,
     parse_group_table,
     power_map,
+    psi_brute,
     quotient,
     serialize_group,
 )
@@ -210,6 +213,78 @@ def test_direct_product_refuses_the_whole_order_before_any_table():
     finally:
         tracemalloc.stop()
     assert peak < MB
+
+
+# --- a product writes its table when it is first read ---------------------------
+
+def _cyclic_orders(k):
+    return [k // math.gcd(x, k) for x in range(k)]
+
+
+@pytest.mark.parametrize("name,factors", [("C64*C64", [64, 64]),
+                                          ("*".join(["C2"] * 12), [2] * 12)],
+                         ids=["C64*C64", "C2^12"])
+def test_psi_and_spectrum_of_a_product_never_write_its_table(capsys, name, factors):
+    # the orders are folded from the factors' by lcm; the 64 MB table is not written
+    orders = [1]
+    for k in factors:
+        orders = [math.lcm(a, b) for a in orders for b in _cyclic_orders(k)]
+    spectrum = "".join(f"{o}:{orders.count(o)}\n" for o in sorted(set(orders)))
+    for argv, out in ((["psi", name], f"psi({name}) = {sum(orders)}\n"),
+                      (["spectrum", name], spectrum)):
+        code, peak = _peak_bytes(lambda: cli_main(argv))
+        assert (code, capsys.readouterr().out) == (0, out)
+        assert peak <= MB
+
+
+# sha256 of the table bytes of each product as the eager build wrote them
+PRODUCT_TABLE_DIGESTS = {
+    "C64*C64": "8a4804891c89bee4749eb3cb71cd3d69f571585350b9315686f366ed0ab45796",
+    "D16*Q16*C16": "01fd1146ef59c87174b2495846de418cfe0411cf50eb91c5e23047a4e3768b15",
+    "*".join(["C2"] * 12): "734894a9e19e28cfa9046383a3ece98f18ce9481a2ddc0410717869be45f6563",
+    "Q2048*C2": "b302bce8da6bd5bb583559a1b6281528372f3e69825a0669f41239e93485a4b4",
+    "H27*C81": "d798b847676bbecaf35f5165f163d33db0b41155ae4e7f69e320efc17134cf45",
+    "C3*D8*Q8*C1": "805ae87553f3ecc4ce4de403b33054bd1753807096958c2da478bc580bdf55c1",
+    "M27*C3*C9": "9c4fe7f2f17685fc5fb893f8e335bd605ad552261ba8fc9482fa99105f07aaf2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_TABLE_DIGESTS))
+def test_a_product_table_read_later_has_the_eager_bytes(name):
+    g = group_from_text(name)
+    factors = [group_from_text(term) for term in name.split("*")]
+    # the order and the orders come without the table
+    assert g.order == math.prod(f.order for f in factors)
+    assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g)
+    assert g._table is None and len(g._factors) == len(factors)
+    table = g.table
+    assert hashlib.sha256(table.tobytes()).hexdigest() == PRODUCT_TABLE_DIGESTS[name]
+    _same_bytes(table, functools.reduce(whole_direct_product_table, (f.table for f in factors)))
+    # written once: read-only, the same object on every read, the factors dropped
+    assert not table.flags.writeable and g.table is table and g._factors == ()
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+@pytest.mark.parametrize("argv,limit,memory,message", [
+    (["psi", "C64*C64*C2"], None, None,
+     "error: group order 8192 exceeds table size limit 4096\n"),
+    (["spectrum", "C1000*C1000"], "1000000", 8 * 2**30,
+     "error: group order 1000000 needs about 4000008388608 bytes, "
+     "more than the 8589934592 bytes of physical memory\n"),
+], ids=["over-limit", "over-memory"])
+def test_a_refused_product_builds_no_factor(capsys, monkeypatch, physical_memory,
+                                            argv, limit, memory, message):
+    if limit is not None:
+        monkeypatch.setenv("PSIGROUPS_MAX_ORDER", limit)
+    if memory is not None:
+        physical_memory(memory)
+
+    def refuse(k):
+        raise AssertionError("the whole order is refused before any factor is built")
+    monkeypatch.setattr(expr, "_BUILDERS", dict.fromkeys(expr._BUILDERS, refuse))
+    assert cli_main(argv) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("k,p,j", [(p**j, p, j) for p in (2, 3, 5, 7, 11, 13)
@@ -616,6 +691,7 @@ def test_heisenberg_build_holds_the_table_and_small_terms():
 @pytest.mark.parametrize("name", ["M4096", "C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2"])
 def test_pair_scan_at_order_4096_holds_one_block(name):
     g = group_from_text(name)
+    g.table  # a product writes its table on the first read: before tracing
     _, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert peak <= 24 * MB
 
@@ -631,6 +707,7 @@ def test_untrusted_validation_at_order_4096_holds_one_block():
     # the latin check's n x n bool matrix was 16 MB more, and Light's test
     # holding two blocks' (xg)y and x(gy) at once 7 MB more
     g = group_from_text("C64*C64")
+    g.table  # a product writes its table on the first read: before tracing
     h, peak = _peak_bytes(lambda: group_from_table("untrusted", g.table))
     assert np.array_equal(h.element_orders, g.element_orders)
     assert peak <= 12 * MB
@@ -640,6 +717,7 @@ def test_untrusted_validation_at_order_1024_holds_one_block():
     # one block is the whole 4 MB table: Light's test holds one (xg)y and
     # x(gy) pair, where two pairs at once peak at 17 MB
     g = group_from_text("C32*C32")
+    g.table  # a product writes its table on the first read: before tracing
     h, peak = _peak_bytes(lambda: group_from_table("untrusted", g.table))
     assert np.array_equal(h.element_orders, g.element_orders)
     assert peak <= 12 * MB
@@ -662,6 +740,7 @@ class _CountingSink:
 def test_gt1_export_holds_one_row_block(name, cap):
     # one Python str per entry held 7.9 MB at n = 1024 and 152 MB at n = 4096
     g = group_from_text(name)
+    g.table  # a product writes its table on the first read: before tracing
     sink = _CountingSink()
     _, peak = _peak_bytes(lambda: serialize_group(g, sink))
     # every row is a permutation of 0..n-1, so every line has the same bytes
@@ -683,6 +762,7 @@ def test_whole_group_subgroup_reads_no_products():
 def test_pair_scan_of_c2_12_reads_no_products():
     # every element but the identity has the top order 2
     g = group_from_text("*".join(["C2"] * 12))
+    g.table  # a product writes its table on the first read: before tracing
     report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert report.is_cp2
     assert peak <= MB
@@ -779,6 +859,7 @@ def test_coset_minima_at_order_4096_hold_one_block():
 
 def test_omega_filtration_at_order_4096_holds_one_block():
     g = group_from_text("C64*C64")
+    g.table  # a product writes its table on the first read: before tracing
     filtration, peak = _peak_bytes(lambda: omega_filtration(g))
     assert filtration.levels[-1].subgroup_size == 4096
     assert peak <= 24 * MB
