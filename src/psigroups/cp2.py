@@ -44,23 +44,15 @@ def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, i
     or None.  Both x and y range over ``among``, ascending indices.  The rule
     is applied to int32 order arrays one row block at a time: o(xy) as a
     block, o(x) as a column and o(y) as a row.  A block has as many rows as a
-    block of whole table rows, so it never holds more entries.
-
-    The rule must be symmetric: swapping o(x) and o(y) must not change it.
-    As yx = x^-1 (xy) x, o(yx) = o(xy), so (y, x) then violates whenever
-    (x, y) does, and the first violating pair has x <= y.  Each row block is
-    therefore scanned only against the elements of ``among`` from its first
-    row on, about half the pairs: a pair it skips has y < x, and its mirror
-    (y, x) was scanned in an earlier block."""
+    block of whole table rows, so it never holds more entries."""
     orders = group.element_orders.astype(np.int32)
     scanned = orders[among]
     for rows in _row_blocks(among.size, group.order):
-        cols = among[rows.start:]
-        bad = violates(orders[group.table[np.ix_(among[rows], cols)]],
-                       scanned[rows, None], scanned[rows.start:])
+        bad = violates(orders[group.table[np.ix_(among[rows], among)]],
+                       scanned[rows, None], scanned)
         if bad.any():
-            r, c = divmod(int(np.flatnonzero(bad)[0]), cols.size)
-            return int(among[rows.start + r]), int(cols[c])
+            r, c = divmod(int(np.flatnonzero(bad)[0]), among.size)
+            return int(among[rows.start + r]), int(among[c])
     return None
 
 

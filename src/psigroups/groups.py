@@ -2,11 +2,12 @@
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
 index of a*b.  Index 0 is always the identity.  Element orders are known
-from construction, so a constructed group is immutable and safe to share.
-A direct product holds its factors instead of its table until the table is
-first read, and writes it then: its order and orders come without it.
+from construction, and a constructed group is safe to share.  A direct
+product holds its factors instead of its table until the table is first
+read, writes it once then and is immutable after that; its order and orders
+come without the table.  Every other group is immutable from construction.
 Only an atom (the C/D/Q/H/M constructors), a quotient and a table passed in
-from outside have theirs computed: by Lagrange, o(x) is the least divisor d
+from outside have orders computed: by Lagrange, o(x) is the least divisor d
 of n with x^d = 1, which ``power_map``'s repeated-squaring kernel ``_power``
 decides, one call per divisor at most.  The rest are read from groups that
 already hold them: o(x) does not depend on the group it is taken in, so
@@ -140,13 +141,14 @@ class FiniteGroup:
     d | n with x^d = 1 for an atom, a quotient or an outside table, read from
     the parent's for a subgroup's group, and folded from the factors' by lcm
     for a direct product.  The order is the length of ``element_orders``.
-    Instances are immutable; all operations on them are pure.
+    Operations on instances are pure and never change a group's table.
 
     A direct product holds its factors, ``_factors``, until its table is
     first read: ``table`` then writes it from them, read-only, keeps it in
-    ``_table`` and drops the factors.  Every other group holds its table from
-    construction.  So the order, the orders and what is read from them alone
-    (psi, the spectrum) never write a product's table.
+    ``_table`` and drops the factors; the group is immutable after that
+    first read.  Every other group holds its table from construction.  So
+    the order, the orders and what is read from them alone (psi, the
+    spectrum) never write a product's table.
 
     Two more private fields, neither compared nor printed, keep results
     derived from the table on their first computation: ``_filtration``, the
