@@ -3,6 +3,10 @@
 Subcommands operate on groups given in the construction expression language
 (`psi`, `omega`, `cp2`, `spectrum`, `compare`, `export`) or on GT1 table
 files (`import`), and `verify` runs the theorem battery over a built catalog.
+`psi` and `spectrum` read only the element orders: of an expression, from
+its atoms' closed forms (``expr.expr_element_orders``), with no group built
+and no table written; of an imported file, from the validated group.  The
+other commands build the group, and their route stays the reference.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 theorem violation from `verify`, 2 usage or input
@@ -15,18 +19,20 @@ import argparse
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import build_catalog
 from .cp2 import is_cp2_pairwise
-from .expr import group_from_text
+from .expr import expr_element_orders, group_from_text, parse_group_expr
 from .groups import FiniteGroup, GroupError, parse_group_table, serialize_group
 from .groups import order_spectrum
-from .omega import omega_filtration, psi_brute
+from .omega import omega_filtration
 from .psi import order_bijection, predict_order
 from .verify import format_reports, verify_theorems
 
 
-def _render_psi(group: FiniteGroup) -> str:
-    return f"psi({group.name}) = {psi_brute(group)}\n"
+def _render_psi(name: str, orders: np.ndarray) -> str:
+    return f"psi({name}) = {int(orders.sum())}\n"
 
 
 def _render_omega(group: FiniteGroup) -> str:
@@ -44,9 +50,8 @@ def _render_cp2(group: FiniteGroup) -> str:
     return f"CP2: no\nwitness: x={x} y={y} o(x)={ox} o(y)={oy} o(xy)={oxy}\n"
 
 
-def _render_spectrum(group: FiniteGroup) -> str:
-    return "".join(f"{order}:{count}\n"
-                   for order, count in sorted(order_spectrum(group).items()))
+def _render_spectrum(name: str, orders: np.ndarray) -> str:
+    return "".join(f"{order}:{count}\n" for order, count in order_spectrum(orders).items())
 
 
 def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
@@ -66,12 +71,10 @@ def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GROUP_RENDERERS = {
-    "psi": _render_psi,
-    "omega": _render_omega,
-    "cp2": _render_cp2,
-    "spectrum": _render_spectrum,
-}
+# what the element orders alone decide: rendered from a name and the orders
+_ORDER_RENDERERS = {"psi": _render_psi, "spectrum": _render_spectrum}
+# what reads the table: rendered from the group
+_TABLE_RENDERERS = {"omega": _render_omega, "cp2": _render_cp2}
 
 
 def _render_verify(prime: int, max_order: int) -> tuple[str, int]:
@@ -109,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("import", help="run a subcommand on a GT1 table file")
     cmd.add_argument("path")
-    cmd.add_argument("subcommand", choices=sorted(_GROUP_RENDERERS))
+    cmd.add_argument("subcommand", choices=sorted(_ORDER_RENDERERS | _TABLE_RENDERERS))
     return parser
 
 
@@ -121,9 +124,13 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command in _GROUP_RENDERERS:
-            group = group_from_text(args.expr)
-            sys.stdout.write(_GROUP_RENDERERS[args.command](group))
+        if args.command in _ORDER_RENDERERS:
+            expr = parse_group_expr(args.expr)
+            name = "*".join(f"{atom.kind}{atom.param}" for atom in expr)
+            sys.stdout.write(_ORDER_RENDERERS[args.command](name, expr_element_orders(expr)))
+            return 0
+        if args.command in _TABLE_RENDERERS:
+            sys.stdout.write(_TABLE_RENDERERS[args.command](group_from_text(args.expr)))
             return 0
         if args.command == "compare":
             sys.stdout.write(
@@ -144,7 +151,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             # argv holds undecodable path bytes as surrogates, which stdout cannot encode
             name = args.path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
             group = parse_group_table(data, name=name)
-            sys.stdout.write(_GROUP_RENDERERS[args.subcommand](group))
+            if args.subcommand in _ORDER_RENDERERS:
+                text = _ORDER_RENDERERS[args.subcommand](group.name, group.element_orders)
+            else:
+                text = _TABLE_RENDERERS[args.subcommand](group)
+            sys.stdout.write(text)
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
     # UnicodeEncodeError: open() of a path holding a lone surrogate

@@ -13,6 +13,13 @@ decides, one call per divisor at most.  The rest are read from groups that
 already hold them: o(x) does not depend on the group it is taken in, so
 ``Subgroup.as_group`` reads its orders from the parent's, and
 ``direct_product`` folds its factors' orders by o((a, b)) = lcm(o(a), o(b)).
+Each atom's orders also have a closed form next to its constructor, in the
+constructor's index layout and with no table: ``_metacyclic_orders`` for C,
+D, Q and M, ``_heisenberg_orders`` for H.  Each family's parameter check
+(``_cyclic``, ``_dihedral``, ``_quaternion``, ``_heisenberg``, ``_modular``)
+is written once and read by both.  ``expr.expr_element_orders`` folds the
+closed forms by the same lcm (``_lcm_fold``); the constructors' orders,
+computed from the table, are the second route that checks them.
 
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
@@ -56,6 +63,7 @@ all |S|^2 products at once below that.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -540,28 +548,70 @@ def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = Fals
     return table
 
 
-def cyclic_group(k: int) -> FiniteGroup:
-    """Cyclic group of order k: metacyclic (m, s, t, r) = (k, 1, 0, 1)."""
+def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
+                       transposed: bool = False) -> np.ndarray:
+    """Element orders of ``_metacyclic_table(m, s, t, r, transposed=...)`` in
+    closed form, read-only, with no table.
+
+    b^e has order q = s / gcd(e, s) modulo <a>, and multiplying out,
+    (a^i b^e)^q = a^(i (1 + r^-e + ... + r^-(q-1)e) + t e q / s), so
+    o(a^i b^e) = q m / gcd(that exponent, m).  Transposed, b^e a^i is
+    a^(i r^-e) b^e."""
+    i = np.arange(m, dtype=np.int64)
+    orders = np.empty(m * s, dtype=np.int64)
+    for e in range(s):
+        q = s // math.gcd(e, s)
+        twist = sum(pow(r, -j * e, m) for j in range(q)) * (pow(r, -e, m) if transposed else 1)
+        power = (i * (twist % m) + t * (e * q // s)) % m
+        orders[e * m:(e + 1) * m] = q * (m // np.gcd(power, m))
+    orders.flags.writeable = False
+    return orders
+
+
+def _cyclic(k: int) -> tuple[int, int, int, int]:
+    """C_k's metacyclic (m, s, t, r) = (k, 1, 0, 1), once k is checked."""
     _require(k >= 1, f"C{k}: order must be >= 1")
-    return group_from_table(f"C{k}", _metacyclic_table(k, 1, 0, 1), trusted=True)
+    return k, 1, 0, 1
+
+
+def cyclic_group(k: int) -> FiniteGroup:
+    """Cyclic group of order k, metacyclic by ``_cyclic``."""
+    return group_from_table(f"C{k}", _metacyclic_table(*_cyclic(k)), trusted=True)
+
+
+def _dihedral(k: int) -> tuple[int, int, int, int]:
+    """D_k's metacyclic (m, s, t, r) = (k/2, 2, 0, -1), once k is checked."""
+    _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
+    return k // 2, 2, 0, -1
 
 
 def dihedral_group(k: int) -> FiniteGroup:
     """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i,
-    metacyclic (m, s, t, r) = (k/2, 2, 0, -1) transposed to this b^e a^i layout."""
-    _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
-    return group_from_table(f"D{k}", _metacyclic_table(k // 2, 2, 0, -1, transposed=True),
+    metacyclic by ``_dihedral`` transposed to this b^e a^i layout."""
+    return group_from_table(f"D{k}", _metacyclic_table(*_dihedral(k), transposed=True),
                             trusted=True)
+
+
+def _quaternion(k: int) -> tuple[int, int, int, int]:
+    """Q_k's metacyclic (m, s, t, r) = (k/2, 2, k/4, -1), once k is checked."""
+    _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
+    return k // 2, 2, k // 4, -1
 
 
 def quaternion_group(k: int) -> FiniteGroup:
     """Generalized quaternion group of order k = 2^j, j >= 3.
 
     Normal form a^i b^e with a of order k/2, b^2 = a^(k/4), b a b^-1 = a^-1;
-    index e*(k/2) + i: metacyclic (m, s, t, r) = (k/2, 2, k/4, -1).
+    index e*(k/2) + i: metacyclic by ``_quaternion``.
     """
-    _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
-    return group_from_table(f"Q{k}", _metacyclic_table(k // 2, 2, k // 4, -1), trusted=True)
+    return group_from_table(f"Q{k}", _metacyclic_table(*_quaternion(k)), trusted=True)
+
+
+def _heisenberg(k: int) -> int:
+    """The odd prime p with k = p^3, once k is checked."""
+    p, j = prime_power(k) or (0, 0)
+    _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
+    return p
 
 
 def heisenberg_group(k: int) -> FiniteGroup:
@@ -571,8 +621,7 @@ def heisenberg_group(k: int) -> FiniteGroup:
     (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index a*p^2 + b*p + c.
     Not metacyclic: one broadcast sum of two p^4-entry terms over a (p,)*6 view.
     """
-    p, j = prime_power(k) or (0, 0)
-    _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
+    p = _heisenberg(k)
     _check_order_limit(k)
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
     table = np.empty((p,) * 6, dtype=np.int32)
@@ -580,16 +629,29 @@ def heisenberg_group(k: int) -> FiniteGroup:
     return group_from_table(f"H{k}", table.reshape(k, k), trusted=True)
 
 
+def _heisenberg_orders(p: int) -> np.ndarray:
+    """Element orders of the extraspecial group of order p^3 and exponent p,
+    read-only: 1 at the identity, p everywhere else."""
+    orders = np.full(p ** 3, p, dtype=np.int64)
+    orders[0] = 1
+    orders.flags.writeable = False
+    return orders
+
+
+def _modular(k: int) -> tuple[int, int, int, int]:
+    """M_k's metacyclic (m, s, t, r) = (p^(j-1), p, 0, 1 + p^(j-2)) for
+    k = p^j, once k is checked."""
+    p, j = prime_power(k) or (0, 0)
+    _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
+    return p ** (j - 1), p, 0, 1 + p ** (j - 2)
+
+
 def modular_group(k: int) -> FiniteGroup:
     """Group <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> of order k = p^j.
 
-    Normal form a^i b^e, index e*p^(j-1) + i: metacyclic (m, s, t, r) =
-    (p^(j-1), p, 0, 1 + p^(j-2)).
+    Normal form a^i b^e, index e*p^(j-1) + i: metacyclic by ``_modular``.
     """
-    p, j = prime_power(k) or (0, 0)
-    _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
-    return group_from_table(f"M{k}", _metacyclic_table(p ** (j - 1), p, 0, 1 + p ** (j - 2)),
-                            trusted=True)
+    return group_from_table(f"M{k}", _metacyclic_table(*_modular(k)), trusted=True)
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> FiniteGroup:
@@ -605,10 +667,15 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    orders = factors[0].element_orders
-    for g in factors[1:]:
-        orders = np.lcm.outer(orders, g.element_orders).ravel()
+    orders = _lcm_fold([g.element_orders for g in factors])
     return _frozen_group("*".join(g.name for g in factors), None, orders, factors)
+
+
+def _lcm_fold(orders: list[np.ndarray]) -> np.ndarray:
+    """Element orders of the direct product of groups with these orders, left
+    factor major: o((a, b)) = lcm(o(a), o(b)) at index a * |B| + b, folded
+    left to right.  One factor's orders are returned as they are."""
+    return functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(), orders)
 
 
 def _product(factors: tuple[FiniteGroup, ...]) -> np.ndarray:
@@ -654,9 +721,10 @@ def prime_power(k: int) -> tuple[int, int] | None:
 # operations
 
 
-def order_spectrum(group: FiniteGroup) -> dict[int, int]:
-    """Multiset of element orders as {order: count}, keys ascending."""
-    values, counts = np.unique(group.element_orders, return_counts=True)
+def order_spectrum(orders: np.ndarray) -> dict[int, int]:
+    """Multiset of the element orders ``orders`` (a group's
+    ``element_orders``) as {order: count}, keys ascending."""
+    values, counts = np.unique(orders, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 

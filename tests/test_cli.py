@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psigroups import GroupError, group_from_text, parse_group_table, serialize_group
+from psigroups import GroupError, cli, group_from_text, groups, parse_group_table, serialize_group
 from psigroups.cli import cli_main
 from oracle import switch_intercalate
 from strategies import group_names, gt1_mutants
@@ -123,6 +123,16 @@ def test_domain_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "psi", "Q12")
     assert code == 2
     assert "Q12" in err
+
+
+@pytest.mark.parametrize("expr", ["D7", "D2", "Q12", "Q4", "H9", "H8", "M4", "M12", "C4096*C2",
+                                  "D7*C4096*C4096"])
+def test_psi_and_spectrum_refuse_an_expression_as_omega_does(capsys, expr):
+    # the order limit first, then each atom's check, left to right
+    code, out, err = run_cli(capsys, "omega", expr)
+    assert (code, out) == (2, "") and re.fullmatch(r"error: [^\n]*\n", err)
+    for command in ("psi", "spectrum"):
+        assert run_cli(capsys, command, expr) == (2, "", err)
 
 
 def test_missing_file_exits_2(capsys):
@@ -369,6 +379,25 @@ def test_verify_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory(monkeypa
     assert result.stdout == ""
     assert re.fullmatch(r"error: group order 1000000000000000003 needs about \d+ bytes, "
                         r"more than the \d+ bytes of physical memory\n", result.stderr)
+
+
+# --- psi and spectrum of an expression, without the group -------------------------
+
+# M8 (D8 in the a^i b^e layout) is not among the drawn atoms; the spaced,
+# zero-padded expression is named as the group route names it
+@given(st.one_of(group_names, st.sampled_from(["M8", " C004 * M8 "])),
+       st.sampled_from(["psi", "spectrum"]))
+@settings(max_examples=60, deadline=None)
+def test_psi_and_spectrum_of_an_expression_match_the_group_route(name, command):
+    g = group_from_text(name)
+    want = cli._ORDER_RENDERERS[command](g.name, g.element_orders)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi and spectrum of an expression build no group")
+    with patch.object(groups, "_metacyclic_table", refuse), \
+            patch.object(groups, "_product", refuse), \
+            patch.object(groups, "_compute_orders", refuse):
+        assert _captured_cli([command, name]) == (0, want, "")
 
 
 # --- fuzzed argv, in process ----------------------------------------------------------

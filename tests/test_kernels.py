@@ -214,20 +214,14 @@ def test_direct_product_refuses_the_whole_order_before_any_table():
     assert peak < MB
 
 
-# --- a product writes its table when it is first read ---------------------------
+# --- psi and spectrum of an expression, and a product's table read later ---------
 
-def _cyclic_orders(k):
-    return [k // math.gcd(x, k) for x in range(k)]
-
-
-@pytest.mark.parametrize("name,factors", [("C64*C64", [64, 64]),
-                                          ("*".join(["C2"] * 12), [2] * 12)],
-                         ids=["C64*C64", "C2^12"])
-def test_psi_and_spectrum_of_a_product_never_write_its_table(capsys, name, factors):
-    # the orders are folded from the factors' by lcm; the 64 MB table is not written
-    orders = [1]
-    for k in factors:
-        orders = [math.lcm(a, b) for a in orders for b in _cyclic_orders(k)]
+@pytest.mark.parametrize("name", ["C64*C64", "*".join(["C2"] * 12), "M4096", "H27*C81"],
+                         ids=["C64*C64", "C2^12", "M4096", "H27*C81"])
+def test_psi_and_spectrum_of_an_expression_never_write_its_table(capsys, name):
+    # the orders come from the atoms' closed forms, folded by lcm; no 64 MB
+    # table is written.  The expected lines are read from the written table
+    orders = groups._compute_orders(group_from_text(name).table).tolist()
     spectrum = "".join(f"{o}:{orders.count(o)}\n" for o in sorted(set(orders)))
     for argv, out in ((["psi", name], f"psi({name}) = {sum(orders)}\n"),
                       (["spectrum", name], spectrum)):
@@ -243,7 +237,7 @@ def test_a_product_table_read_later_has_the_eager_bytes(name):
     factors = [group_from_text(term) for term in name.split("*")]
     # the order and the orders come without the table
     assert g.order == math.prod(f.order for f in factors)
-    assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g)
+    assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g.element_orders)
     assert g._table is None and len(g._factors) == len(factors)
     table = g.table
     _same_bytes(table, functools.reduce(whole_direct_product_table, (f.table for f in factors)))
@@ -284,6 +278,31 @@ def _family_cases():
                                               for name, fn in _family_cases()])
 def test_family_table_matches_the_whole_table_formula(name, whole_table):
     _same_bytes(group_from_text(name).table, whole_table())
+
+
+# --- closed-form atom orders, against the orders computed from the table -------
+
+def _closed_form_cases():
+    """Every C_k up to k = 512; D_k at every even k up to 512 and at every
+    2^j up to 4096; every Q up to 4096; every M_{p^j} up to 4096, M8
+    included; H_{p^3} for p <= 13."""
+    primes = (2, 3, 5, 7, 11, 13)
+    yield "C", range(1, 513)
+    yield "D", [*range(4, 513, 2), 1024, 2048, 4096]
+    yield "Q", [2**j for j in range(3, 13)]
+    yield "M", [p**j for p in primes for j in range(3, 13) if p**j <= 4096]
+    yield "H", [p**3 for p in primes if p > 2]
+
+
+@pytest.mark.parametrize("kind,params", [pytest.param(kind, params, id=kind)
+                                         for kind, params in _closed_form_cases()])
+def test_closed_form_orders_are_the_computed_orders(kind, params):
+    for k in params:
+        orders = expr._CLOSED_FORMS[kind](k)
+        computed = groups._compute_orders(expr._BUILDERS[kind](k).table)
+        assert orders.dtype == computed.dtype, f"{kind}{k}"
+        assert orders.tobytes() == computed.tobytes(), f"{kind}{k}"
+        assert not orders.flags.writeable, f"{kind}{k}"
 
 
 # --- element orders by the divisors of n, against the step-by-step route --------
@@ -371,6 +390,16 @@ def test_metacyclic_kernel_is_the_presented_group(params):
         e1, i1, e2, i2 = e[:, None], i[:, None], e[None, :], i[None, :]
         r_pow = np.array([pow(r, x, m) for x in range(s)], dtype=np.int64)
         _same_bytes(flipped, (e1 + e2) % s * m + (i1 * r_pow[e2] + i2 + t * (e1 + e2 >= s)) % m)
+
+
+@given(metacyclic_parameters())
+@settings(max_examples=60, deadline=None)
+def test_metacyclic_closed_form_orders_are_the_computed_orders(params):
+    m, s, t, r = params
+    for transposed in (False, True) if r * r % m == 1 % m else (False,):
+        table = groups._metacyclic_table(m, s, t, r, transposed=transposed)
+        orders = groups._metacyclic_orders(m, s, t, r, transposed=transposed)
+        assert orders.tobytes() == groups._compute_orders(table).tobytes()
 
 
 # --- every row-block size gives the same answer ---------------------------------

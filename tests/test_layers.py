@@ -1,9 +1,10 @@
 """Every layer the benchmark traces is still called.
 
-The traced benchmark run (``perfbench/run.py --trace``) fails on a layer
-that records no call, or on an operation whose expected spans are missing;
-this runs the same checks on catalog-verify's work and on each kind of
-gt1-import operation at a small size, so a deleted or renamed public
+The traced benchmark run (``perfbench/run.py --trace``) fails when a span in
+the union of its cycle's operations' ``expects`` records no call; no single
+operation is held to its own.  This runs that rule on catalog-verify's work
+and on one large-table cycle at a small size, and holds each kind of
+gt1-import operation to its own spans, so a deleted or renamed public
 function, or a call routed around it, shows in tier-1.
 """
 
@@ -94,3 +95,32 @@ def test_every_gt1_import_op_records_its_spans(monkeypatch, tmp_path):
             assert sorted(want - set(rows)) == [], op.label
     finally:
         spans.uninstall()
+
+
+def test_a_large_table_cycle_records_every_expected_span(monkeypatch):
+    # small stand-ins for the five expressions, with every atom family, and a
+    # same-order compare; psi and spectrum of an expression build no group,
+    # so their atoms' constructor spans are recorded by omega and cp2
+    monkeypatch.setattr(workloads, "LARGE_EXPRS", ("C4*C4", "D8*Q8*C4", "C2*C2*C2*C2", "M16",
+                                                   "H27*C3"))
+    monkeypatch.setattr(workloads, "LARGE_COMPARE", ("C4*C4", "D8*C2"))
+    expected = {}
+    for argv in workloads.large_argvs():
+        if argv[0] in psigroups.cli._ORDER_RENDERERS:
+            g = psigroups.group_from_text(argv[1])
+            out = psigroups.cli._ORDER_RENDERERS[argv[0]](g.name, g.element_orders)
+        else:
+            out = workloads.run_cli(psigroups, argv)[1]
+        expected[" ".join(argv)] = out
+    ops = workloads.LargeTable(psigroups, 1, "", {"large-table": expected}).cycle()
+    assert len(ops) == 21
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        for op in ops:
+            assert op.check(op.action()), op.label
+        rows = spans.take_cycle()["rows"]
+    finally:
+        spans.uninstall()
+    expects = set().union(*(op.expects for op in ops))
+    assert sorted(name for name in expects if name not in rows or not rows[name]["calls"]) == []
