@@ -6,7 +6,9 @@ files (`import`), and `verify` runs the theorem battery over a built catalog.
 `psi` and `spectrum` read only the element orders: of an expression, from
 its atoms' closed forms (``expr.expr_element_orders``), with no group built
 and no table written; of an imported file, from the validated group.  The
-other commands build the group, and their route stays the reference.
+other commands build the group, and their route stays the reference; of a
+product over one row block, `omega`, `cp2` and `compare` read its factors
+and never write its table (see ``groups``).
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 theorem violation from `verify`, 2 usage or input
@@ -16,6 +18,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -82,7 +85,10 @@ def _render_verify(prime: int, max_order: int) -> tuple[str, int]:
     return format_reports(reports), 1 if any(r.violations for r in reports) else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, so every ``cli_main`` call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="psigroups",
         description="Element-order sums, omega filtrations and CP2 membership "

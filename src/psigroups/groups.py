@@ -21,6 +21,16 @@ is written once and read by both.  ``expr.expr_element_orders`` folds the
 closed forms by the same lcm (``_lcm_fold``); the constructors' orders,
 computed from the table, are the second route that checks them.
 
+A product whose table is unwritten and holds more than one row block
+(n^2 > ``_BLOCK_ENTRIES``, so n >= 2048 at p = 2) is also read from its
+factors where that is exact and cheaper than writing the table: its omega
+filtration folds theirs, Omega_i(A x B) = Omega_i(A) x Omega_i(B)
+(``omega.omega_filtration``), and the CP2 pair scan reads each block of
+pair products from their tables (``_pair_block``), so omega, cp2 and
+compare of such a product never write it.  ``_unwritten_factors`` alone
+decides this size rule.  A smaller product writes its table on that first
+read, which costs less there than reading each factor.
+
 As the table never changes, a group also keeps what is derived from it
 alone the first time it is asked for: its omega filtration
 (``omega.omega_filtration``) and its quotient by each normal subgroup N,
@@ -156,7 +166,9 @@ class FiniteGroup:
     ``_table`` and drops the factors; the group is immutable after that
     first read.  Every other group holds its table from construction.  So
     the order, the orders and what is read from them alone (psi, the
-    spectrum) never write a product's table.
+    spectrum) never write a product's table.  Nor, when the table would
+    hold more than one row block, do the omega filtration and the CP2 pair
+    scan: they read the factors (``_unwritten_factors``).
 
     Two more private fields, neither compared nor printed, keep results
     derived from the table on their first computation: ``_filtration``, the
@@ -676,6 +688,42 @@ def _lcm_fold(orders: list[np.ndarray]) -> np.ndarray:
     factor major: o((a, b)) = lcm(o(a), o(b)) at index a * |B| + b, folded
     left to right.  One factor's orders are returned as they are."""
     return functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(), orders)
+
+
+def _unwritten_factors(group: FiniteGroup) -> tuple[FiniteGroup, ...]:
+    """The factors of order above 1 of a direct product whose table is not
+    yet written and holds more than one row block (n^2 > ``_BLOCK_ENTRIES``),
+    else ().  An order-1 factor's only index is 0, so dropping it leaves
+    every other factor's place value, and the index of every element, as
+    they are.
+
+    The omega filtration and the CP2 pair scan of such a product read these
+    factors instead of writing the table.  Below one block writing the table
+    costs less than reading each factor, and a written table is read as it
+    is."""
+    if group._table is not None or group.order ** 2 <= _BLOCK_ENTRIES:
+        return ()
+    return tuple(f for f in group._factors if f.order > 1)
+
+
+def _pair_block(group: FiniteGroup, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``group.table[np.ix_(rows, cols)]``, the products x*y for x in ``rows``
+    and y in ``cols``.  For a product with ``_unwritten_factors``, it is read
+    from the factors, as index sum_j t_j[x_j, y_j] * s_j, with x_j the j-th
+    digit of x in the mixed radix of the factors' orders and s_j the place
+    value of that digit.  A factor that is itself such a product is read the
+    same way, so no table over one block is written at any depth."""
+    factors = _unwritten_factors(group)
+    if not factors:
+        return group.table[np.ix_(rows, cols)]
+    block = np.zeros((rows.size, cols.size), dtype=np.int32)
+    place = group.order
+    for f in factors:
+        place //= f.order
+        term = _pair_block(f, rows // place % f.order, cols // place % f.order)
+        term *= place
+        block += term
+    return block
 
 
 def _product(factors: tuple[FiniteGroup, ...]) -> np.ndarray:

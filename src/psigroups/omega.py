@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, NotPGroupError, Subgroup, _indices, _integer,
-                     closure, power_map, prime_power)
+                     _unwritten_factors, closure, power_map, prime_power)
 
 
 @dataclass(frozen=True)
@@ -128,20 +128,51 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
     """Set and subgroup sizes, and the subgroup members, at every level 0..m,
     where exp(G) = p^m.
 
+    Each level is ``omega_set`` and its ``closure``; for a direct product
+    with ``_unwritten_factors`` (its table unwritten and over one row block)
+    the levels are folded from the factors' filtrations instead, and the
+    table stays unwritten (``_product_levels``).  The prime and exponent are
+    read from the group's orders first either way, so a group that is not a
+    p-group is refused with the same error.
+
     Computed once per group instance and kept on it (the table cannot
     change), so every later call returns the same object.
     """
     if group._filtration is None:
         p, m = exponent_log(group)
-        levels = []
-        for i in range(m + 1):
-            members = omega_set(group, i)
-            generated = closure(group, members)
-            levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
-                                     members=generated.members))
+        factors = _unwritten_factors(group)
+        if factors:
+            levels = _product_levels(factors, m)
+        else:
+            levels = []
+            for i in range(m + 1):
+                members = omega_set(group, i)
+                generated = closure(group, members)
+                levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
+                                         members=generated.members))
         filtration = OmegaFiltration(p=p, levels=tuple(levels))
         object.__setattr__(group, "_filtration", filtration)  # FiniteGroup is frozen
     return group._filtration
+
+
+def _product_levels(factors: tuple[FiniteGroup, ...], m: int) -> list[OmegaLevel]:
+    """Levels 0..m of the direct product of ``factors``, from theirs:
+    x^(p^i) = 1 exactly when it holds in every factor, and the sets' product
+    generates the product of the subgroups they generate, so
+    Omega_i(A x B) = Omega_i(A) x Omega_i(B) and both sizes multiply.  The
+    members are the index sums a * |B| + b over both factors' members, left
+    factor major, so ascending.  A factor above its own top level
+    contributes its top level, the whole factor."""
+    filtrations = [omega_filtration(f) for f in factors]
+    levels = []
+    for i in range(m + 1):
+        at = [(f.order, fl.levels[min(i, fl.m)]) for f, fl in zip(factors, filtrations)]
+        members = np.zeros(1, dtype=np.int64)
+        for order, level in at:
+            members = (members[:, None] * order + np.array(level.members)).ravel()
+        levels.append(OmegaLevel(set_size=math.prod(level.set_size for _, level in at),
+                                 subgroup_size=members.size, members=tuple(members.tolist())))
+    return levels
 
 
 def psi_brute(group: FiniteGroup) -> int:

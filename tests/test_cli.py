@@ -445,3 +445,107 @@ def test_fuzzed_argv_exits_0_or_2_with_one_error_line(command, data):
             assert re.fullmatch(r"error: [^\n]*\n", err) or err.startswith("usage:"), err
         if code == 0 and command != "export":
             assert _captured_cli(argv)[1] == out
+
+
+# --- the parser, built once per process -------------------------------------------------
+
+# a usage error, a GroupError, then a valid call; --help and a subcommand's
+# usage error print the parser's own text
+_SEQUENCES = [
+    (["psi"], ["psi", "Q12"], ["psi", "C3*C3*C3"]),
+    (["frobnicate", "C4"], ["compare", "C4", "C8"], ["compare", "D8", "Q8"]),
+    (["verify", "--p", "x", "--max-order", "8"], ["omega", "C6"], ["omega", "D16"]),
+    (["import", "t.gt1", "junk"], ["cp2", "X9"], ["cp2", "D8"]),
+    (["--help"], ["omega", "--help"], ["spectrum", "C4*C2"]),
+]
+
+
+@pytest.mark.parametrize("sequence", _SEQUENCES, ids=[s[0][0] for s in _SEQUENCES])
+def test_calls_after_an_error_print_what_fresh_calls_print(sequence):
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_captured_cli(argv))
+    assert fresh[-1][0] == 0
+    cli._build_parser.cache_clear()
+    assert [_captured_cli(argv) for argv in sequence] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# --- omega, cp2 and compare of a large product, read from its factors -----------------
+# Each product's table is over one row block, so these never write it; the
+# expected lines are what the written table's route prints.
+
+_FACTOR_READS = [
+    (("omega", "C1*C2048*C2"), (
+        "i=0 set=1 gen=1\n"
+        "i=1 set=4 gen=4\n"
+        "i=2 set=8 gen=8\n"
+        "i=3 set=16 gen=16\n"
+        "i=4 set=32 gen=32\n"
+        "i=5 set=64 gen=64\n"
+        "i=6 set=128 gen=128\n"
+        "i=7 set=256 gen=256\n"
+        "i=8 set=512 gen=512\n"
+        "i=9 set=1024 gen=1024\n"
+        "i=10 set=2048 gen=2048\n"
+        "i=11 set=4096 gen=4096\n")),
+    (("cp2", "C1*C2048*C2"), "CP2: yes\n"),
+    (("omega", "D8*D8*D8*C8"), (
+        "i=0 set=1 gen=1\n"
+        "i=1 set=432 gen=1024\n"
+        "i=2 set=2048 gen=2048\n"
+        "i=3 set=4096 gen=4096\n")),
+    (("cp2", "D8*D8*D8*C8"), (
+        "CP2: no\n"
+        "witness: x=32 y=40 o(x)=2 o(y)=2 o(xy)=4\n")),
+    (("omega", "Q16*D16*C16"), (
+        "i=0 set=1 gen=1\n"
+        "i=1 set=40 gen=64\n"
+        "i=2 set=576 gen=1024\n"
+        "i=3 set=2048 gen=2048\n"
+        "i=4 set=4096 gen=4096\n")),
+    (("cp2", "Q16*D16*C16"), (
+        "CP2: no\n"
+        "witness: x=128 y=144 o(x)=2 o(y)=2 o(xy)=8\n")),
+    (("omega", "M27*H27*C3"), (
+        "i=0 set=1 gen=1\n"
+        "i=1 set=729 gen=729\n"
+        "i=2 set=2187 gen=2187\n")),
+    (("cp2", "M27*H27*C3"), "CP2: yes\n"),
+    (("cp2", "C1024*C3"), (
+        "CP2: no\n"
+        "witness: x=1 y=3 o(x)=3 o(y)=1024 o(xy)=3072\n")),
+    (("cp2", "D2048*C2"), (
+        "CP2: no\n"
+        "witness: x=2048 y=2050 o(x)=2 o(y)=2 o(xy)=1024\n")),
+    (("compare", "C64*C64", "C64*C32*C2"), (
+        "psi(C64*C64) = 224695\n"
+        "psi(C64*C32*C2) = 187247\n"
+        "relation: >\n"
+        "T1.3 predicts >\n"
+        "hypotheses:\n"
+        "  [pass] same order: |P| = |Q| = 4096\n"
+        "  [pass] same prime: p = 2\n"
+        "  [pass] T1.1/T1.3: exponents equal: exp(P) = exp(Q) = 64\n"
+        "  [pass] T1.1/T1.3: both groups CP2: P CP2: yes, Q CP2: yes\n"
+        "  [pass] T1.3: filtrations first differ at level 5: "
+        "|Omega_5(P)| = 1024, |Omega_5(Q)| = 2048\n"
+        "bijection: no\n")),
+]
+
+
+def _refuse_table(factors):
+    raise AssertionError("a large product's table must stay unwritten")
+
+
+@pytest.mark.parametrize("argv,out", _FACTOR_READS, ids=[" ".join(a) for a, _ in _FACTOR_READS])
+def test_a_large_product_prints_what_its_written_table_prints(capsys, argv, out):
+    with patch.object(groups, "_product", _refuse_table):
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+
+def test_omega_of_a_large_mixed_prime_product_is_refused_as_before(capsys):
+    with patch.object(groups, "_product", _refuse_table):
+        assert run_cli(capsys, "omega", "C1024*C3") == (
+            2, "", "error: group order 3072 is not a prime power\n")

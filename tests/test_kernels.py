@@ -5,6 +5,7 @@ shortcuts skip, and the refusal of builds that cannot fit in memory."""
 
 import dataclasses
 import functools
+import json
 import math
 import os
 import random
@@ -41,6 +42,7 @@ from psigroups import (
     parse_group_expr,
     parse_group_table,
     power_map,
+    predict_order,
     psi_brute,
     quotient,
     serialize_group,
@@ -69,7 +71,7 @@ from oracle import (
     whole_modular_table,
     whole_quaternion_table,
 )
-from strategies import ATOMS, group_names
+from strategies import ATOMS, group_names, same_order_p_group_pairs
 
 MB = 2**20
 
@@ -497,6 +499,65 @@ def test_cp2_golden_through_the_restricted_scan(capsys, monkeypatch):
         assert capsys.readouterr().out == out
 
 
+# --- a large product's filtration and pair scan, read from its factors ----------
+# At _BLOCK_ENTRIES = 1 every product of order 2 or more is over one block, so
+# an unwritten one folds its factors' filtrations and reads its pair products
+# from their tables.  The reference is the same product after its table is read.
+
+def _read_from_factors(name):
+    """``name`` built twice before any table is read: flat, and nested as its
+    first factor times the rest; with the table read, the reference."""
+    first, _, rest = name.partition("*")
+    unwritten = [group_from_text(name)]
+    if rest:
+        unwritten.append(direct_product(group_from_text(first), group_from_text(rest)))
+    reference = group_from_text(name)
+    reference.table
+    return unwritten, reference
+
+
+def _levels(g):
+    """p, the levels and their members of g's filtration, or the type and
+    message of its refusal."""
+    try:
+        filtration = omega_filtration(g)
+    except GroupError as exc:
+        return type(exc), str(exc)
+    return filtration.p, filtration.levels, [level.members for level in filtration.levels]
+
+
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_omega_filtration_from_the_factors_is_the_table_route(name):
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        unwritten, reference = _read_from_factors(name)
+        want = _levels(reference)
+        for g in unwritten:
+            assert _levels(g) == want
+            assert (g._table is None) == ("*" in name)
+
+
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_cp2_witness_from_the_factors_is_the_table_route(name):
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        unwritten, reference = _read_from_factors(name)
+        want = is_cp2_pairwise(reference)
+        for g in unwritten:
+            assert is_cp2_pairwise(g) == want
+            assert (g._table is None) == ("*" in name)
+
+
+@given(same_order_p_group_pairs)
+@settings(max_examples=40, deadline=None)
+def test_predict_order_from_the_factors_is_the_table_route(pair):
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        (p_group, *_), p_ref = _read_from_factors(pair[0])
+        (q_group, *_), q_ref = _read_from_factors(pair[1])
+        assert predict_order(p_group, q_group) == predict_order(p_ref, q_ref)
+        assert all(g._table is None for g in (p_group, q_group) if "*" in g.name)
+
+
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
 @pytest.mark.parametrize("name", ["D8", "C4*C4", "M27", "D16*C2", "Q8*D8", "C9*C3"])
 def test_blocked_max_order_law_detail_matches_the_oracle(monkeypatch, block, name):
@@ -860,6 +921,26 @@ def test_omega_filtration_at_order_4096_holds_one_block():
     filtration, peak = _peak_bytes(lambda: omega_filtration(g))
     assert filtration.levels[-1].subgroup_size == 4096
     assert peak <= 24 * MB
+
+
+_LARGE_EXPECTED = json.loads((Path(__file__).parent.parent / "perfbench" / "expected.json")
+                             .read_text())["large-table"]
+
+
+@pytest.mark.parametrize("argv", [
+    (command, name) for name in ("C64*C64", "D16*Q16*C16", "*".join(["C2"] * 12), "H27*C81")
+    for command in ("omega", "cp2")] + [("compare", "C64*C64", "D16*Q16*C16")],
+    ids=lambda argv: " ".join(argv).replace("*".join(["C2"] * 12), "C2^12"))
+def test_omega_cp2_and_compare_of_a_product_at_order_4096_hold_two_blocks(
+        capsys, monkeypatch, argv):
+    # the product's 64 MB table is never written: the filtration is folded
+    # from the factors' and the pair scan reads their tables one block at a time
+    def refuse(factors):
+        raise AssertionError("omega, cp2 and compare of a large product write no table")
+    monkeypatch.setattr(groups, "_product", refuse)
+    code, peak = _peak_bytes(lambda: cli_main(list(argv)))
+    assert (code, capsys.readouterr().out) == (0, _LARGE_EXPECTED[" ".join(argv)])
+    assert peak <= 16 * MB
 
 
 # --- builds that cannot fit in memory are refused before allocating -------------

@@ -97,10 +97,11 @@ def test_every_gt1_import_op_records_its_spans(monkeypatch, tmp_path):
         spans.uninstall()
 
 
-def test_a_large_table_cycle_records_every_expected_span(monkeypatch):
+def _assert_a_large_table_cycle_records_every_expected_span(monkeypatch, block=None):
     # small stand-ins for the five expressions, with every atom family, and a
     # same-order compare; psi and spectrum of an expression build no group,
-    # so their atoms' constructor spans are recorded by omega and cp2
+    # so their atoms' constructor spans are recorded by omega and cp2.  The
+    # expected outputs are the table route's, taken at the default block
     monkeypatch.setattr(workloads, "LARGE_EXPRS", ("C4*C4", "D8*Q8*C4", "C2*C2*C2*C2", "M16",
                                                    "H27*C3"))
     monkeypatch.setattr(workloads, "LARGE_COMPARE", ("C4*C4", "D8*C2"))
@@ -112,6 +113,9 @@ def test_a_large_table_cycle_records_every_expected_span(monkeypatch):
         else:
             out = workloads.run_cli(psigroups, argv)[1]
         expected[" ".join(argv)] = out
+    if block is not None:
+        monkeypatch.setattr(psigroups.groups, "_BLOCK_ENTRIES", block)
+        monkeypatch.setattr(psigroups.groups, "_product", _refuse_table)
     ops = workloads.LargeTable(psigroups, 1, "", {"large-table": expected}).cycle()
     assert len(ops) == 21
     spans = tracer.Tracer()
@@ -124,3 +128,18 @@ def test_a_large_table_cycle_records_every_expected_span(monkeypatch):
         spans.uninstall()
     expects = set().union(*(op.expects for op in ops))
     assert sorted(name for name in expects if name not in rows or not rows[name]["calls"]) == []
+
+
+def _refuse_table(factors):
+    raise AssertionError("a product over one row block must leave its table unwritten")
+
+
+def test_a_large_table_cycle_records_every_expected_span(monkeypatch):
+    _assert_a_large_table_cycle_records_every_expected_span(monkeypatch)
+
+
+def test_a_large_table_cycle_read_from_factors_records_every_expected_span(monkeypatch):
+    # at _BLOCK_ENTRIES 1 every stand-in product is over one row block, so
+    # omega, cp2 and compare read its factors and write no product table
+    # (``_product`` raises), as they do at n = 4096
+    _assert_a_large_table_cycle_records_every_expected_span(monkeypatch, block=1)
