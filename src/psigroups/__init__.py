@@ -53,7 +53,6 @@ from .omega import (
 )
 from .psi import (
     HypothesisCheck,
-    OrderBijection,
     OrderDecision,
     PsiComparison,
     compare_filtrations,

@@ -69,8 +69,7 @@ def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
     for check in comparison.hypothesis_log:
         mark = "pass" if check.passed else "fail"
         lines.append(f"  [{mark}] {check.name}: {check.detail}")
-    lines.append(
-        "bijection: yes" if order_bijection(p_group, q_group) is not None else "bijection: no")
+    lines.append("bijection: yes" if order_bijection(p_group, q_group) else "bijection: no")
     return "\n".join(lines) + "\n"
 
 

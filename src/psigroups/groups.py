@@ -6,20 +6,21 @@ from construction, and a constructed group is safe to share.  A direct
 product holds its factors instead of its table until the table is first
 read, writes it once then and is immutable after that; its order and orders
 come without the table.  Every other group is immutable from construction.
-Only an atom (the C/D/Q/H/M constructors), a quotient and a table passed in
-from outside have orders computed: by Lagrange, o(x) is the least divisor d
-of n with x^d = 1, which ``power_map``'s repeated-squaring kernel ``_power``
-decides, one call per divisor at most.  The rest are read from groups that
-already hold them: o(x) does not depend on the group it is taken in, so
-``Subgroup.as_group`` reads its orders from the parent's, and
-``direct_product`` folds its factors' orders by o((a, b)) = lcm(o(a), o(b)).
-Each atom's orders also have a closed form next to its constructor, in the
-constructor's index layout and with no table: ``_metacyclic_orders`` for C,
-D, Q and M, ``_heisenberg_orders`` for H.  Each family's parameter check
-(``_cyclic``, ``_dihedral``, ``_quaternion``, ``_heisenberg``, ``_modular``)
-is written once and read by both.  ``expr.expr_element_orders`` folds the
-closed forms by the same lcm (``_lcm_fold``); the constructors' orders,
-computed from the table, are the second route that checks them.
+An atom (the C/D/Q/H/M constructors) takes its orders from a closed form
+next to its constructor, in the constructor's index layout and with no
+table: ``_metacyclic_orders`` for C, D, Q and M, ``_heisenberg_orders`` for
+H.  Each family's parameter check (``_cyclic``, ``_dihedral``,
+``_quaternion``, ``_heisenberg``, ``_modular``) is written once and read by
+both the constructor and ``expr.expr_element_orders``.  Only a quotient and
+a table passed in from outside have orders computed, by ``_compute_orders``,
+which the tests also run on each constructor's table as the closed forms'
+second route: by Lagrange, o(x) is the least divisor d of n with x^d = 1,
+which ``power_map``'s repeated-squaring kernel ``_power`` decides, one call
+per divisor at most.  The rest are read from groups that already hold them:
+o(x) does not depend on the group it is taken in, so ``Subgroup.as_group``
+reads its orders from the parent's, and ``direct_product`` folds its
+factors' orders by o((a, b)) = lcm(o(a), o(b)), as ``expr`` folds the
+closed forms.
 
 A product whose table is unwritten and holds more than one row block
 (n^2 > ``_BLOCK_ENTRIES``, so n >= 2048 at p = 2) is also read from its
@@ -155,10 +156,10 @@ class FiniteGroup:
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
     Products are read from ``table`` and powers from ``power_map``;
-    ``element_orders`` is set once at construction: computed as the least
-    d | n with x^d = 1 for an atom, a quotient or an outside table, read from
-    the parent's for a subgroup's group, and folded from the factors' by lcm
-    for a direct product.  The order is the length of ``element_orders``.
+    ``element_orders`` is set once at construction: an atom's closed form,
+    the least d | n with x^d = 1 for a quotient or an outside table, the
+    parent's for a subgroup's group, and the factors' folded by lcm for a
+    direct product.  The order is the length of ``element_orders``.
     Operations on instances are pure and never change a group's table.
 
     A direct product holds its factors, ``_factors``, until its table is
@@ -464,22 +465,24 @@ def _in_domain(table) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int32)
 
 
-def group_from_table(name: str, table, *, trusted: bool = False) -> FiniteGroup:
+def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
     Every check runs (shape, dtype, range, identity at index 0, exact
-    associativity, orders dividing n) unless ``trusted`` is set, which only
-    this module's own constructors and operations do, for tables that are
-    groups by construction.  The last three decide group-ness, identity first
-    as Light's test grows its cover from index 0: when they pass, each x has
-    x^(o(x)-1) as an inverse.  A group is latin, so a non-latin table fails
-    one of them, and the latin check then names its first bad line.
+    associativity, orders dividing n) unless ``orders`` is given: only this
+    module's constructors and ``quotient`` give them, with an int32 table
+    that is a group by construction, and the table is wrapped as it is.  The
+    last three decide group-ness, identity first as Light's test grows its
+    cover from index 0: when they pass, each x has x^(o(x)-1) as an inverse.
+    A group is latin, so a non-latin table fails one of them, and the latin
+    check then names its first bad line.
     """
-    arr = np.ascontiguousarray(table, dtype=np.int32) if trusted else _in_domain(table)
+    if orders is not None:
+        return _frozen_group(name, table, orders)
+    arr = _in_domain(table)
     try:
-        if not trusted:
-            _check_identity(arr)
-            _check_assoc_light(arr)
+        _check_identity(arr)
+        _check_assoc_light(arr)
         orders = _compute_orders(arr)
     except TableFormatError:
         _check_latin(arr)
@@ -580,6 +583,14 @@ def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
     return orders
 
 
+def _metacyclic_group(name: str, params: tuple[int, int, int, int], *,
+                      transposed: bool = False) -> FiniteGroup:
+    """``_metacyclic_table(*params, transposed=...)`` wrapped with
+    ``_metacyclic_orders`` of the same parameters and layout."""
+    return group_from_table(name, _metacyclic_table(*params, transposed=transposed),
+                            orders=_metacyclic_orders(*params, transposed=transposed))
+
+
 def _cyclic(k: int) -> tuple[int, int, int, int]:
     """C_k's metacyclic (m, s, t, r) = (k, 1, 0, 1), once k is checked."""
     _require(k >= 1, f"C{k}: order must be >= 1")
@@ -588,7 +599,7 @@ def _cyclic(k: int) -> tuple[int, int, int, int]:
 
 def cyclic_group(k: int) -> FiniteGroup:
     """Cyclic group of order k, metacyclic by ``_cyclic``."""
-    return group_from_table(f"C{k}", _metacyclic_table(*_cyclic(k)), trusted=True)
+    return _metacyclic_group(f"C{k}", _cyclic(k))
 
 
 def _dihedral(k: int) -> tuple[int, int, int, int]:
@@ -600,8 +611,7 @@ def _dihedral(k: int) -> tuple[int, int, int, int]:
 def dihedral_group(k: int) -> FiniteGroup:
     """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i,
     metacyclic by ``_dihedral`` transposed to this b^e a^i layout."""
-    return group_from_table(f"D{k}", _metacyclic_table(*_dihedral(k), transposed=True),
-                            trusted=True)
+    return _metacyclic_group(f"D{k}", _dihedral(k), transposed=True)
 
 
 def _quaternion(k: int) -> tuple[int, int, int, int]:
@@ -616,7 +626,7 @@ def quaternion_group(k: int) -> FiniteGroup:
     Normal form a^i b^e with a of order k/2, b^2 = a^(k/4), b a b^-1 = a^-1;
     index e*(k/2) + i: metacyclic by ``_quaternion``.
     """
-    return group_from_table(f"Q{k}", _metacyclic_table(*_quaternion(k)), trusted=True)
+    return _metacyclic_group(f"Q{k}", _quaternion(k))
 
 
 def _heisenberg(k: int) -> int:
@@ -638,7 +648,7 @@ def heisenberg_group(k: int) -> FiniteGroup:
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
     table = np.empty((p,) * 6, dtype=np.int32)
     np.add(((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p, out=table)
-    return group_from_table(f"H{k}", table.reshape(k, k), trusted=True)
+    return group_from_table(f"H{k}", table.reshape(k, k), orders=_heisenberg_orders(p))
 
 
 def _heisenberg_orders(p: int) -> np.ndarray:
@@ -663,7 +673,7 @@ def modular_group(k: int) -> FiniteGroup:
 
     Normal form a^i b^e, index e*p^(j-1) + i: metacyclic by ``_modular``.
     """
-    return group_from_table(f"M{k}", _metacyclic_table(*_modular(k)), trusted=True)
+    return _metacyclic_group(f"M{k}", _modular(k))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> FiniteGroup:
@@ -862,7 +872,7 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)
     for rows in _row_blocks(reps.size, reps.size):
         qtable[rows] = coset_of[group.table[np.ix_(reps[rows], reps)]]
-    kept = group_from_table(f"{group.name}/{len(normal)}", qtable, trusted=True)
+    kept = group_from_table(f"{group.name}/{len(normal)}", qtable, orders=_compute_orders(qtable))
     group._quotients[normal.members] = kept
     return kept
 

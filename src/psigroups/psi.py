@@ -1,5 +1,5 @@
 """Fast psi formulas, psi-equality and psi-ordering decision procedures, and
-the order-preserving bijection between groups with equal sorted element orders.
+whether an order-preserving bijection between two groups exists.
 
 All formulas return exact integers and are expected to agree with the
 brute-force sum ``psi_brute``; the verification harness asserts that
@@ -71,14 +71,6 @@ class PsiComparison:
     theorem: str | None
     summary: str
     hypothesis_log: tuple[HypothesisCheck, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class OrderBijection:
-    """An order-preserving pairing of two groups' element indices: row k of
-    the n x 2 array ``pairs`` is (x, y) with x in P and y in Q paired."""
-
-    pairs: np.ndarray
 
 
 def psi_top_recursion(group: FiniteGroup) -> int:
@@ -227,17 +219,10 @@ def predict_order(p_group: FiniteGroup, q_group: FiniteGroup) -> PsiComparison:
     )
 
 
-def order_bijection(p_group: FiniteGroup, q_group: FiniteGroup) -> OrderBijection | None:
-    """Pair up elements of equal order, or None when no such pairing exists.
-
-    Each side is sorted by order once, stably, so equal orders keep ascending
-    index; a pairing exists exactly when the sorted orders are equal, and
-    then the k-th elements of the two sorts are paired.
-    """
+def order_bijection(p_group: FiniteGroup, q_group: FiniteGroup) -> bool:
+    """Whether an order-preserving bijection between the two groups exists:
+    exactly when their element orders, each sorted once, are equal, as the
+    k-th elements of the two sorts can then be paired."""
     _require_same_order(p_group, q_group)
-    by_order_p = np.argsort(p_group.element_orders, kind="stable")
-    by_order_q = np.argsort(q_group.element_orders, kind="stable")
-    if not np.array_equal(p_group.element_orders[by_order_p],
-                          q_group.element_orders[by_order_q]):
-        return None
-    return OrderBijection(pairs=np.column_stack((by_order_p, by_order_q)))
+    return bool(np.array_equal(np.sort(p_group.element_orders),
+                               np.sort(q_group.element_orders)))

@@ -244,7 +244,7 @@ def _check_t13(pairs: Pairs) -> TheoremReport:
 def _check_t14(pairs: Pairs) -> TheoremReport:
     tally = _Tally("T1.4")
     for a, b, _ in pairs:
-        found = order_bijection(a.group, b.group) is not None
+        found = order_bijection(a.group, b.group)
         psi_eq = a.psi == b.psi
         if not (a.cp2.is_cp2 and b.cp2.is_cp2):
             tally.record(_pair_name(a, b), applicable=False)

@@ -41,6 +41,27 @@ def naive_spectrum(table: list[list[int]]) -> dict[int, int]:
     return dict(sorted(spectrum.items()))
 
 
+def naive_order_pairing(table_p: list[list[int]], table_q: list[list[int]]):
+    """An order-preserving pairing of the two tables' elements, as a list of
+    (x, y) with o(x) = o(y), or None when some x of P finds no y of Q left:
+    each x, in index order, takes the first unpaired y of its order.  Greedy
+    pairing finds a bijection whenever one exists, as elements of equal
+    order are interchangeable."""
+    if len(table_p) != len(table_q):
+        return None
+    orders_q = [naive_order(table_q, y) for y in range(len(table_q))]
+    free = list(range(len(table_q)))
+    pairs = []
+    for x in range(len(table_p)):
+        o = naive_order(table_p, x)
+        y = next((y for y in free if orders_q[y] == o), None)
+        if y is None:
+            return None
+        free.remove(y)
+        pairs.append((x, y))
+    return pairs
+
+
 def naive_exponent(table: list[list[int]]) -> int:
     import math
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from psigroups import (
-    OrderBijection,
     build_catalog,
     group_from_text,
     order_bijection,
@@ -47,13 +46,11 @@ def test_criterion_1_psi79_pair():
     extraspecial = group_from_text("H27")
     psi_e = psi_brute(elementary)
     psi_h = psi_brute(extraspecial)
-    bijection = order_bijection(elementary, extraspecial)
+    found = order_bijection(elementary, extraspecial)
     elapsed = time.perf_counter() - start
-    found = isinstance(bijection, OrderBijection)
-    ok = psi_e == 79 and psi_h == 79 and found and elapsed < 1.0
+    ok = psi_e == 79 and psi_h == 79 and found is True and elapsed < 1.0
     report(1, ok, f"psi(C3*C3*C3) = {psi_e}, psi(H27) = {psi_h}, "
-                  f"bijection of {len(bijection.pairs) if found else 0} elements, "
-                  f"{elapsed:.3f}s")
+                  f"bijection: {'yes' if found else 'no'}, {elapsed:.3f}s")
 
 
 def test_criterion_2_counterexample():

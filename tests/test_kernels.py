@@ -285,11 +285,12 @@ def test_family_table_matches_the_whole_table_formula(name, whole_table):
 # --- closed-form atom orders, against the orders computed from the table -------
 
 def _closed_form_cases():
-    """Every C_k up to k = 512; D_k at every even k up to 512 and at every
-    2^j up to 4096; every Q up to 4096; every M_{p^j} up to 4096, M8
-    included; H_{p^3} for p <= 13."""
+    """Every C_k up to k = 512 and C_{p^j} at the largest p^j <= 4096 for
+    p <= 5; D_k at every even k up to 512 and at every 2^j up to 4096; every
+    Q up to 4096; every M_{p^j} up to 4096, M8 included; H_{p^3} for
+    p <= 13."""
     primes = (2, 3, 5, 7, 11, 13)
-    yield "C", range(1, 513)
+    yield "C", [*range(1, 513), 2187, 3125, 4096]
     yield "D", [*range(4, 513, 2), 1024, 2048, 4096]
     yield "Q", [2**j for j in range(3, 13)]
     yield "M", [p**j for p in primes for j in range(3, 13) if p**j <= 4096]
@@ -307,6 +308,22 @@ def test_closed_form_orders_are_the_computed_orders(kind, params):
         assert not orders.flags.writeable, f"{kind}{k}"
 
 
+# every family at small orders, and the metacyclic ones at the table limit
+@pytest.mark.parametrize("name", ["C1", "C12", "C4095", "D8", "D54", "Q16", "M16", "M27", "M125",
+                                  "H27", "H125", "C4096", "D4096", "Q4096", "M4096"])
+def test_atoms_take_their_orders_from_the_closed_forms(monkeypatch, name):
+    compute = groups._compute_orders
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an atom's orders come from its closed form, not its table")
+    monkeypatch.setattr(groups, "_compute_orders", refuse)
+    g = group_from_text(name)
+    computed = compute(g.table)
+    assert g.element_orders.dtype == computed.dtype
+    assert g.element_orders.tobytes() == computed.tobytes()
+    assert not g.element_orders.flags.writeable
+
+
 # --- element orders by the divisors of n, against the step-by-step route --------
 
 # C4095 = 3^2 * 5 * 7 * 13: a divisor walk through an order that is not a prime power
@@ -320,14 +337,15 @@ def test_orders_match_the_stepwise_route_at_the_table_limit(name):
 
 @pytest.mark.parametrize("name,divisors", [("C4096", 13), ("M4096", 13), ("C4095", 24)])
 def test_orders_take_at_most_one_power_per_divisor(monkeypatch, name, divisors):
+    table = group_from_text(name).table
     exponents = []
     power = groups._power
     monkeypatch.setattr(groups, "_power", lambda table, e: exponents.append(e) or power(table, e))
-    g = group_from_text(name)
+    orders = groups._compute_orders(table)
     assert len(exponents) <= divisors
     # the divisors of n in ascending order, up to the largest order (here the exponent)
-    top = int(g.element_orders.max())
-    assert exponents == [d for d in range(1, top + 1) if g.order % d == 0]
+    top = int(orders.max())
+    assert exponents == [d for d in range(1, top + 1) if orders.size % d == 0]
 
 
 def test_an_element_with_no_order_dividing_n_is_refused():

@@ -10,6 +10,9 @@ The match is by name, as a whole word, not by binding, so a use of anything
 else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
+
+One more guard on the surface: only ``groups.py`` passes ``orders`` to
+``group_from_table``, the argument that skips validation.
 """
 
 import ast
@@ -67,3 +70,27 @@ def test_every_method_and_property_is_read_as_an_attribute():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and not re.fullmatch(r"__\w+__", node.name) and node.name not in read]
     assert unread == []
+
+
+def _called_name(func) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_only_the_groups_module_passes_orders_to_group_from_table():
+    # a table wrapped with its orders given skips every check, so every other
+    # caller, the CLI and the GT1 import included, goes through validation;
+    # a ** splat could carry orders too
+    callers = defaultdict(int)
+    for top in ("src", "scripts", "perfbench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and _called_name(node.func) == "group_from_table"
+                        and any(kw.arg in ("orders", None) for kw in node.keywords)):
+                    callers[str(path.relative_to(ROOT))] += 1
+    # the metacyclic constructors' wrapper, heisenberg_group and quotient
+    assert dict(callers) == {"src/psigroups/groups.py": 3}
