@@ -3,12 +3,12 @@
 Subcommands operate on groups given in the construction expression language
 (`psi`, `omega`, `cp2`, `spectrum`, `compare`, `export`) or on GT1 table
 files (`import`), and `verify` runs the theorem battery over a built catalog.
-`psi` and `spectrum` read only the element orders: of an expression, from
-its atoms' closed forms (``expr.expr_element_orders``), with no group built
-and no table written; of an imported file, from the validated group.  The
-other commands build the group, and their route stays the reference; of a
-product over one row block, `omega`, `cp2` and `compare` read its factors
-and never write its table (see ``groups``).
+Every command on an expression builds its group, which writes its table only
+when the table is first read (see ``groups``): `psi` and `spectrum` read only
+the element orders, so they never write it, and of a product over one row
+block `omega`, `cp2` and `compare` read its factors and never write it
+either.  An expression and an imported file are rendered by the same
+renderers.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 theorem violation from `verify`, 2 usage or input
@@ -22,11 +22,9 @@ import functools
 import sys
 from typing import Sequence
 
-import numpy as np
-
 from .catalog import build_catalog
 from .cp2 import is_cp2_pairwise
-from .expr import expr_element_orders, group_from_text, parse_group_expr
+from .expr import group_from_text
 from .groups import FiniteGroup, GroupError, parse_group_table, serialize_group
 from .groups import order_spectrum
 from .omega import omega_filtration
@@ -34,8 +32,8 @@ from .psi import order_bijection, predict_order
 from .verify import format_reports, verify_theorems
 
 
-def _render_psi(name: str, orders: np.ndarray) -> str:
-    return f"psi({name}) = {int(orders.sum())}\n"
+def _render_psi(group: FiniteGroup) -> str:
+    return f"psi({group.name}) = {int(group.element_orders.sum())}\n"
 
 
 def _render_omega(group: FiniteGroup) -> str:
@@ -53,8 +51,9 @@ def _render_cp2(group: FiniteGroup) -> str:
     return f"CP2: no\nwitness: x={x} y={y} o(x)={ox} o(y)={oy} o(xy)={oxy}\n"
 
 
-def _render_spectrum(name: str, orders: np.ndarray) -> str:
-    return "".join(f"{order}:{count}\n" for order, count in order_spectrum(orders).items())
+def _render_spectrum(group: FiniteGroup) -> str:
+    return "".join(f"{order}:{count}\n"
+                   for order, count in order_spectrum(group.element_orders).items())
 
 
 def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
@@ -73,10 +72,9 @@ def _render_compare(p_group: FiniteGroup, q_group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-# what the element orders alone decide: rendered from a name and the orders
-_ORDER_RENDERERS = {"psi": _render_psi, "spectrum": _render_spectrum}
-# what reads the table: rendered from the group
-_TABLE_RENDERERS = {"omega": _render_omega, "cp2": _render_cp2}
+# the commands on one group, given by an expression or by `import`
+_RENDERERS = {"psi": _render_psi, "omega": _render_omega, "cp2": _render_cp2,
+              "spectrum": _render_spectrum}
 
 
 def _render_verify(prime: int, max_order: int) -> tuple[str, int]:
@@ -117,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("import", help="run a subcommand on a GT1 table file")
     cmd.add_argument("path")
-    cmd.add_argument("subcommand", choices=sorted(_ORDER_RENDERERS | _TABLE_RENDERERS))
+    cmd.add_argument("subcommand", choices=sorted(_RENDERERS))
     return parser
 
 
@@ -129,13 +127,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command in _ORDER_RENDERERS:
-            expr = parse_group_expr(args.expr)
-            name = "*".join(f"{atom.kind}{atom.param}" for atom in expr)
-            sys.stdout.write(_ORDER_RENDERERS[args.command](name, expr_element_orders(expr)))
-            return 0
-        if args.command in _TABLE_RENDERERS:
-            sys.stdout.write(_TABLE_RENDERERS[args.command](group_from_text(args.expr)))
+        if args.command in _RENDERERS:
+            sys.stdout.write(_RENDERERS[args.command](group_from_text(args.expr)))
             return 0
         if args.command == "compare":
             sys.stdout.write(
@@ -155,12 +148,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
                 data = handle.read()
             # argv holds undecodable path bytes as surrogates, which stdout cannot encode
             name = args.path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
-            group = parse_group_table(data, name=name)
-            if args.subcommand in _ORDER_RENDERERS:
-                text = _ORDER_RENDERERS[args.subcommand](group.name, group.element_orders)
-            else:
-                text = _TABLE_RENDERERS[args.subcommand](group)
-            sys.stdout.write(text)
+            sys.stdout.write(_RENDERERS[args.subcommand](parse_group_table(data, name=name)))
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")
     # UnicodeEncodeError: open() of a path holding a lone surrogate

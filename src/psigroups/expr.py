@@ -13,10 +13,9 @@ its part is missing, and the first missing or wrong part is the error.
 An expression is its tuple of factors, left to right: the direct product is
 associative, so the parse keeps no nesting, and ``build_group`` builds each
 atom and wraps a product as one group by a single ``direct_product`` call over
-every factor.  ``expr_element_orders`` gives the element orders of the
-same group, at the same indices, with no group built: each atom's closed
-form, after the constructor's own parameter check, folded by lcm as
-``direct_product`` folds a product's.
+every factor.  Building writes no table: each group writes its own when the
+table is first read, so what reads only the element orders (psi, the
+spectrum) never writes one.
 
 ``C8`` is the cyclic group of order 8, ``D16`` the dihedral group of order
 16, ``Q16`` the generalized quaternion group of order 16, ``H27`` the
@@ -30,21 +29,11 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
-
 from .groups import (
     FiniteGroup,
     GroupExprError,
     _check_order_limit,
-    _cyclic,
-    _dihedral,
     _exceeds,
-    _heisenberg,
-    _heisenberg_orders,
-    _lcm_fold,
-    _metacyclic_orders,
-    _modular,
-    _quaternion,
     cyclic_group,
     dihedral_group,
     direct_product,
@@ -74,16 +63,6 @@ _BUILDERS = {
     "Q": quaternion_group,
     "H": heisenberg_group,
     "M": modular_group,
-}
-
-# each atom's element orders in closed form, in its constructor's index
-# layout, after the constructor's own parameter checks
-_CLOSED_FORMS = {
-    "C": lambda k: _metacyclic_orders(*_cyclic(k)),
-    "D": lambda k: _metacyclic_orders(*_dihedral(k), transposed=True),
-    "Q": lambda k: _metacyclic_orders(*_quaternion(k)),
-    "H": lambda k: _heisenberg_orders(_heisenberg(k)),
-    "M": lambda k: _metacyclic_orders(*_modular(k)),
 }
 
 
@@ -130,24 +109,11 @@ def build_group(expr: GroupExpr) -> FiniteGroup:
     """Evaluate an expression to a validated FiniteGroup named by the normalized
     expression.  The whole group's order is checked against the table size
     limit and physical memory before any factor is built; a product is then
-    wrapped by one ``direct_product`` call over every factor, which writes
-    its table when the table is first read."""
+    wrapped by one ``direct_product`` call over every factor.  No table is
+    written until it is first read."""
     _check_order_limit(expr_order(expr))
     factors = [_BUILDERS[atom.kind](atom.param) for atom in expr]
     return direct_product(*factors) if len(factors) > 1 else factors[0]
-
-
-def expr_element_orders(expr: GroupExpr) -> np.ndarray:
-    """Element orders of the group ``build_group`` builds, at the same
-    indices, read-only, with no group built and no table written: each
-    atom's closed form, folded left to right by lcm as ``direct_product``
-    folds its factors' orders.  The checks run in ``build_group``'s order,
-    the whole order first and then each atom's, left to right, so a refused
-    expression gets the same error."""
-    _check_order_limit(expr_order(expr))
-    orders = _lcm_fold([_CLOSED_FORMS[atom.kind](atom.param) for atom in expr])
-    orders.flags.writeable = False
-    return orders
 
 
 def group_from_text(text: str) -> FiniteGroup:

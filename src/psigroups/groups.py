@@ -2,25 +2,25 @@
 
 Every group lives in a complete n x n Cayley table whose entry (a, b) is the
 index of a*b.  Index 0 is always the identity.  Element orders are known
-from construction, and a constructed group is safe to share.  A direct
-product holds its factors instead of its table until the table is first
-read, writes it once then and is immutable after that; its order and orders
-come without the table.  Every other group is immutable from construction.
-An atom (the C/D/Q/H/M constructors) takes its orders from a closed form
-next to its constructor, in the constructor's index layout and with no
-table: ``_metacyclic_orders`` for C, D, Q and M, ``_heisenberg_orders`` for
-H.  Each family's parameter check (``_cyclic``, ``_dihedral``,
-``_quaternion``, ``_heisenberg``, ``_modular``) is written once and read by
-both the constructor and ``expr.expr_element_orders``.  Only a quotient and
-a table passed in from outside have orders computed, by ``_compute_orders``,
-which the tests also run on each constructor's table as the closed forms'
-second route: by Lagrange, o(x) is the least divisor d of n with x^d = 1,
-which ``power_map``'s repeated-squaring kernel ``_power`` decides, one call
-per divisor at most.  The rest are read from groups that already hold them:
-o(x) does not depend on the group it is taken in, so ``Subgroup.as_group``
-reads its orders from the parent's, and ``direct_product`` folds its
-factors' orders by o((a, b)) = lcm(o(a), o(b)), as ``expr`` folds the
-closed forms.
+from construction, and a constructed group is safe to share.  A group this
+module constructs, a C/D/Q/H/M atom or a direct product, holds the pending
+write of its table until the table is first read, writes it once then and
+is immutable after that; its order and orders come without the table, so
+psi and the order spectrum never write it.  A quotient, a subgroup's group
+and a table passed in from outside hold their table from construction.
+
+An atom takes its orders from a closed form in its constructor's index
+layout: ``_metacyclic_orders`` of the same (m, s, t, r) that
+``_metacyclic_table`` reads for C, D, Q and M, and p at every element but
+the identity for H.  Only a quotient and a table passed in from outside
+have orders computed, by ``_compute_orders``, which the tests also run on
+each constructor's table as the closed forms' second route: by Lagrange,
+o(x) is the least divisor d of n with x^d = 1, which ``power_map``'s
+repeated-squaring kernel ``_power`` decides, one call per divisor at most.
+The rest are read from groups that already hold them: o(x) does not depend
+on the group it is taken in, so ``Subgroup.as_group`` reads its orders from
+the parent's, and ``direct_product`` folds its factors' orders by
+o((a, b)) = lcm(o(a), o(b)).
 
 A product whose table is unwritten and holds more than one row block
 (n^2 > ``_BLOCK_ENTRIES``, so n >= 2048 at p = 2) is also read from its
@@ -50,19 +50,21 @@ restricts a table to a set the ``Subgroup`` closure check has accepted, and
 ``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
 
 Every n x n kernel works in int32 and holds at most its table plus one row
-block of about ``_BLOCK_ENTRIES`` entries.  Writers build whole tables in
-place: C, D, Q and M in one metacyclic kernel, which writes one row block of
-whole rows (``_row_blocks``) at a time with an add and a conditional
-subtract, no division; H in one broadcast; and a direct product, on the
-first read of its table, joining its factors, bracketed so that each side's
-order is near the root of the whole, one row block of the left side at a
-time.  The readers (the subgroup and quotient tables, the coset minima
-of ``is_normal`` and ``quotient``, the CP2 pair scan, Light's test) go one
-row block at a time too, and so does the GT1 export, in the GT1 tokeniser's
-blocks of about ``_GT1_BLOCK_TOKENS`` entries.  Before a table is
-allocated, its order is checked against the table size limit and its bytes,
-the table plus one row block, against physical memory, so a build that
-cannot fit is refused with a ``GroupBuildError`` instead of failing part-way.
+block of about ``_BLOCK_ENTRIES`` entries.  Writers run on the first read of
+a table and build it whole in place: C, D, Q and M in one metacyclic
+kernel, which writes one row block of whole rows (``_row_blocks``) at a
+time with an add and a conditional subtract, no division; H in one
+broadcast (``_heisenberg_table``); and a direct product by joining its
+factors, bracketed so that each side's order is near the root of the whole,
+one row block of the left side at a time.  The readers (the subgroup and
+quotient tables, the coset minima of ``is_normal`` and ``quotient``, the
+CP2 pair scan, Light's test) go one row block at a time too, and so does
+the GT1 export, in the GT1 tokeniser's blocks of about
+``_GT1_BLOCK_TOKENS`` entries.  When a group is constructed, before any
+table exists, its order is checked against the table size limit and its
+bytes, the table plus one row block, against physical memory, so a build
+that cannot fit is refused with a ``GroupBuildError`` instead of failing
+part-way.
 
 A subgroup is grown from generators by one cover routine, ``_cover``: the
 BFS step of Dimino's algorithm, each generator entering with its squares,
@@ -84,6 +86,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .omega import OmegaFiltration
 
 DEFAULT_MAX_ORDER = 4096
@@ -162,14 +166,15 @@ class FiniteGroup:
     direct product.  The order is the length of ``element_orders``.
     Operations on instances are pure and never change a group's table.
 
-    A direct product holds its factors, ``_factors``, until its table is
-    first read: ``table`` then writes it from them, read-only, keeps it in
-    ``_table`` and drops the factors; the group is immutable after that
-    first read.  Every other group holds its table from construction.  So
-    the order, the orders and what is read from them alone (psi, the
-    spectrum) never write a product's table.  Nor, when the table would
-    hold more than one row block, do the omega filtration and the CP2 pair
-    scan: they read the factors (``_unwritten_factors``).
+    An atom or a direct product holds in ``_table`` the pending write of
+    its table until the table is first read: ``table`` then runs it once,
+    keeps the table, read-only, in its place and drops the product's
+    factors, ``_factors``; the group is immutable after that first read.
+    Every other group holds its table from construction.  So the order, the
+    orders and what is read from them alone (psi, the spectrum) never write
+    a table.  Nor, for a product whose table would hold more than one row
+    block, do the omega filtration and the CP2 pair scan: they read the
+    factors (``_unwritten_factors``).
 
     Two more private fields, neither compared nor printed, keep results
     derived from the table on their first computation: ``_filtration``, the
@@ -180,7 +185,7 @@ class FiniteGroup:
 
     name: str
     element_orders: np.ndarray
-    _table: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _table: np.ndarray | Callable[[], np.ndarray] = field(compare=False, repr=False)
     _factors: tuple[FiniteGroup, ...] = field(default=(), compare=False, repr=False)
     _filtration: OmegaFiltration | None = field(
         default=None, init=False, compare=False, repr=False)
@@ -189,8 +194,8 @@ class FiniteGroup:
 
     @property
     def table(self) -> np.ndarray:
-        if self._table is None:
-            table = _product(self._factors)
+        if callable(self._table):
+            table = self._table()
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)  # frozen dataclass
             object.__setattr__(self, "_factors", ())
@@ -471,9 +476,11 @@ def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> F
     Every check runs (shape, dtype, range, identity at index 0, exact
     associativity, orders dividing n) unless ``orders`` is given: only this
     module's constructors and ``quotient`` give them, with an int32 table
-    that is a group by construction, and the table is wrapped as it is.  The
-    last three decide group-ness, identity first as Light's test grows its
-    cover from index 0: when they pass, each x has x^(o(x)-1) as an inverse.
+    that is a group by construction, and the table is wrapped as it is.  An
+    atom's is pending: a function of no arguments that writes the table on
+    its first read (see ``FiniteGroup``).  The last three checks decide
+    group-ness, identity first as Light's test grows its cover from index 0:
+    when they pass, each x has x^(o(x)-1) as an inverse.
     A group is latin, so a non-latin table fails one of them, and the latin
     check then names its first bad line.
     """
@@ -490,13 +497,13 @@ def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> F
     return _frozen_group(name, arr, orders)
 
 
-def _frozen_group(name: str, table: np.ndarray | None, orders: np.ndarray,
+def _frozen_group(name: str, table: np.ndarray | Callable[[], np.ndarray], orders: np.ndarray,
                   factors: tuple[FiniteGroup, ...] = ()) -> FiniteGroup:
-    """A table and its element orders, both made read-only, as a group; or,
-    with no table, a direct product of ``factors`` whose table is written
-    when it is first read."""
+    """A table, or the pending write of one, and its element orders as a
+    group, the orders and a written table made read-only; ``factors`` are a
+    direct product's, held until its table is written."""
     orders.flags.writeable = False
-    if table is not None:
+    if not callable(table):
         table.flags.writeable = False
     return FiniteGroup(name=name, element_orders=orders, _table=table, _factors=factors)
 
@@ -539,7 +546,6 @@ def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = Fals
     The row term is i1, or i1 r^-e2 + t[e1 + e2 >= s] mod m when transposed;
     the column term is the rest."""
     n = m * s
-    _check_order_limit(n)
     table = np.empty((n, n), dtype=np.int32)
     i = np.arange(m, dtype=np.int32)
     e = np.arange(s)
@@ -566,7 +572,7 @@ def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = Fals
 def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
                        transposed: bool = False) -> np.ndarray:
     """Element orders of ``_metacyclic_table(m, s, t, r, transposed=...)`` in
-    closed form, read-only, with no table.
+    closed form, with no table.
 
     b^e has order q = s / gcd(e, s) modulo <a>, and multiplying out,
     (a^i b^e)^q = a^(i (1 + r^-e + ... + r^-(q-1)e) + t e q / s), so
@@ -579,101 +585,76 @@ def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
         twist = sum(pow(r, -j * e, m) for j in range(q)) * (pow(r, -e, m) if transposed else 1)
         power = (i * (twist % m) + t * (e * q // s)) % m
         orders[e * m:(e + 1) * m] = q * (m // np.gcd(power, m))
-    orders.flags.writeable = False
     return orders
 
 
-def _metacyclic_group(name: str, params: tuple[int, int, int, int], *,
+def _metacyclic_group(name: str, m: int, s: int, t: int, r: int, *,
                       transposed: bool = False) -> FiniteGroup:
-    """``_metacyclic_table(*params, transposed=...)`` wrapped with
-    ``_metacyclic_orders`` of the same parameters and layout."""
-    return group_from_table(name, _metacyclic_table(*params, transposed=transposed),
-                            orders=_metacyclic_orders(*params, transposed=transposed))
-
-
-def _cyclic(k: int) -> tuple[int, int, int, int]:
-    """C_k's metacyclic (m, s, t, r) = (k, 1, 0, 1), once k is checked."""
-    _require(k >= 1, f"C{k}: order must be >= 1")
-    return k, 1, 0, 1
+    """The group of ``_metacyclic_table(m, s, t, r, transposed=...)``, its
+    order m*s checked first, with ``_metacyclic_orders`` of the same
+    parameters and layout and its table written on first read."""
+    _check_order_limit(m * s)
+    return group_from_table(
+        name, functools.partial(_metacyclic_table, m, s, t, r, transposed=transposed),
+        orders=_metacyclic_orders(m, s, t, r, transposed=transposed))
 
 
 def cyclic_group(k: int) -> FiniteGroup:
-    """Cyclic group of order k, metacyclic by ``_cyclic``."""
-    return _metacyclic_group(f"C{k}", _cyclic(k))
-
-
-def _dihedral(k: int) -> tuple[int, int, int, int]:
-    """D_k's metacyclic (m, s, t, r) = (k/2, 2, 0, -1), once k is checked."""
-    _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
-    return k // 2, 2, 0, -1
+    """Cyclic group of order k: metacyclic with (m, s, t, r) = (k, 1, 0, 1)."""
+    _require(k >= 1, f"C{k}: order must be >= 1")
+    return _metacyclic_group(f"C{k}", k, 1, 0, 1)
 
 
 def dihedral_group(k: int) -> FiniteGroup:
     """Dihedral group of order k: indices 0..k/2-1 are r^i, k/2..k-1 are s r^i,
-    metacyclic by ``_dihedral`` transposed to this b^e a^i layout."""
-    return _metacyclic_group(f"D{k}", _dihedral(k), transposed=True)
-
-
-def _quaternion(k: int) -> tuple[int, int, int, int]:
-    """Q_k's metacyclic (m, s, t, r) = (k/2, 2, k/4, -1), once k is checked."""
-    _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
-    return k // 2, 2, k // 4, -1
+    metacyclic with (m, s, t, r) = (k/2, 2, 0, -1) transposed to this b^e a^i
+    layout."""
+    _require(k >= 4 and k % 2 == 0, f"D{k}: order must be even and >= 4")
+    return _metacyclic_group(f"D{k}", k // 2, 2, 0, -1, transposed=True)
 
 
 def quaternion_group(k: int) -> FiniteGroup:
     """Generalized quaternion group of order k = 2^j, j >= 3.
 
     Normal form a^i b^e with a of order k/2, b^2 = a^(k/4), b a b^-1 = a^-1;
-    index e*(k/2) + i: metacyclic by ``_quaternion``.
+    index e*(k/2) + i: metacyclic with (m, s, t, r) = (k/2, 2, k/4, -1).
     """
-    return _metacyclic_group(f"Q{k}", _quaternion(k))
-
-
-def _heisenberg(k: int) -> int:
-    """The odd prime p with k = p^3, once k is checked."""
-    p, j = prime_power(k) or (0, 0)
-    _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
-    return p
+    _require(k >= 8 and k & (k - 1) == 0, f"Q{k}: order must be 2^j with j >= 3")
+    return _metacyclic_group(f"Q{k}", k // 2, 2, k // 4, -1)
 
 
 def heisenberg_group(k: int) -> FiniteGroup:
-    """Extraspecial group of order k = p^3 and exponent p, for odd prime p.
-
-    Realized as unitriangular 3x3 matrices over Z/p: triples (a, b, c) with
-    (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index a*p^2 + b*p + c.
-    Not metacyclic: one broadcast sum of two p^4-entry terms over a (p,)*6 view.
-    """
-    p = _heisenberg(k)
+    """Extraspecial group of order k = p^3 and exponent p, for odd prime p:
+    ``_heisenberg_table(p)``, written on first read.  Its orders are 1 at the
+    identity and p everywhere else."""
+    p, j = prime_power(k) or (0, 0)
+    _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
+    orders = np.full(k, p, dtype=np.int64)
+    orders[0] = 1
+    return group_from_table(f"H{k}", functools.partial(_heisenberg_table, p), orders=orders)
+
+
+def _heisenberg_table(p: int) -> np.ndarray:
+    """Table of the unitriangular 3x3 matrices over Z/p: triples (a, b, c)
+    with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index
+    a*p^2 + b*p + c.  Not metacyclic: one broadcast sum of two p^4-entry
+    terms over a (p,)*6 view."""
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
     table = np.empty((p,) * 6, dtype=np.int32)
     np.add(((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p, out=table)
-    return group_from_table(f"H{k}", table.reshape(k, k), orders=_heisenberg_orders(p))
-
-
-def _heisenberg_orders(p: int) -> np.ndarray:
-    """Element orders of the extraspecial group of order p^3 and exponent p,
-    read-only: 1 at the identity, p everywhere else."""
-    orders = np.full(p ** 3, p, dtype=np.int64)
-    orders[0] = 1
-    orders.flags.writeable = False
-    return orders
-
-
-def _modular(k: int) -> tuple[int, int, int, int]:
-    """M_k's metacyclic (m, s, t, r) = (p^(j-1), p, 0, 1 + p^(j-2)) for
-    k = p^j, once k is checked."""
-    p, j = prime_power(k) or (0, 0)
-    _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
-    return p ** (j - 1), p, 0, 1 + p ** (j - 2)
+    return table.reshape(p ** 3, p ** 3)
 
 
 def modular_group(k: int) -> FiniteGroup:
     """Group <a, b | a^(p^(j-1)) = b^p = 1, b^-1 a b = a^(1+p^(j-2))> of order k = p^j.
 
-    Normal form a^i b^e, index e*p^(j-1) + i: metacyclic by ``_modular``.
+    Normal form a^i b^e, index e*p^(j-1) + i: metacyclic with
+    (m, s, t, r) = (p^(j-1), p, 0, 1 + p^(j-2)).
     """
-    return _metacyclic_group(f"M{k}", _modular(k))
+    p, j = prime_power(k) or (0, 0)
+    _require(j >= 3, f"M{k}: order must be p^j with j >= 3")
+    return _metacyclic_group(f"M{k}", p ** (j - 1), p, 0, 1 + p ** (j - 2))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> FiniteGroup:
@@ -683,21 +664,16 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     The whole order is checked against the table size limit and physical
     memory first.  The orders are then folded from the factors', left to
     right, o((a1, b1)) = lcm(o(a1), o(b1)) at index a1 * |B| + b1, not
-    computed.  The group holds its factors and writes its table by
-    ``_product`` when the table is first read, so what reads only the
-    orders never builds it.
+    computed.  The group holds its factors, and ``_product`` of them as the
+    pending write of its table, so what reads only the orders never builds
+    the table.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    orders = _lcm_fold([g.element_orders for g in factors])
-    return _frozen_group("*".join(g.name for g in factors), None, orders, factors)
-
-
-def _lcm_fold(orders: list[np.ndarray]) -> np.ndarray:
-    """Element orders of the direct product of groups with these orders, left
-    factor major: o((a, b)) = lcm(o(a), o(b)) at index a * |B| + b, folded
-    left to right.  One factor's orders are returned as they are."""
-    return functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(), orders)
+    orders = functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(),
+                              [g.element_orders for g in factors])
+    return _frozen_group("*".join(g.name for g in factors), functools.partial(_product, factors),
+                         orders, factors)
 
 
 def _unwritten_factors(group: FiniteGroup) -> tuple[FiniteGroup, ...]:
@@ -710,8 +686,8 @@ def _unwritten_factors(group: FiniteGroup) -> tuple[FiniteGroup, ...]:
     The omega filtration and the CP2 pair scan of such a product read these
     factors instead of writing the table.  Below one block writing the table
     costs less than reading each factor, and a written table is read as it
-    is."""
-    if group._table is not None or group.order ** 2 <= _BLOCK_ENTRIES:
+    is: a product drops its factors when its table is written."""
+    if group.order ** 2 <= _BLOCK_ENTRIES:
         return ()
     return tuple(f for f in group._factors if f.order > 1)
 

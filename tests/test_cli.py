@@ -381,20 +381,22 @@ def test_verify_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory(monkeypa
                         r"more than the \d+ bytes of physical memory\n", result.stderr)
 
 
-# --- psi and spectrum of an expression, without the group -------------------------
+# --- psi and spectrum of an expression, without writing its table -----------------
 
 # M8 (D8 in the a^i b^e layout) is not among the drawn atoms; the spaced,
-# zero-padded expression is named as the group route names it
+# zero-padded expression is named by its normal form.  The reference is the
+# written table, validated with its orders computed, as an import reads it
 @given(st.one_of(group_names, st.sampled_from(["M8", " C004 * M8 "])),
        st.sampled_from(["psi", "spectrum"]))
 @settings(max_examples=60, deadline=None)
 def test_psi_and_spectrum_of_an_expression_match_the_group_route(name, command):
     g = group_from_text(name)
-    want = cli._ORDER_RENDERERS[command](g.name, g.element_orders)
+    want = cli._RENDERERS[command](groups.group_from_table(g.name, g.table))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("psi and spectrum of an expression build no group")
+        raise AssertionError("psi and spectrum of an expression write no table")
     with patch.object(groups, "_metacyclic_table", refuse), \
+            patch.object(groups, "_heisenberg_table", refuse), \
             patch.object(groups, "_product", refuse), \
             patch.object(groups, "_compute_orders", refuse):
         assert _captured_cli([command, name]) == (0, want, "")

@@ -240,7 +240,7 @@ def test_a_product_table_read_later_has_the_eager_bytes(name):
     # the order and the orders come without the table
     assert g.order == math.prod(f.order for f in factors)
     assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g.element_orders)
-    assert g._table is None and len(g._factors) == len(factors)
+    assert callable(g._table) and len(g._factors) == len(factors)
     table = g.table
     _same_bytes(table, functools.reduce(whole_direct_product_table, (f.table for f in factors)))
     # written once: read-only, the same object on every read, the factors dropped
@@ -301,8 +301,9 @@ def _closed_form_cases():
                                          for kind, params in _closed_form_cases()])
 def test_closed_form_orders_are_the_computed_orders(kind, params):
     for k in params:
-        orders = expr._CLOSED_FORMS[kind](k)
-        computed = groups._compute_orders(expr._BUILDERS[kind](k).table)
+        g = expr._BUILDERS[kind](k)
+        orders = g.element_orders
+        computed = groups._compute_orders(g.table)
         assert orders.dtype == computed.dtype, f"{kind}{k}"
         assert orders.tobytes() == computed.tobytes(), f"{kind}{k}"
         assert not orders.flags.writeable, f"{kind}{k}"
@@ -552,7 +553,7 @@ def test_omega_filtration_from_the_factors_is_the_table_route(name):
         want = _levels(reference)
         for g in unwritten:
             assert _levels(g) == want
-            assert (g._table is None) == ("*" in name)
+            assert "*" not in name or callable(g._table)
 
 
 @given(group_names)
@@ -563,7 +564,7 @@ def test_cp2_witness_from_the_factors_is_the_table_route(name):
         want = is_cp2_pairwise(reference)
         for g in unwritten:
             assert is_cp2_pairwise(g) == want
-            assert (g._table is None) == ("*" in name)
+            assert "*" not in name or callable(g._table)
 
 
 @given(same_order_p_group_pairs)
@@ -573,7 +574,7 @@ def test_predict_order_from_the_factors_is_the_table_route(pair):
         (p_group, *_), p_ref = _read_from_factors(pair[0])
         (q_group, *_), q_ref = _read_from_factors(pair[1])
         assert predict_order(p_group, q_group) == predict_order(p_ref, q_ref)
-        assert all(g._table is None for g in (p_group, q_group) if "*" in g.name)
+        assert all(callable(g._table) for g in (p_group, q_group) if "*" in g.name)
 
 
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
@@ -750,7 +751,9 @@ def test_direct_product_holds_what_the_order_check_budgets(names):
     # folded from the right, C2^12 held its 2048-element partial product
     # beside the output, and Q2048*C2 a scaled copy of Q2048: 80 MB each
     factors = [group_from_text(name) for name in names]
-    # the table is written on its first read: inside the window
+    for f in factors:
+        f.table  # an atom writes its table on the first read: before tracing
+    # the product's table is written on its first read: inside the window
     table, peak = _peak_bytes(lambda: direct_product(*factors).table)
     n = table.shape[0]
     assert table.shape == (4096, 4096)
@@ -758,10 +761,19 @@ def test_direct_product_holds_what_the_order_check_budgets(names):
 
 
 def test_heisenberg_build_holds_the_table_and_small_terms():
-    # a 19 MB table; the broadcast's two terms hold 13^4 entries each
-    g, peak = _peak_bytes(lambda: group_from_text("H2197"))
-    assert g.order == 2197
+    # a 19 MB table; the broadcast's two terms hold 13^4 entries each.  The
+    # table is written on its first read: inside the window
+    table, peak = _peak_bytes(lambda: group_from_text("H2197").table)
+    assert table.shape == (2197, 2197)
     assert peak <= 24 * MB
+
+
+@pytest.mark.parametrize("name", ["C4096", "D4096", "Q4096", "M4096", "H2197"])
+def test_building_an_atom_at_the_limit_writes_no_table(name):
+    # the closed-form orders are 32 KB at most; the table waits for its first read
+    g, peak = _peak_bytes(lambda: group_from_text(name))
+    assert callable(g._table)
+    assert peak <= MB
 
 
 @pytest.mark.parametrize("name", ["M4096", "C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2*C2"])
@@ -847,6 +859,7 @@ def test_pair_scan_of_c2_12_reads_no_products():
 def test_pair_scan_of_m4096_holds_half_a_full_scan():
     # half of M4096 has the top order 2048; a scan of every pair peaks at 10 MB
     g = group_from_text("M4096")
+    g.table  # an atom writes its table on the first read: before tracing
     report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
     assert report.is_cp2
     assert peak <= 5 * MB

@@ -11,8 +11,10 @@ else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
 
-One more guard on the surface: only ``groups.py`` passes ``orders`` to
-``group_from_table``, the argument that skips validation.
+Two more guards on the surface: only ``groups.py`` passes ``orders`` to
+``group_from_table``, the argument that skips validation, and ``expr.py``
+takes no private name from ``groups`` but the two limit checks, so each
+atom family's parameters, layout and orders stay in ``groups.py`` alone.
 """
 
 import ast
@@ -94,3 +96,11 @@ def test_only_the_groups_module_passes_orders_to_group_from_table():
                     callers[str(path.relative_to(ROOT))] += 1
     # the metacyclic constructors' wrapper, heisenberg_group and quotient
     assert dict(callers) == {"src/psigroups/groups.py": 3}
+
+
+def test_expr_takes_no_family_decision_from_groups():
+    tree = ast.parse((PACKAGE / "expr.py").read_text())
+    private = sorted(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module == "groups"
+                     for alias in node.names if alias.name.startswith("_"))
+    assert private == ["_check_order_limit", "_exceeds"]
