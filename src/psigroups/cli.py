@@ -5,9 +5,9 @@ Subcommands operate on groups given in the construction expression language
 files (`import`), and `verify` runs the theorem battery over a built catalog.
 Every command on an expression builds its group, which writes its table only
 when the table is first read (see ``groups``): `psi` and `spectrum` read only
-the element orders, so they never write it, and of a product over one row
-block `omega`, `cp2` and `compare` read its factors and never write it
-either.  An expression and an imported file are rendered by the same
+the element orders, so they never write it, and of a group over one row
+block `omega`, `cp2` and `compare` read its products from its law and never
+write it either.  An expression and an imported file are rendered by the same
 renderers.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _pair_block, _row_blocks
+from .groups import FiniteGroup, _mul, _products, _row_blocks
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -45,12 +45,14 @@ def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, i
     is applied to int32 order arrays one row block at a time: o(xy) as a
     block, o(x) as a column and o(y) as a row.  A block has as many rows as a
     block of whole table rows, so it never holds more entries.  The products
-    come from ``_pair_block``, so a large product's table is not written."""
+    are read by ``_products``, so a table over one row block is not written."""
+    if not among.size:
+        return None  # nothing to scan reads no product, so writes no table
     orders = group.element_orders.astype(np.int32)
     scanned = orders[among]
+    products = _products(group)
     for rows in _row_blocks(among.size, group.order):
-        bad = violates(orders[_pair_block(group, among[rows], among)],
-                       scanned[rows, None], scanned)
+        bad = violates(orders[products[among[rows, None], among]], scanned[rows, None], scanned)
         if bad.any():
             r, c = divmod(int(np.flatnonzero(bad)[0]), among.size)
             return int(among[rows.start + r]), int(among[c])
@@ -65,10 +67,11 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     module docstring); the elements below M are scanned in ascending order, so
     the first failing pair among them is the first of all pairs.
 
-    The pair products, the witness's included, are read by ``_pair_block``:
-    from the table, or, for a direct product whose table is unwritten and
-    over one row block, from its factors' tables, so the scan never writes
-    that table.  Both give the same products, so the same first witness.
+    The pair products, the witness's included, are read by ``_mul``: from
+    the table, or, for a group whose table is unwritten and over one row
+    block, from its law (the metacyclic formula, the Heisenberg digits, or a
+    product's factors), so the scan never writes that table.  Both give the
+    same products, so the same first witness.
     """
     orders = group.element_orders
     below_top = np.flatnonzero(orders < orders.max())
@@ -77,7 +80,7 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     if pair is None:
         return Cp2Report()
     x, y = pair
-    xy = _pair_block(group, np.array([x]), np.array([y]))[0, 0]
+    xy = _mul(group, x, y)
     return Cp2Report(witness=(x, y, int(orders[x]), int(orders[y]), int(orders[xy])))
 
 

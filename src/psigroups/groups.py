@@ -1,39 +1,46 @@
-"""Finite groups as dense multiplication tables over 0-based element indices.
+"""Finite groups over 0-based element indices, given by a multiplication law
+or a dense multiplication table.
 
-Every group lives in a complete n x n Cayley table whose entry (a, b) is the
-index of a*b.  Index 0 is always the identity.  Element orders are known
-from construction, and a constructed group is safe to share.  A group this
-module constructs, a C/D/Q/H/M atom or a direct product, holds the pending
-write of its table until the table is first read, writes it once then and
-is immutable after that; its order and orders come without the table, so
-psi and the order spectrum never write it.  A quotient, a subgroup's group
-and a table passed in from outside hold their table from construction.
+A group's products x*y are its law or its n x n Cayley table, whose entry
+(a, b) is the index of a*b; index 0 is always the identity.  A group this
+module constructs, a C/D/Q/H/M atom or a direct product, holds its law: the
+metacyclic normal form a^i b^e with King's product formula (``_Metacyclic``)
+for C, D, Q and M, the triple law of the unitriangular matrices
+(``_Heisenberg``) for H, and its factors (``_Product``) for a direct
+product, as a group given by a normal form and a multiplication rule needs
+no table (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+ch. 8).  Its table is written from the law once, on its first read, and
+replaces the law; the group is immutable after that.  A quotient, a subgroup's group and a table
+passed in from outside hold their table from construction and no law.
+Element orders are known from construction, and a constructed group is safe
+to share.
+
+Every product read goes through ``_mul``, or ``_products`` for a reader of
+many blocks, and one size rule there decides the route: a group whose table
+is written, or would hold at most one row block (n^2 <= ``_BLOCK_ENTRIES``),
+is read from its table, written on that first read, as a gather costs less
+than the law there; a larger one is read from its law and its table is
+never written.  So psi and the order spectrum (from the orders alone),
+omega, cp2 and compare write no table of more than one block (n >= 1025),
+and a large product's omega filtration is folded from its factors',
+Omega_i(A x B) = Omega_i(A) x Omega_i(B) (``omega.omega_filtration``).
+``FiniteGroup.is_abelian`` is read from the law too.  Only Light's test
+reads a raw table directly: it runs before a group exists.
 
 An atom takes its orders from a closed form in its constructor's index
-layout: ``_metacyclic_orders`` of the same (m, s, t, r) that
-``_metacyclic_table`` reads for C, D, Q and M, and p at every element but
-the identity for H.  Only a quotient and a table passed in from outside
-have orders computed, by ``_compute_orders``, which the tests also run on
-each constructor's table as the closed forms' second route: by Lagrange,
-o(x) is the least divisor d of n with x^d = 1, which ``power_map``'s
-repeated-squaring kernel ``_power`` decides, one call per divisor at most.
-The rest are read from groups that already hold them: o(x) does not depend
-on the group it is taken in, so ``Subgroup.as_group`` reads its orders from
-the parent's, and ``direct_product`` folds its factors' orders by
-o((a, b)) = lcm(o(a), o(b)).
+layout: ``_metacyclic_orders`` of the same (m, s, t, r) as its law for C,
+D, Q and M, and p at every element but the identity for H.  Only a quotient
+and a table passed in from outside have orders computed, by
+``_compute_orders``, which the tests also run on each constructor's table
+as the closed forms' second route: by Lagrange, o(x) is the least divisor d
+of n with x^d = 1, which ``power_map``'s repeated-squaring kernel
+``_power`` decides, one call per divisor at most.  The rest are read from
+groups that already hold them: o(x) does not depend on the group it is
+taken in, so ``Subgroup.as_group`` reads its orders from the parent's, and
+``direct_product`` folds its factors' orders by o((a, b)) = lcm(o(a), o(b)).
 
-A product whose table is unwritten and holds more than one row block
-(n^2 > ``_BLOCK_ENTRIES``, so n >= 2048 at p = 2) is also read from its
-factors where that is exact and cheaper than writing the table: its omega
-filtration folds theirs, Omega_i(A x B) = Omega_i(A) x Omega_i(B)
-(``omega.omega_filtration``), and the CP2 pair scan reads each block of
-pair products from their tables (``_pair_block``), so omega, cp2 and
-compare of such a product never write it.  ``_unwritten_factors`` alone
-decides this size rule.  A smaller product writes its table on that first
-read, which costs less there than reading each factor.
-
-As the table never changes, a group also keeps what is derived from it
-alone the first time it is asked for: its omega filtration
+As neither law nor table ever changes, a group also keeps what is derived
+from it alone the first time it is asked for: its omega filtration
 (``omega.omega_filtration``) and its quotient by each normal subgroup N,
 kept on ``N.parent`` by ``quotient(N)``.  A kept value must never reference
 the group itself, or the group would only be freed by the cycle collector:
@@ -43,35 +50,36 @@ its own, not a ``Subgroup``.
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
 for shape, entry range, identity placement, associativity (Light's test,
-exact at every size) and element orders.  Tables this module builds
-itself are trusted and not re-checked: the C/D/Q/H/M constructors and
-``direct_product`` write group laws by construction, ``Subgroup.as_group``
-restricts a table to a set the ``Subgroup`` closure check has accepted, and
+exact at every size) and element orders.  Laws and tables this module
+builds itself are trusted and not re-checked: the C/D/Q/H/M constructors
+and ``direct_product`` give group laws by construction, ``Subgroup.as_group``
+restricts a group to a set the ``Subgroup`` closure check has accepted, and
 ``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
 
 Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers run on the first read of
-a table and build it whole in place: C, D, Q and M in one metacyclic
-kernel, which writes one row block of whole rows (``_row_blocks``) at a
-time with an add and a conditional subtract, no division; H in one
+a table and build it whole in place: C, D, Q and M by their law's
+``_Metacyclic.outer`` over one row block of whole rows (``_row_blocks``) at
+a time, an add and a conditional subtract with no division; H in one
 broadcast (``_heisenberg_table``); and a direct product by joining its
 factors, bracketed so that each side's order is near the root of the whole,
 one row block of the left side at a time.  The readers (the subgroup and
 quotient tables, the coset minima of ``is_normal`` and ``quotient``, the
-CP2 pair scan, Light's test) go one row block at a time too, and so does
-the GT1 export, in the GT1 tokeniser's blocks of about
-``_GT1_BLOCK_TOKENS`` entries.  When a group is constructed, before any
-table exists, its order is checked against the table size limit and its
-bytes, the table plus one row block, against physical memory, so a build
-that cannot fit is refused with a ``GroupBuildError`` instead of failing
-part-way.
+CP2 pair scan, Light's test) go one row block at a time too, from the
+table or the law, and so does the GT1 export, in the GT1 tokeniser's
+blocks of about ``_GT1_BLOCK_TOKENS`` entries.  When a group is
+constructed, before any table exists, its order is checked against the
+table size limit and its bytes, the table plus one row block, against
+physical memory, so a build that cannot fit is refused with a
+``GroupBuildError`` instead of failing part-way.
 
 A subgroup is grown from generators by one cover routine, ``_cover``: the
 BFS step of Dimino's algorithm, each generator entering with its squares,
-so its rounds number about log2(n), not n.  Light's test grows its checked
-elements by the same step.  The ``Subgroup`` check and ``closure`` use it
-on a set of over 128 elements (|S|^2 above 1/64 of a row block), and gather
-all |S|^2 products at once below that.
+so the powers of one generator take about log2 of its order in rounds, not
+its order.  Light's test grows its checked elements by the same step.  The
+``Subgroup`` check and ``closure`` use it on a set of over 128 elements
+(|S|^2 above 1/64 of a row block, ``_gathers``), and gather all |S|^2
+products at once below that.
 """
 
 from __future__ import annotations
@@ -86,9 +94,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from typing import Union
 
     from .omega import OmegaFiltration
+
+    Law = Union["_Metacyclic", "_Heisenberg", "_Product"]
+    Products = Union[np.ndarray, Law]  # indexed [x, y] for the products x*y
 
 DEFAULT_MAX_ORDER = 4096
 MAX_ORDER_ENV = "PSIGROUPS_MAX_ORDER"
@@ -156,37 +167,38 @@ def max_table_order() -> int:
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its multiplication law, its table or both.
 
     ``table[a, b]`` is the index of the product a*b; index 0 is the identity.
-    Products are read from ``table`` and powers from ``power_map``;
+    Products are read by ``_mul`` and powers by ``power_map``;
     ``element_orders`` is set once at construction: an atom's closed form,
     the least d | n with x^d = 1 for a quotient or an outside table, the
     parent's for a subgroup's group, and the factors' folded by lcm for a
     direct product.  The order is the length of ``element_orders``.
-    Operations on instances are pure and never change a group's table.
+    Operations on instances are pure and never change a group's law or table.
 
-    An atom or a direct product holds in ``_table`` the pending write of
-    its table until the table is first read: ``table`` then runs it once,
-    keeps the table, read-only, in its place and drops the product's
-    factors, ``_factors``; the group is immutable after that first read.
-    Every other group holds its table from construction.  So the order, the
-    orders and what is read from them alone (psi, the spectrum) never write
-    a table.  Nor, for a product whose table would hold more than one row
-    block, do the omega filtration and the CP2 pair scan: they read the
-    factors (``_unwritten_factors``).
+    An atom or a direct product holds its law in ``_law`` (``_Metacyclic``,
+    ``_Heisenberg`` or ``_Product``) and no table until the table is first
+    read: ``table`` then writes it from the law once, keeps it, read-only,
+    in ``_table`` and drops the law, so a product's factors are freed.
+    Every other group holds its table from construction and no law.  So the
+    order, the orders and what is read from them alone (psi, the spectrum)
+    never write a table; nor does any product read of a group whose table
+    would hold more than one row block, as ``_products`` reads those from
+    the law.  ``is_abelian`` is read from the law while the group holds one,
+    and from the table by its transpose after.
 
     Two more private fields, neither compared nor printed, keep results
-    derived from the table on their first computation: ``_filtration``, the
-    omega filtration, and ``_quotients``, where ``quotient(N)`` keeps its
+    derived from the group alone on their first computation: ``_filtration``,
+    the omega filtration, and ``_quotients``, where ``quotient(N)`` keeps its
     result on ``N.parent`` keyed by ``N.members``.  Nothing kept may
     reference the group.
     """
 
     name: str
     element_orders: np.ndarray
-    _table: np.ndarray | Callable[[], np.ndarray] = field(compare=False, repr=False)
-    _factors: tuple[FiniteGroup, ...] = field(default=(), compare=False, repr=False)
+    _table: np.ndarray | None = field(compare=False, repr=False)
+    _law: Law | None = field(default=None, compare=False, repr=False)
     _filtration: OmegaFiltration | None = field(
         default=None, init=False, compare=False, repr=False)
     _quotients: dict[tuple[int, ...], FiniteGroup] = field(
@@ -194,11 +206,11 @@ class FiniteGroup:
 
     @property
     def table(self) -> np.ndarray:
-        if callable(self._table):
-            table = self._table()
+        if self._table is None:
+            table = self._law.write()
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)  # frozen dataclass
-            object.__setattr__(self, "_factors", ())
+            object.__setattr__(self, "_law", None)
         return self._table
 
     @property
@@ -207,7 +219,9 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        if self._law is not None:
+            return self._law.is_abelian
+        return bool(np.array_equal(self._table, self._table.T))
 
     def __repr__(self) -> str:
         return f"<FiniteGroup {self.name!r} order {self.order}>"
@@ -251,11 +265,11 @@ class Subgroup:
             return
         inside = np.zeros(n, dtype=bool)
         inside[mem] = True
-        table = self.parent.table
-        if _gathers(mem.size):
-            closed = inside[table[np.ix_(mem, mem)]].all()
+        products = _products(self.parent)
+        if _gathers(mem.size ** 2):
+            closed = inside[products[mem[:, None], mem]].all()
         else:
-            closed = _cover(table, mem, stop_inside=inside) is not None
+            closed = _cover(products, n, mem, stop_inside=inside) is not None
         if not closed:
             raise GroupError("subset is not closed under multiplication")
 
@@ -266,13 +280,19 @@ class Subgroup:
         """The subgroup as a standalone group via table restriction.
 
         Member k of the subgroup becomes element k of the new group, so the
-        identity stays at index 0.  The orders are read from the parent's, not
-        computed: o(x) does not depend on the group it is taken in.
+        identity stays at index 0: each block of the members' products is
+        mapped to positions through ``position[members] = 0..k-1``, which the
+        closed set's products never leave.  The orders are read from the
+        parent's, not computed: o(x) does not depend on the group it is taken
+        in.
         """
         mem = np.asarray(self.members, dtype=np.int64)
+        position = np.zeros(self.parent.order, dtype=np.int32)
+        position[mem] = np.arange(mem.size, dtype=np.int32)
+        products = _products(self.parent)
         restricted = np.empty((mem.size, mem.size), dtype=np.int32)
         for rows in _row_blocks(mem.size, mem.size):
-            restricted[rows] = np.searchsorted(mem, self.parent.table[np.ix_(mem[rows], mem)])
+            restricted[rows] = position[products[mem[rows, None], mem]]
         return _frozen_group(f"{self.parent.name}[{len(mem)}]", restricted,
                              self.parent.element_orders[mem])
 
@@ -362,34 +382,37 @@ def _check_assoc_light(table: np.ndarray) -> None:
                     f"associativity failure at ({rows.start + int(x)},{g},{int(y)})")
             del lhs, rhs  # the next block's pair is built after this one is freed
         checked += 1
-        _add_generator(table, covered, gens, g)
+        _add_generator(table, covered, gens, g)  # the raw table: no group exists yet
 
 
-def _gathers(size: int) -> bool:
-    """Whether a set of ``size`` elements is checked or grown by gathering
-    all its size^2 products at once, rather than by ``_cover``: up to 1/64
-    of a row block's entries (128 elements) the gather's one numpy call is
-    cheaper than the cover's rounds."""
-    return size * size <= _BLOCK_ENTRIES >> 6
+def _gathers(entries: int) -> bool:
+    """Whether ``entries`` products are few enough, up to 1/64 of a row
+    block's entries, to be read in one pass whose few numpy calls cost less
+    than a route of more calls: a set of up to 128 elements is checked or
+    grown by gathering all its products at once rather than by ``_cover``,
+    and a metacyclic law reads so small an outer product entry by entry
+    rather than by ``_Metacyclic.outer``."""
+    return entries <= _BLOCK_ENTRIES >> 6
 
 
-def _cover(table: np.ndarray, seed: np.ndarray,
+def _cover(products: Products, n: int, seed: np.ndarray,
            stop_inside: np.ndarray | None = None) -> np.ndarray | None:
-    """Mask of the subgroup generated by ``seed``, grown from index 0 by right
-    products with generators, or None as soon as a product leaves the mask
-    ``stop_inside``.  Each generator is the first seed element not yet
+    """Mask of the subgroup of the order-n group whose ``products`` are
+    given (see ``_products``) generated by ``seed``, grown from index 0 by
+    right products with generators, or None as soon as a product leaves the
+    mask ``stop_inside``.  Each generator is the first seed element not yet
     covered, added by ``_add_generator``; in a group each new one at least
     doubles the cover, so there are at most log2(n) of them."""
-    covered = np.zeros(table.shape[0], dtype=bool)
+    covered = np.zeros(n, dtype=bool)
     covered[0] = True
     gens: list[int] = []
     while (left := seed[~covered[seed]]).size:
-        if not _add_generator(table, covered, gens, int(left[0]), stop_inside):
+        if not _add_generator(products, covered, gens, int(left[0]), stop_inside):
             return None
     return covered
 
 
-def _add_generator(table: np.ndarray, covered: np.ndarray, gens: list[int], g: int,
+def _add_generator(products: Products, covered: np.ndarray, gens: list[int], g: int,
                    stop_inside: np.ndarray | None = None) -> bool:
     """Grow ``covered``, closed under right products with ``gens``, by the
     generator g: the BFS step of Dimino's algorithm (Butler, Fundamental
@@ -403,25 +426,25 @@ def _add_generator(table: np.ndarray, covered: np.ndarray, gens: list[int], g: i
     o(g).  The chain stops at a square already covered or repeated, or after
     (n - 1).bit_length() members: at odd order the squares never reach 0."""
     chain: list[int] = []
-    while not covered[g] and g not in chain and len(chain) < (table.shape[0] - 1).bit_length():
+    while not covered[g] and g not in chain and len(chain) < (covered.size - 1).bit_length():
         chain.append(g)
-        g = int(table[g, g])
+        g = int(products[g, g])
     gens.extend(chain)
     frontier, by = np.flatnonzero(covered), chain
     while frontier.size:
-        frontier = _cover_round(table, covered, frontier, by, stop_inside)
+        frontier = _cover_round(products, covered, frontier, by, stop_inside)
         if frontier is None:
             return False
         by = gens
     return True
 
 
-def _cover_round(table: np.ndarray, covered: np.ndarray, frontier: np.ndarray, by: list[int],
+def _cover_round(products: Products, covered: np.ndarray, frontier: np.ndarray, by: list[int],
                  stop_inside: np.ndarray | None) -> np.ndarray | None:
     """One round of ``_add_generator``: the products x*h, x in ``frontier``
     and h in ``by``, not yet covered, marked covered and returned ascending;
     None when one of the products is outside ``stop_inside``."""
-    prods = table[np.ix_(frontier, by)].ravel()
+    prods = products[frontier[:, None], np.asarray(by)].ravel()
     if stop_inside is not None and not stop_inside[prods].all():
         return None
     new = np.unique(prods[~covered[prods]])
@@ -429,17 +452,17 @@ def _cover_round(table: np.ndarray, covered: np.ndarray, frontier: np.ndarray, b
     return new
 
 
-def _power(table: np.ndarray, e: int) -> np.ndarray:
-    """x -> x^e for every element at once, by repeated squaring on indices."""
-    n = table.shape[0]
+def _power(products: Products, n: int, e: int) -> np.ndarray:
+    """x -> x^e for every element of the order-n group whose ``products``
+    are given (see ``_products``) at once, by repeated squaring on indices."""
     result = np.zeros(n, dtype=np.int32)
     base = np.arange(n, dtype=np.int32)
     while e:
         if e & 1:
-            result = table[result, base]
+            result = products[result, base]
         e >>= 1
         if e:
-            base = table[base, base]
+            base = products[base, base]
     return result
 
 
@@ -449,7 +472,7 @@ def _compute_orders(table: np.ndarray) -> np.ndarray:
     n = table.shape[0]
     orders = np.zeros(n, dtype=np.int64)
     for d in (d for d in range(1, n + 1) if n % d == 0):
-        orders[(orders == 0) & (_power(table, d) == 0)] = d
+        orders[(orders == 0) & (_power(table, n, d) == 0)] = d
         if orders.all():
             return orders
     raise TableFormatError(
@@ -477,8 +500,8 @@ def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> F
     associativity, orders dividing n) unless ``orders`` is given: only this
     module's constructors and ``quotient`` give them, with an int32 table
     that is a group by construction, and the table is wrapped as it is.  An
-    atom's is pending: a function of no arguments that writes the table on
-    its first read (see ``FiniteGroup``).  The last three checks decide
+    atom gives its law in the table's place instead, whose table is written
+    on its first read (see ``FiniteGroup``).  The last three checks decide
     group-ness, identity first as Light's test grows its cover from index 0:
     when they pass, each x has x^(o(x)-1) as an inverse.
     A group is latin, so a non-latin table fails one of them, and the latin
@@ -497,15 +520,194 @@ def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> F
     return _frozen_group(name, arr, orders)
 
 
-def _frozen_group(name: str, table: np.ndarray | Callable[[], np.ndarray], orders: np.ndarray,
-                  factors: tuple[FiniteGroup, ...] = ()) -> FiniteGroup:
-    """A table, or the pending write of one, and its element orders as a
-    group, the orders and a written table made read-only; ``factors`` are a
-    direct product's, held until its table is written."""
+def _frozen_group(name: str, held: np.ndarray | Law, orders: np.ndarray) -> FiniteGroup:
+    """A table, or an atom's or a direct product's law, and its element
+    orders as a group, the orders and a table made read-only."""
     orders.flags.writeable = False
-    if not callable(table):
-        table.flags.writeable = False
-    return FiniteGroup(name=name, element_orders=orders, _table=table, _factors=factors)
+    if isinstance(held, np.ndarray):
+        held.flags.writeable = False
+        return FiniteGroup(name=name, element_orders=orders, _table=held)
+    return FiniteGroup(name=name, element_orders=orders, _table=None, _law=held)
+
+
+# ---------------------------------------------------------------------------
+# multiplication laws
+#
+# A law reads the products x*y of two broadcastable index arrays as
+# ``law[x, y]``, in int32, as a table does; ``write()`` returns its whole
+# table, and ``is_abelian`` is decided from its parameters.
+
+
+def _products(group: FiniteGroup) -> Products:
+    """What the group's products x*y are read from, as ``[x, y]``: its law
+    while its table is unwritten and would hold more than one row block
+    (n^2 > ``_BLOCK_ENTRIES``, so n >= 1025), else its table, written on this
+    read if it was not.  Below one block a gather from the table costs less
+    than the law, and a written table is read as it is.  A reader that reads
+    many blocks takes this once and indexes it for each."""
+    if group._table is None and group.order ** 2 > _BLOCK_ENTRIES:
+        return group._law
+    return group.table
+
+
+def _mul(group: FiniteGroup, x, y) -> np.ndarray:
+    """The products x*y of two broadcastable index arrays of ``group``."""
+    return _products(group)[x, y]
+
+
+class _Metacyclic:
+    """The law of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> (King 1973), of
+    order m*s when r^s = 1 and t(r - 1) = 0 mod m, with a^i b^e at e*m + i:
+    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + i2 r^-e1 + t[e1 + e2 >= s]) b^((e1 + e2) mod s).
+    ``transposed`` is, for r^2 = 1, the layout with b^e a^i at e*m + i:
+    b^e1 a^i1 * b^e2 a^i2 = b^((e1 + e2) mod s) a^(i1 r^-e2 + t[e1 + e2 >= s] + i2),
+    the same formula with the two factors swapped.  So the factor whose
+    b-exponent twists the other's a-exponent, the twisted factor here, is x
+    in the first layout and y when transposed.
+
+    An outer product ``law[rows[:, None], cols]`` of more than ``_gathers``
+    entries is read by ``outer``; any other pair of index arrays entry by
+    entry.  The laws are plain classes: a dataclass costs about 1 ms more of
+    every import."""
+
+    def __init__(self, m: int, s: int, t: int, r: int, transposed: bool = False):
+        self.m, self.s, self.t, self.r, self.transposed = m, s, t, r, transposed
+
+    @functools.cached_property
+    def _twist(self) -> np.ndarray:
+        """[e, i]: i r^-e mod m."""
+        powers = [pow(self.r, -e, self.m) for e in range(self.s)]
+        return (np.outer(powers, np.arange(self.m)) % self.m).astype(np.int32)
+
+    @property
+    def is_abelian(self) -> bool:
+        """a and b commute exactly when a^r = a."""
+        return (self.r - 1) % self.m == 0
+
+    def write(self) -> np.ndarray:
+        return _metacyclic_table(self.m, self.s, self.t, self.r, transposed=self.transposed)
+
+    def __getitem__(self, key) -> np.ndarray:
+        x, y = (np.asarray(k) for k in key)
+        if x.ndim == 2 and x.shape[1] == 1 and y.ndim == 1 and not _gathers(x.size * y.size):
+            return self.outer(x[:, 0], y)
+        if self.transposed:
+            x, y = y, x
+        m, s = self.m, self.s
+        e1, i1 = np.divmod(x, m)
+        e2, i2 = np.divmod(y, m)
+        e = e1 + e2
+        return (e % s * m + (i1 + self._twist[e1, i2] + self.t * (e >= s)) % m).astype(np.int32)
+
+    def outer(self, rows: np.ndarray, cols: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """The products rows[j] * cols[k] at [j, k], for 1-D index arrays in
+        any order, written to ``out`` when it is given.
+
+        It runs once per b-exponent v of the twisted factor, over its
+        elements a^i b^v against every element a^i' b^e' of the other: the
+        product's index is (i + (i' r^-v + t[v + e' >= s]) mod m) mod m
+        + ((v + e') mod s) m.  That is one outer add of two terms in [0, m),
+        reduced by min(u, u - m) on an unsigned view with no division, and
+        one add of the offset.  Those elements are rows (columns when
+        transposed) of the block, written in place when they are adjacent, as
+        they are in ascending indices."""
+        m, s = self.m, self.s
+        if out is None:
+            out = np.empty((rows.size, cols.size), dtype=np.int32)
+        twisted, other = (cols, rows) if self.transposed else (rows, cols)
+        e_twisted, i_twisted = np.divmod(twisted, m)
+        e_other, i_other = np.divmod(other, m)
+        i_twisted = i_twisted.astype(np.int32)
+        v = np.arange(s)[:, None]
+        terms = ((self._twist[:, i_other] + self.t * (v + e_other >= s)) % m).astype(np.int32)
+        offsets = ((v + e_other) % s * m).astype(np.int32)
+        for v, term, offset in zip(range(s), terms, offsets):
+            at = np.flatnonzero(e_twisted == v)
+            if not at.size:
+                continue
+            adjacent = at[-1] - at[0] + 1 == at.size
+            if adjacent:
+                at = slice(at[0], at[-1] + 1)
+            if self.transposed:
+                index, row, col = (slice(None), at), term[:, None], i_twisted[at]
+                offset = offset[:, None]
+            else:
+                index, row, col = at, i_twisted[at, None], term
+            block = out[index] if adjacent else np.empty((row.shape[0], col.shape[-1]), np.int32)
+            np.add(row, col, out=block)
+            u = block.view(np.uint32)
+            np.minimum(u, u - m, out=u)  # u - m wraps past u when u < m
+            block += offset
+            if not adjacent:
+                out[index] = block
+        return out
+
+
+class _Heisenberg:
+    """The law of the unitriangular 3x3 matrices over Z/p, p an odd prime:
+    triples (a, b, c) at index a*p^2 + b*p + c, with
+    (a1, b1, c1) * (a2, b2, c2) = (a1 + a2, b1 + b2, c1 + c2 + a1*b2) mod p,
+    read on the digits of the indices."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    @property
+    def is_abelian(self) -> bool:
+        """Never: (1, 0, 0) * (0, 1, 0) = (1, 1, 1), (0, 1, 0) * (1, 0, 0) = (1, 1, 0)."""
+        return False
+
+    def write(self) -> np.ndarray:
+        return _heisenberg_table(self.p)
+
+    def __getitem__(self, key) -> np.ndarray:
+        p = self.p
+        x, y = (np.asarray(k, dtype=np.int32) for k in key)
+        a1, b1, c1 = x // (p * p), x // p % p, x % p
+        a2, b2, c2 = y // (p * p), y // p % p, y % p
+        return ((a1 + a2) % p * p + (b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+
+
+class _Product:
+    """The law of the direct product of ``factors``, lexicographic, left
+    factor major: the index of x*y is sum_j f_j[x_j, y_j] * s_j, with x_j the
+    j-th digit of x in the mixed radix of the factors' orders and s_j the
+    place value of that digit.  Each factor's products are read by
+    ``_products``, so a factor that is itself over one row block is read from
+    its own law, at any depth, and no table over one block is written."""
+
+    def __init__(self, factors: tuple[FiniteGroup, ...]):
+        self.factors = factors
+
+    @property
+    def is_abelian(self) -> bool:
+        return all(f.is_abelian for f in self.factors)
+
+    def write(self) -> np.ndarray:
+        return _product(self.factors)
+
+    def __getitem__(self, key) -> np.ndarray:
+        x, y = (np.asarray(k) for k in key)
+        outer = x.ndim == 2 and x.shape[1] == 1 and y.ndim == 1
+        block = None
+        place = math.prod(f.order for f in self.factors)
+        for f in self.factors:
+            place //= f.order
+            products = _products(f)
+            x_f, y_f = x // place % f.order, y // place % f.order
+            if outer and isinstance(products, np.ndarray):
+                # the factor's rows, scaled, then their columns: two passes
+                # that cost less than one gather of both indices at once
+                term = np.take(products[x_f[:, 0]] * place, y_f, axis=1)
+            else:
+                term = products[x_f, y_f]
+                term *= place
+            if block is None:
+                block = term
+            else:
+                block += term
+        return block
 
 
 # ---------------------------------------------------------------------------
@@ -533,39 +735,14 @@ def _check_order_limit(k: int) -> None:
 
 
 def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = False) -> np.ndarray:
-    """Table of <a, b | a^m = 1, b^s = a^t, b^-1 a b = a^r> (King 1973), of
-    order m*s when r^s = 1 and t(r - 1) = 0 mod m, with a^i b^e at e*m + i:
-    a^i1 b^e1 * a^i2 b^e2 = a^(i1 + i2 r^-e1 + t[e1 + e2 >= s]) b^((e1 + e2) mod s).
-    ``transposed`` is, for r^2 = 1, the table with b^e a^i at e*m + i:
-    b^e1 a^i1 * b^e2 a^i2 = b^((e1 + e2) mod s) a^(i1 r^-e2 + t[e1 + e2 >= s] + i2).
-
-    The rows of each e1 slab are written in row blocks of whole rows
-    (``_row_blocks``) with no division: entry (e1, i1; e2, i2) is
-    (row term + column term) mod m + ((e1 + e2) mod s) m, both terms in
-    [0, m), so the sum u is reduced by min(u, u - m) on unsigned views.
-    The row term is i1, or i1 r^-e2 + t[e1 + e2 >= s] mod m when transposed;
-    the column term is the rest."""
-    n = m * s
-    table = np.empty((n, n), dtype=np.int32)
-    i = np.arange(m, dtype=np.int32)
-    e = np.arange(s)
-    twisted = np.outer([pow(r, -x, m) for x in range(s)], np.arange(m)) % m  # [e, i]: i r^-e mod m
-    for e1 in range(s):
-        carry = t * (e1 + e >= s)
-        if transposed:
-            row_term = ((twisted.T + carry) % m).astype(np.int32)[:, :, None]
-            col_term = i
-        else:
-            row_term = i[:, None, None]
-            col_term = ((twisted[e1] + carry[:, None]) % m).astype(np.int32)
-        offset = ((e1 + e) % s * m).astype(np.int32)[:, None]
-        slab = table[e1 * m:(e1 + 1) * m].reshape(m, s, m)  # [i1, e2, i2]
-        for rows in _row_blocks(m, n):
-            block = slab[rows]
-            np.add(row_term[rows], col_term, out=block)
-            u = block.view(np.uint32)
-            np.minimum(u, u - m, out=u)  # u - m wraps past u when u < m
-            block += offset
+    """The table of ``_Metacyclic(m, s, t, r, transposed)``: its ``outer``,
+    written in place one row block of whole rows (``_row_blocks``) at a
+    time, so the write holds the table and one block's temporary."""
+    law = _Metacyclic(m, s, t, r, transposed)
+    index = np.arange(m * s)
+    table = np.empty((index.size, index.size), dtype=np.int32)
+    for rows in _row_blocks(index.size, index.size):
+        law.outer(index[rows], index, out=table[rows])
     return table
 
 
@@ -590,13 +767,12 @@ def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
 
 def _metacyclic_group(name: str, m: int, s: int, t: int, r: int, *,
                       transposed: bool = False) -> FiniteGroup:
-    """The group of ``_metacyclic_table(m, s, t, r, transposed=...)``, its
+    """The group of the law ``_Metacyclic(m, s, t, r, transposed)``, its
     order m*s checked first, with ``_metacyclic_orders`` of the same
     parameters and layout and its table written on first read."""
     _check_order_limit(m * s)
-    return group_from_table(
-        name, functools.partial(_metacyclic_table, m, s, t, r, transposed=transposed),
-        orders=_metacyclic_orders(m, s, t, r, transposed=transposed))
+    return group_from_table(name, _Metacyclic(m, s, t, r, transposed),
+                            orders=_metacyclic_orders(m, s, t, r, transposed=transposed))
 
 
 def cyclic_group(k: int) -> FiniteGroup:
@@ -625,21 +801,20 @@ def quaternion_group(k: int) -> FiniteGroup:
 
 def heisenberg_group(k: int) -> FiniteGroup:
     """Extraspecial group of order k = p^3 and exponent p, for odd prime p:
-    ``_heisenberg_table(p)``, written on first read.  Its orders are 1 at the
-    identity and p everywhere else."""
+    the law ``_Heisenberg(p)``, its table written on first read by
+    ``_heisenberg_table(p)``.  Its orders are 1 at the identity and p
+    everywhere else."""
     p, j = prime_power(k) or (0, 0)
     _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
     orders = np.full(k, p, dtype=np.int64)
     orders[0] = 1
-    return group_from_table(f"H{k}", functools.partial(_heisenberg_table, p), orders=orders)
+    return group_from_table(f"H{k}", _Heisenberg(p), orders=orders)
 
 
 def _heisenberg_table(p: int) -> np.ndarray:
-    """Table of the unitriangular 3x3 matrices over Z/p: triples (a, b, c)
-    with (a1,b1,c1)*(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2), index
-    a*p^2 + b*p + c.  Not metacyclic: one broadcast sum of two p^4-entry
-    terms over a (p,)*6 view."""
+    """The table of ``_Heisenberg(p)``.  Not metacyclic: one broadcast sum of
+    two p^4-entry terms over a (p,)*6 view."""
     a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(p, dtype=np.int32)] * 6)
     table = np.empty((p,) * 6, dtype=np.int32)
     np.add(((a1 + a2) % p * p + (b1 + b2) % p) * p, (c1 + c2 + a1 * b2) % p, out=table)
@@ -664,52 +839,15 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     The whole order is checked against the table size limit and physical
     memory first.  The orders are then folded from the factors', left to
     right, o((a1, b1)) = lcm(o(a1), o(b1)) at index a1 * |B| + b1, not
-    computed.  The group holds its factors, and ``_product`` of them as the
-    pending write of its table, so what reads only the orders never builds
-    the table.
+    computed.  The group holds its factors' law, ``_Product``, whose table
+    ``_product`` writes on first read, so what reads only the orders never
+    builds the table.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
     orders = functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(),
                               [g.element_orders for g in factors])
-    return _frozen_group("*".join(g.name for g in factors), functools.partial(_product, factors),
-                         orders, factors)
-
-
-def _unwritten_factors(group: FiniteGroup) -> tuple[FiniteGroup, ...]:
-    """The factors of order above 1 of a direct product whose table is not
-    yet written and holds more than one row block (n^2 > ``_BLOCK_ENTRIES``),
-    else ().  An order-1 factor's only index is 0, so dropping it leaves
-    every other factor's place value, and the index of every element, as
-    they are.
-
-    The omega filtration and the CP2 pair scan of such a product read these
-    factors instead of writing the table.  Below one block writing the table
-    costs less than reading each factor, and a written table is read as it
-    is: a product drops its factors when its table is written."""
-    if group.order ** 2 <= _BLOCK_ENTRIES:
-        return ()
-    return tuple(f for f in group._factors if f.order > 1)
-
-
-def _pair_block(group: FiniteGroup, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``group.table[np.ix_(rows, cols)]``, the products x*y for x in ``rows``
-    and y in ``cols``.  For a product with ``_unwritten_factors``, it is read
-    from the factors, as index sum_j t_j[x_j, y_j] * s_j, with x_j the j-th
-    digit of x in the mixed radix of the factors' orders and s_j the place
-    value of that digit.  A factor that is itself such a product is read the
-    same way, so no table over one block is written at any depth."""
-    factors = _unwritten_factors(group)
-    if not factors:
-        return group.table[np.ix_(rows, cols)]
-    block = np.zeros((rows.size, cols.size), dtype=np.int32)
-    place = group.order
-    for f in factors:
-        place //= f.order
-        term = _pair_block(f, rows // place % f.order, cols // place % f.order)
-        term *= place
-        block += term
-    return block
+    return _frozen_group("*".join(g.name for g in factors), _Product(factors), orders)
 
 
 def _product(factors: tuple[FiniteGroup, ...]) -> np.ndarray:
@@ -768,7 +906,7 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
     e = _integer(e, "exponent")
     if e < 0:
         raise GroupError("exponent must be nonnegative")
-    return _power(group.table, e % group.order)
+    return _power(_products(group), group.order, e % group.order)
 
 
 def closure(group: FiniteGroup, seed) -> Subgroup:
@@ -787,32 +925,33 @@ def closure(group: FiniteGroup, seed) -> Subgroup:
     inside = np.zeros(group.order, dtype=bool)
     inside[0] = True
     inside[seed] = True
+    products = _products(group)
     while True:
         cur = np.flatnonzero(inside)
         try:
             return Subgroup(group, tuple(cur.tolist()))
         except GroupError:
-            if _gathers(cur.size):
-                inside[group.table[np.ix_(cur, cur)]] = True
+            if _gathers(cur.size ** 2):
+                inside[products[cur[:, None], cur]] = True
             else:
-                inside = _cover(group.table, cur)
+                inside = _cover(products, group.order, cur)
 
 
 def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:
     """min(xN) (``left``) or min(Nx) for every x in N.parent, one row block
     at a time: min(xN) over blocks of rows x of the columns N, min(Nx) as a
     running minimum over blocks of N's rows."""
-    table = sub.parent.table
+    products = _products(sub.parent)
     mem = np.asarray(sub.members, dtype=np.int64)
-    n = table.shape[0]
+    index = np.arange(sub.parent.order)
     if left:
-        out = np.empty(n, dtype=table.dtype)
-        for rows in _row_blocks(n, mem.size):
-            out[rows] = np.take(table[rows], mem, axis=1).min(axis=1)
+        out = np.empty(index.size, dtype=np.int32)
+        for rows in _row_blocks(index.size, mem.size):
+            out[rows] = products[index[rows, None], mem].min(axis=1)
         return out
-    out = np.full(n, n, dtype=table.dtype)
-    for rows in _row_blocks(mem.size, n):
-        np.minimum(out, table[mem[rows]].min(axis=0), out=out)
+    out = np.full(index.size, index.size, dtype=np.int32)
+    for rows in _row_blocks(mem.size, index.size):
+        np.minimum(out, products[mem[rows, None], index].min(axis=0), out=out)
     return out
 
 
@@ -845,9 +984,10 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     rep = _coset_minima(normal, left=False)
     reps = np.unique(rep)
     coset_of = np.searchsorted(reps, rep).astype(np.int32)
+    products = _products(group)
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)
     for rows in _row_blocks(reps.size, reps.size):
-        qtable[rows] = coset_of[group.table[np.ix_(reps[rows], reps)]]
+        qtable[rows] = coset_of[products[reps[rows, None], reps]]
     kept = group_from_table(f"{group.name}/{len(normal)}", qtable, orders=_compute_orders(qtable))
     group._quotients[normal.members] = kept
     return kept

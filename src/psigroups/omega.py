@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, NotPGroupError, Subgroup, _indices, _integer,
-                     _unwritten_factors, closure, power_map, prime_power)
+                     _Product, _products, closure, power_map, prime_power)
 
 
 @dataclass(frozen=True)
@@ -129,20 +129,21 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
     where exp(G) = p^m.
 
     Each level is ``omega_set`` and its ``closure``; for a direct product
-    with ``_unwritten_factors`` (its table unwritten and over one row block)
-    the levels are folded from the factors' filtrations instead, and the
-    table stays unwritten (``_product_levels``).  The prime and exponent are
-    read from the group's orders first either way, so a group that is not a
-    p-group is refused with the same error.
+    whose products are read from its law (``_products``: its table unwritten
+    and over one row block) the levels are folded from the factors'
+    filtrations instead (``_product_levels``).  Neither route writes a table
+    over one block.  The prime and exponent are read from the group's orders
+    first either way, so a group that is not a p-group is refused with the
+    same error.
 
     Computed once per group instance and kept on it (the table cannot
     change), so every later call returns the same object.
     """
     if group._filtration is None:
         p, m = exponent_log(group)
-        factors = _unwritten_factors(group)
-        if factors:
-            levels = _product_levels(factors, m)
+        products = _products(group)
+        if isinstance(products, _Product):
+            levels = _product_levels(products.factors, m)
         else:
             levels = []
             for i in range(m + 1):
@@ -162,7 +163,9 @@ def _product_levels(factors: tuple[FiniteGroup, ...], m: int) -> list[OmegaLevel
     Omega_i(A x B) = Omega_i(A) x Omega_i(B) and both sizes multiply.  The
     members are the index sums a * |B| + b over both factors' members, left
     factor major, so ascending.  A factor above its own top level
-    contributes its top level, the whole factor."""
+    contributes its top level, the whole factor; an order-1 factor, whose
+    only index is 0, is left out, as it has no prime."""
+    factors = [f for f in factors if f.order > 1]
     filtrations = [omega_filtration(f) for f in factors]
     levels = []
     for i in range(m + 1):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import Catalog, CatalogEntry
 from .cp2 import _first_pair, cp2_from_filtration, is_cp2_pairwise
-from .groups import OmegaChainError, quotient
+from .groups import OmegaChainError, _mul, quotient
 from .omega import omega_filtration, omega_subgroup
 from .psi import (
     OrderDecision,
@@ -120,7 +120,7 @@ def _check_max_order_law(cat: Catalog) -> TheoremReport:
             x, y = pair
             orders = entry.group.element_orders
             detail = (f"o(x)={int(orders[x])}, o(y)={int(orders[y])}, "
-                      f"o(xy)={int(orders[entry.group.table[x, y]])} at ({x},{y})")
+                      f"o(xy)={int(orders[_mul(entry.group, x, y)])} at ({x},{y})")
         tally.record(entry.name, applicable=True, ok=pair is None, detail=detail)
     return tally.report()
 

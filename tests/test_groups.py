@@ -107,6 +107,19 @@ def test_built_groups_are_groups(name):
         assert power_map(g, e).tolist() == [naive_power(t, x, e) for x in range(g.order)]
 
 
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_is_abelian_from_the_law_is_the_transpose_compare(name):
+    # an atom or product decides it from its law, with no table written; the
+    # same table wrapped from outside has no law and compares its transpose
+    g = group_from_text(name)
+    abelian = g.is_abelian
+    assert g._table is None
+    table = g.table
+    assert abelian == np.array_equal(table, table.T)
+    assert group_from_table(name, table).is_abelian == abelian
+
+
 @pytest.mark.parametrize("left, right", [("D8", "Q8"), ("C3", "H27"), ("M16", "C2"), ("C1", "D8")])
 def test_direct_product_multiplies_componentwise(left, right):
     a, b = group_from_text(left), group_from_text(right)

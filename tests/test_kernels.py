@@ -48,6 +48,7 @@ from psigroups import (
     serialize_group,
 )
 from psigroups.catalog import DEFAULT_CATALOGS, catalog_names, make_entry
+from psigroups import cli
 from psigroups.cli import cli_main
 from psigroups.verify import _check_max_order_law
 from oracle import (
@@ -240,11 +241,11 @@ def test_a_product_table_read_later_has_the_eager_bytes(name):
     # the order and the orders come without the table
     assert g.order == math.prod(f.order for f in factors)
     assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g.element_orders)
-    assert callable(g._table) and len(g._factors) == len(factors)
+    assert g._table is None and len(g._law.factors) == len(factors)
     table = g.table
     _same_bytes(table, functools.reduce(whole_direct_product_table, (f.table for f in factors)))
-    # written once: read-only, the same object on every read, the factors dropped
-    assert not table.flags.writeable and g.table is table and g._factors == ()
+    # written once: read-only, the same object on every read, the law dropped
+    assert not table.flags.writeable and g.table is table and g._law is None
     with pytest.raises(ValueError):
         table[0, 0] = 1
 
@@ -341,7 +342,8 @@ def test_orders_take_at_most_one_power_per_divisor(monkeypatch, name, divisors):
     table = group_from_text(name).table
     exponents = []
     power = groups._power
-    monkeypatch.setattr(groups, "_power", lambda table, e: exponents.append(e) or power(table, e))
+    monkeypatch.setattr(groups, "_power",
+                        lambda products, n, e: exponents.append(e) or power(products, n, e))
     orders = groups._compute_orders(table)
     assert len(exponents) <= divisors
     # the divisors of n in ascending order, up to the largest order (here the exponent)
@@ -363,7 +365,8 @@ def test_subgroup_group_reads_its_orders_from_the_parent(name, data):
     sub = closure(g, seed)
     exponents = []
     power = groups._power
-    with patch.object(groups, "_power", lambda table, e: exponents.append(e) or power(table, e)):
+    with patch.object(groups, "_power",
+                      lambda products, n, e: exponents.append(e) or power(products, n, e)):
         h = sub.as_group()
     assert exponents == []
     expected = stepwise_orders(h.table)
@@ -553,7 +556,7 @@ def test_omega_filtration_from_the_factors_is_the_table_route(name):
         want = _levels(reference)
         for g in unwritten:
             assert _levels(g) == want
-            assert "*" not in name or callable(g._table)
+            assert "*" not in name or g._table is None
 
 
 @given(group_names)
@@ -564,7 +567,7 @@ def test_cp2_witness_from_the_factors_is_the_table_route(name):
         want = is_cp2_pairwise(reference)
         for g in unwritten:
             assert is_cp2_pairwise(g) == want
-            assert "*" not in name or callable(g._table)
+            assert "*" not in name or g._table is None
 
 
 @given(same_order_p_group_pairs)
@@ -574,7 +577,106 @@ def test_predict_order_from_the_factors_is_the_table_route(pair):
         (p_group, *_), p_ref = _read_from_factors(pair[0])
         (q_group, *_), q_ref = _read_from_factors(pair[1])
         assert predict_order(p_group, q_group) == predict_order(p_ref, q_ref)
-        assert all(callable(g._table) for g in (p_group, q_group) if "*" in g.name)
+        assert all(g._table is None for g in (p_group, q_group) if "*" in g.name)
+
+
+# --- products read from the law ---------------------------------------------------
+# At _BLOCK_ENTRIES = 1 every group of order 2 or more is over one row block, so
+# while its table is unwritten every reader reads its products from its law: an
+# atom's from its formula, a product's from its factors, whose digits of
+# ascending indices are not ascending themselves.  The reference is the same
+# group with its table written first, read by the table route.
+
+UNSORTED_DIGITS = ["Q16*D6", "D8*C3*C4", "H27*C3"]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except GroupError as exc:
+        return type(exc), str(exc)
+
+
+def _every_reader(g, seeds):
+    """What each product reader returns for g and subgroups grown from
+    ``seeds``: powers, closures, the subgroup check on closed and traded
+    sets, subgroup tables, the filtration's members, the CP2 witness,
+    normality and quotient tables."""
+    n = g.order
+    subs = [closure(g, seed) for seed in seeds]
+    traded = [sub.members[:-1] + (n - 1,) for sub in subs
+              if 1 < len(sub) and n - 1 not in sub.members]
+    return {
+        "power": [power_map(g, e).tobytes() for e in (2, 3, n - 1, n + 1)],
+        "closure": [sub.members for sub in subs],
+        "subgroup": [_outcome(lambda m=m: Subgroup(g, m).members) for m in traded],
+        "as_group": [sub.as_group().table.tobytes() for sub in subs],
+        "omega": _levels(g),
+        "cp2": is_cp2_pairwise(g),
+        "normal": [is_normal(sub) for sub in subs],
+        "quotient": [quotient(sub).table.tobytes() for sub in subs if is_normal(sub)],
+    }
+
+
+@given(st.one_of(group_names, st.sampled_from(UNSORTED_DIGITS)),
+       st.lists(st.lists(st.integers(0, 95), max_size=3), min_size=1, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_every_reader_of_the_law_route_matches_the_table_route(name, seeds):
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        g, reference = group_from_text(name), group_from_text(name)
+        seeds = [[x % g.order for x in seed] for seed in seeds]
+        reference.table
+        want = _every_reader(reference, seeds)
+        assert _every_reader(g, seeds) == want
+        assert g.order == 1 or g._table is None
+
+
+@pytest.mark.parametrize("name", ["C2048", "D4096", "Q2048", "M4096", "M2187", "H2197", "H1331",
+                                  "C2*M2048", "C2*D2048"])
+def test_law_products_are_the_table_products(name):
+    # random indices, repeated and in any order, as outer products above and
+    # below _gathers, entry by entry and as single elements
+    g = group_from_text(name)
+    n = g.order
+    rng = np.random.default_rng(n)
+    pairs = [(int(rng.integers(n)), int(rng.integers(n)))]
+    for k, l in ((1, 1), (7, 5), (90, 150), (300, 200), (600, 3000)):
+        x, y = rng.integers(0, n, k), rng.integers(0, n, l)
+        pairs += [(x[:, None], y), (np.sort(x)[:, None], np.sort(y)), (x, rng.integers(0, n, k))]
+    products = [groups._mul(g, x, y) for x, y in pairs]
+    assert g._table is None
+    table = g.table
+    for (x, y), got in zip(pairs, products):
+        assert np.asarray(got).dtype == np.int32
+        np.testing.assert_array_equal(got, table[x, y])
+
+
+_ATOMS_AT_THE_LIMIT = ("C4096", "D4096", "Q4096", "M4096", "H2197")
+
+
+@pytest.mark.parametrize("argv", [(command, name) for name in _ATOMS_AT_THE_LIMIT
+                                  for command in ("omega", "cp2")]
+                         + [("compare", "C4096", "M4096"), ("compare", "D4096", "Q4096"),
+                            ("compare", "H2197", "M2197")],
+                         ids=" ".join)
+def test_omega_cp2_and_compare_of_an_atom_at_the_limit_write_no_table(capsys, monkeypatch, argv):
+    # each product is read from the atom's law, so its 19-64 MB table is never
+    # written; the reference is the table route, each table written first
+    command, *names = argv
+    reference = [group_from_text(name) for name in names]
+    for g in reference:
+        g.table
+    render = cli._render_compare if command == "compare" else cli._RENDERERS[command]
+    want = render(*reference)
+    del reference
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("omega, cp2 and compare of an atom write no table")
+    for writer in ("_metacyclic_table", "_heisenberg_table", "_product"):
+        monkeypatch.setattr(groups, writer, refuse)
+    code, peak = _peak_bytes(lambda: cli_main(list(argv)))
+    assert (code, capsys.readouterr().out) == (0, want)
+    assert peak <= 16 * MB
 
 
 @pytest.mark.parametrize("block", BLOCK_ENTRIES)
@@ -772,7 +874,7 @@ def test_heisenberg_build_holds_the_table_and_small_terms():
 def test_building_an_atom_at_the_limit_writes_no_table(name):
     # the closed-form orders are 32 KB at most; the table waits for its first read
     g, peak = _peak_bytes(lambda: group_from_text(name))
-    assert callable(g._table)
+    assert g._table is None
     assert peak <= MB
 
 
@@ -868,7 +970,8 @@ def test_pair_scan_of_m4096_holds_half_a_full_scan():
 def _record_power_exponents(monkeypatch) -> list[int]:
     seen = []
     power = groups._power
-    monkeypatch.setattr(groups, "_power", lambda table, e: seen.append(e) or power(table, e))
+    monkeypatch.setattr(groups, "_power",
+                        lambda products, n, e: seen.append(e) or power(products, n, e))
     return seen
 
 
@@ -877,7 +980,7 @@ def test_power_map_takes_the_exponent_mod_the_order(monkeypatch, name):
     # x^n = 1 by Lagrange, so the kernel never needs an exponent of n or more
     g = group_from_text(name)
     e = 2**4096 + 3
-    unbounded = groups._power(g.table, e)
+    unbounded = groups._power(g.table, g.order, e)
     seen = _record_power_exponents(monkeypatch)
     _same_bytes(power_map(g, e), unbounded)
     assert seen and all(k < g.order for k in seen)
@@ -897,7 +1000,7 @@ def test_power_map_depends_on_the_exponent_mod_the_order(name, e):
     g = group_from_text(name)
     result = power_map(g, e)
     _same_bytes(result, power_map(g, e % g.order))
-    _same_bytes(result, groups._power(g.table, e))
+    _same_bytes(result, groups._power(g.table, g.order, e))
 
 
 @pytest.mark.parametrize("name", ["D8", "Q16*C2", "M27*C3", "C3*D8"])
@@ -936,8 +1039,10 @@ def test_coset_minima_do_not_depend_on_the_block_size(monkeypatch, block, name):
 
 
 def test_coset_minima_at_order_4096_hold_one_block():
-    # Omega_(m-1)(D2048*C2) is the whole group: an n x |N| gather held 64 MB
+    # Omega_(m-1)(D2048*C2) is the whole group: an n x |N| gather held 64 MB.
+    # The minima are gathered from the table, written before tracing
     g = group_from_text("D2048*C2")
+    g.table
     sub = omega_subgroup(g, exponent_log(g)[1] - 1)
     assert len(sub) == g.order
     normal, peak = _peak_bytes(lambda: is_normal(sub))

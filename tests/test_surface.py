@@ -11,10 +11,12 @@ else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
 
-Two more guards on the surface: only ``groups.py`` passes ``orders`` to
-``group_from_table``, the argument that skips validation, and ``expr.py``
-takes no private name from ``groups`` but the two limit checks, so each
-atom family's parameters, layout and orders stay in ``groups.py`` alone.
+Three more guards on the surface: only ``groups.py`` passes ``orders`` to
+``group_from_table``, the argument that skips validation; ``expr.py`` takes
+no private name from ``groups`` but the two limit checks, so each atom
+family's parameters, layout and orders stay in ``groups.py`` alone; and no
+other module reads a group's ``table``, so every product read elsewhere goes
+through ``groups._mul`` and its choice of the table or the law.
 """
 
 import ast
@@ -104,3 +106,11 @@ def test_expr_takes_no_family_decision_from_groups():
                      if isinstance(node, ast.ImportFrom) and node.module == "groups"
                      for alias in node.names if alias.name.startswith("_"))
     assert private == ["_check_order_limit", "_exceeds"]
+
+
+def test_only_the_groups_module_reads_a_table():
+    readers = sorted(f"{path.name}:{node.lineno}"
+                     for path in PACKAGE.glob("*.py") if path.name != "groups.py"
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr == "table")
+    assert readers == []
