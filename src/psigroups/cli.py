@@ -7,8 +7,9 @@ Every command on an expression builds its group, which writes its table only
 when the table is first read (see ``groups``): `psi` and `spectrum` read only
 the element orders, so they never write it, and of a group over one row
 block `omega`, `cp2` and `compare` read its products from its law and never
-write it either.  An expression and an imported file are rendered by the same
-renderers.
+write it either; `cp2` of such a direct product of one prime reads none of
+its own products, only each factor's CP2 decision.  An expression and an
+imported file are rendered by the same renderers.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 theorem violation from `verify`, 2 usage or input

@@ -10,6 +10,19 @@ or o(y) = M, then max(o(x), o(y)) = M >= o(xy) and the pair holds.  A
 violating pair therefore has both o(x) < M and o(y) < M, and scanning the
 elements of order below M against each other, in (x, y) order, finds the same
 first witness as scanning every pair.
+
+A direct product of p-groups of one prime is decided from its factors.  There
+o((a, b)) = lcm(o(a), o(b)) = max(o(a), o(b)), so a pair of the product
+violates exactly when some factor j has o(x_j y_j) above the order of every
+digit of x and y: that factor's own pair violates, and A x B is CP2 exactly
+when A and B are.  Let r be the rightmost failing factor and (x_r, y_r) its
+first witness.  A violating x has a nonzero digit at its violating factor,
+which is r or left of it, so x is at least x_r at r's place value.  At that
+x only r can violate, as x's other digits are the identity, so y's digit at
+r is at least y_r.  The first witness of the product is therefore (x_r, y_r)
+at r's place value, zeros elsewhere, with r's three orders.  With mixed
+primes lcm is not max (C32 x C33 fails at x=1, y=33), so such a product is
+scanned.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _mul, _products, _row_blocks
+from .groups import FiniteGroup, _mul, _Product, _products, _row_blocks, prime_power
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -41,18 +54,29 @@ class Cp2Report:
 
 def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, int] | None:
     """First pair (x, y), in (x, y) order, with ``violates(o(xy), o(x), o(y))``,
-    or None.  Both x and y range over ``among``, ascending indices.  The rule
-    is applied to int32 order arrays one row block at a time: o(xy) as a
-    block, o(x) as a column and o(y) as a row.  A block has as many rows as a
-    block of whole table rows, so it never holds more entries.  The products
-    are read by ``_products``, so a table over one row block is not written."""
+    or None.  Both x and y range over ``among``, ascending indices.
+
+    The rule is applied to order codes, not orders: each order is replaced by
+    its rank among the group's distinct orders, in the smallest unsigned dtype
+    that holds their count (one byte: every order divides n, and no n up to
+    the table limit has 256 divisors).  Ranks keep <, = and max, so a rule
+    built of these gives the same answer on codes as on orders.  One row
+    block at a time, the codes of the products xy are read with ``np.take``
+    as a block, those of x as a column and those of y as a row.  A scan
+    block has half as many rows as a block of whole table rows: ``np.take``
+    first copies the int32 products to intp, and at a whole block that copy
+    took M4096's scan to 7.5 MB by tracemalloc, where half a block holds it
+    under 4 MB.  The products are read by ``_products``, so a table over one
+    row block is not written."""
     if not among.size:
         return None  # nothing to scan reads no product, so writes no table
-    orders = group.element_orders.astype(np.int32)
-    scanned = orders[among]
+    distinct, codes = np.unique(group.element_orders, return_inverse=True)
+    codes = codes.astype(np.min_scalar_type(distinct.size))
+    scanned = codes[among]
     products = _products(group)
-    for rows in _row_blocks(among.size, group.order):
-        bad = violates(orders[products[among[rows, None], among]], scanned[rows, None], scanned)
+    for rows in _row_blocks(among.size, 2 * group.order):
+        block = np.take(codes, products[among[rows, None], among])
+        bad = violates(block, scanned[rows, None], scanned)
         if bad.any():
             r, c = divmod(int(np.flatnonzero(bad)[0]), among.size)
             return int(among[rows.start + r]), int(among[c])
@@ -70,18 +94,46 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     The pair products, the witness's included, are read by ``_mul``: from
     the table, or, for a group whose table is unwritten and over one row
     block, from its law (the metacyclic formula, the Heisenberg digits, or a
-    product's factors), so the scan never writes that table.  Both give the
-    same products, so the same first witness.
+    mixed-prime product's factors), so the scan never writes that table.
+    Both give the same products, so the same first witness.
+
+    A direct product read from its law (the size rule of
+    ``omega.omega_filtration``'s product route) whose order is a prime power
+    reads no pair of its own: each factor is decided by this function, from
+    the right, and the first that fails gives the witness at its place value
+    (``_factor_witness``; the lemma is in the module docstring).  Up to order
+    1024 a product is read from its table and scanned like any group.
     """
+    if prime_power(group.order) is not None:
+        # order 2 or more, so the scan below would read products too: taking
+        # the route writes no table the scan would not
+        law = _products(group)
+        if isinstance(law, _Product):
+            return _factor_witness(law.factors)
     orders = group.element_orders
     below_top = np.flatnonzero(orders < orders.max())
-    # o(xy) > max(o(x), o(y)) as two bool blocks: no int32 block for the maximum
+    # o(xy) > max(o(x), o(y)) as two bool blocks: no block for the maximum
     pair = _first_pair(group, lambda oxy, ox, oy: (oxy > ox) & (oxy > oy), below_top)
     if pair is None:
         return Cp2Report()
     x, y = pair
     xy = _mul(group, x, y)
     return Cp2Report(witness=(x, y, int(orders[x]), int(orders[y]), int(orders[xy])))
+
+
+def _factor_witness(factors: tuple[FiniteGroup, ...]) -> Cp2Report:
+    """The CP2 report of the direct product of ``factors``, p-groups of one
+    prime: the rightmost failing factor's witness, its x and y times that
+    factor's place value (the product of the orders to its right) and its
+    three orders kept, or CP2 when no factor fails."""
+    place = 1
+    for factor in reversed(factors):
+        witness = is_cp2_pairwise(factor).witness
+        if witness is not None:
+            x, y, *three = witness
+            return Cp2Report(witness=(x * place, y * place, *three))
+        place *= factor.order
+    return Cp2Report()
 
 
 def cp2_from_filtration(filtration: OmegaFiltration) -> Cp2Report:

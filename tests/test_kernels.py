@@ -570,6 +570,43 @@ def test_cp2_witness_from_the_factors_is_the_table_route(name):
             assert "*" not in name or g._table is None
 
 
+@pytest.mark.parametrize("name,witness", [
+    ("D16*Q16*C16", (128, 144, 4, 4, 8)),  # Q16's (8, 9) at place value 16
+    ("Q8*D8*C32", (128, 160, 2, 2, 4)),  # D8, the rightmost failing factor, at 32
+    ("C1*D2048*C2", (2048, 2050, 2, 2, 1024)),
+    ("C32*C33", (1, 33, 33, 32, 1056)),  # mixed primes: lcm is not max, so scanned
+])
+def test_cp2_of_a_product_at_the_limit_is_the_table_route(name, witness):
+    # the default block: each product is over one row block, so a same-prime
+    # one is decided from its factors and a mixed-prime one scans its law
+    g, reference = group_from_text(name), group_from_text(name)
+    report = is_cp2_pairwise(g)
+    assert g._table is None
+    reference.table
+    assert report == is_cp2_pairwise(reference)
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("name,witness", [("C64*C64", None), ("H27*C81", None),
+                                          ("D16*Q16*C16", (128, 144, 4, 4, 8))])
+def test_cp2_of_a_same_prime_product_reads_no_product_of_its_own(monkeypatch, name, witness):
+    # a pair scan of the product reads about 10^6 pairs through its law; the
+    # factors' tables, 81 x 81 at most, are written before the writers refuse
+    g = group_from_text(name)
+    for factor in g._law.factors:
+        factor.table
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CP2 of a same-prime product reads only its factors")
+    monkeypatch.setattr(groups._Product, "__getitem__", refuse)
+    for writer in ("_metacyclic_table", "_heisenberg_table", "_product"):
+        monkeypatch.setattr(groups, writer, refuse)
+    report, peak = _peak_bytes(lambda: is_cp2_pairwise(g))
+    assert report.witness == witness
+    assert g._table is None
+    assert peak <= MB
+
+
 @given(same_order_p_group_pairs)
 @settings(max_examples=40, deadline=None)
 def test_predict_order_from_the_factors_is_the_table_route(pair):
