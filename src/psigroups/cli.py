@@ -8,7 +8,8 @@ when the table is first read (see ``groups``): `psi` and `spectrum` read only
 the element orders, so they never write it, and of a group over one row
 block `omega`, `cp2` and `compare` read its products from its law and never
 write it either; `cp2` of such a direct product of one prime reads none of
-its own products, only each factor's CP2 decision.  An expression and an
+its own products, only the CP2 decisions of the two sides it was bracketed
+into when built.  An expression and an
 imported file are rendered by the same renderers.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 

@@ -11,17 +11,17 @@ violating pair therefore has both o(x) < M and o(y) < M, and scanning the
 elements of order below M against each other, in (x, y) order, finds the same
 first witness as scanning every pair.
 
-A direct product of p-groups of one prime is decided from its factors.  There
-o((a, b)) = lcm(o(a), o(b)) = max(o(a), o(b)), so a pair of the product
-violates exactly when some factor j has o(x_j y_j) above the order of every
-digit of x and y: that factor's own pair violates, and A x B is CP2 exactly
-when A and B are.  Let r be the rightmost failing factor and (x_r, y_r) its
-first witness.  A violating x has a nonzero digit at its violating factor,
-which is r or left of it, so x is at least x_r at r's place value.  At that
-x only r can violate, as x's other digits are the identity, so y's digit at
-r is at least y_r.  The first witness of the product is therefore (x_r, y_r)
-at r's place value, zeros elsewhere, with r's three orders.  With mixed
-primes lcm is not max (C32 x C33 fails at x=1, y=33), so such a product is
+A direct product A x B of p-groups of one prime, x = x_A |B| + x_B, is
+decided from its sides.  There o((a, b)) = lcm(o(a), o(b)) = max(o(a), o(b)),
+so a pair violates exactly when o(x_A y_A) or o(x_B y_B) is above all four
+digits' orders, and that side's pair violates too: A x B is CP2 exactly when
+A and B are.  If B fails first at (x_B, y_B), that pair with A-digits 0 is
+the product's first witness: any x with a nonzero A-digit is at least
+|B| > x_B, and a pair before it has x_A = 0, so o(x_A y_A) = o(y_A) holds
+and only its B-digits could violate, before B's first witness.  If B never
+fails, only A-digits can, and the first violating x and y have B-digit 0:
+A's witness times |B|.  The three orders are the side's.  With mixed primes
+lcm is not max (C32 x C33 fails at x=1, y=33), so such a product is
 scanned.
 """
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _mul, _Product, _products, _row_blocks, prime_power
+from .groups import FiniteGroup, _mul, _products, _row_blocks, _sides, prime_power
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -94,22 +94,20 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     The pair products, the witness's included, are read by ``_mul``: from
     the table, or, for a group whose table is unwritten and over one row
     block, from its law (the metacyclic formula, the Heisenberg digits, or a
-    mixed-prime product's factors), so the scan never writes that table.
+    mixed-prime product's two sides), so the scan never writes that table.
     Both give the same products, so the same first witness.
 
-    A direct product read from its law (the size rule of
-    ``omega.omega_filtration``'s product route) whose order is a prime power
-    reads no pair of its own: each factor is decided by this function, from
-    the right, and the first that fails gives the witness at its place value
-    (``_factor_witness``; the lemma is in the module docstring).  Up to order
-    1024 a product is read from its table and scanned like any group.
+    A same-prime product read from its law (``_sides``) reads no pair of its
+    own: ``_factor_witness`` decides its two sides by this function (the
+    lemma is in the module docstring).  Up to order 1024 a product is read
+    from its table and scanned like any group.
     """
     if prime_power(group.order) is not None:
         # order 2 or more, so the scan below would read products too: taking
         # the route writes no table the scan would not
-        law = _products(group)
-        if isinstance(law, _Product):
-            return _factor_witness(law.factors)
+        sides = _sides(group)
+        if sides is not None:
+            return _factor_witness(*sides)
     orders = group.element_orders
     below_top = np.flatnonzero(orders < orders.max())
     # o(xy) > max(o(x), o(y)) as two bool blocks: no block for the maximum
@@ -121,19 +119,14 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     return Cp2Report(witness=(x, y, int(orders[x]), int(orders[y]), int(orders[xy])))
 
 
-def _factor_witness(factors: tuple[FiniteGroup, ...]) -> Cp2Report:
-    """The CP2 report of the direct product of ``factors``, p-groups of one
-    prime: the rightmost failing factor's witness, its x and y times that
-    factor's place value (the product of the orders to its right) and its
-    three orders kept, or CP2 when no factor fails."""
-    place = 1
-    for factor in reversed(factors):
-        witness = is_cp2_pairwise(factor).witness
-        if witness is not None:
-            x, y, *three = witness
-            return Cp2Report(witness=(x * place, y * place, *three))
-        place *= factor.order
-    return Cp2Report()
+def _factor_witness(left: FiniteGroup, right: FiniteGroup) -> Cp2Report:
+    """CP2 of ``left`` x ``right``, p-groups of one prime: the right side's
+    witness, else the left side's with x and y times |right|, orders kept."""
+    witness = is_cp2_pairwise(right).witness
+    if witness is None and (witness := is_cp2_pairwise(left).witness) is not None:
+        x, y, *three = witness
+        witness = (x * right.order, y * right.order, *three)
+    return Cp2Report(witness=witness)
 
 
 def cp2_from_filtration(filtration: OmegaFiltration) -> Cp2Report:

@@ -6,14 +6,16 @@ A group's products x*y are its law or its n x n Cayley table, whose entry
 module constructs, a C/D/Q/H/M atom or a direct product, holds its law: the
 metacyclic normal form a^i b^e with King's product formula (``_Metacyclic``)
 for C, D, Q and M, the triple law of the unitriangular matrices
-(``_Heisenberg``) for H, and its factors (``_Product``) for a direct
+(``_Heisenberg``) for H, and its two sides (``_Product``) for a direct
 product, as a group given by a normal form and a multiplication rule needs
 no table (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
-ch. 8).  Its table is written from the law once, on its first read, and
-replaces the law; the group is immutable after that.  A quotient, a subgroup's group and a table
-passed in from outside hold their table from construction and no law.
-Element orders are known from construction, and a constructed group is safe
-to share.
+ch. 8).  A product is bracketed into its two sides once, when built
+(``_bracket``), so each reader of it, ``omega`` and ``cp2`` through
+``_sides``, is one two-term formula.  Its table is written from the law
+once, on its first read, and replaces the law; the group is immutable after
+that.  A quotient, a subgroup's group and a table passed in from outside
+hold their table from construction and no law.  Element orders are known
+from construction, and a constructed group is safe to share.
 
 Every product read goes through ``_mul``, or ``_products`` for a reader of
 many blocks, and one size rule there decides the route: a group whose table
@@ -21,9 +23,7 @@ is written, or would hold at most one row block (n^2 <= ``_BLOCK_ENTRIES``),
 is read from its table, written on that first read, as a gather costs less
 than the law there; a larger one is read from its law and its table is
 never written.  So psi and the order spectrum (from the orders alone),
-omega, cp2 and compare write no table of more than one block (n >= 1025),
-and a large product's omega filtration is folded from its factors',
-Omega_i(A x B) = Omega_i(A) x Omega_i(B) (``omega.omega_filtration``).
+omega, cp2 and compare write no table of more than one block (n >= 1025).
 ``FiniteGroup.is_abelian`` is read from the law too.  Only Light's test
 reads a raw table directly: it runs before a group exists.
 
@@ -37,7 +37,7 @@ of n with x^d = 1, which ``power_map``'s repeated-squaring kernel
 ``_power`` decides, one call per divisor at most.  The rest are read from
 groups that already hold them: o(x) does not depend on the group it is
 taken in, so ``Subgroup.as_group`` reads its orders from the parent's, and
-``direct_product`` folds its factors' orders by o((a, b)) = lcm(o(a), o(b)).
+``direct_product`` folds its sides' orders by o((a, b)) = lcm(o(a), o(b)).
 
 As neither law nor table ever changes, a group also keeps what is derived
 from it alone the first time it is asked for: its omega filtration
@@ -61,12 +61,11 @@ block of about ``_BLOCK_ENTRIES`` entries.  Writers run on the first read of
 a table and build it whole in place: C, D, Q and M by their law's
 ``_Metacyclic.outer`` over one row block of whole rows (``_row_blocks``) at
 a time, an add and a conditional subtract with no division; H in one
-broadcast (``_heisenberg_table``); and a direct product by joining its
-factors, bracketed so that each side's order is near the root of the whole,
-one row block of the left side at a time.  The readers (the subgroup and
-quotient tables, the coset minima of ``is_normal`` and ``quotient``, the
-CP2 pair scan, Light's test) go one row block at a time too, from the
-table or the law, and so does the GT1 export, in the GT1 tokeniser's
+broadcast (``_heisenberg_table``); and a direct product by joining its two
+sides' tables, one row block of the left side at a time (``_product``).  The
+readers (the subgroup and quotient tables, the coset minima of
+``is_normal`` and ``quotient``, the CP2 pair scan, Light's test) go one row
+block at a time too, from the table or the law, and so does the GT1 export, in the GT1 tokeniser's
 blocks of about ``_GT1_BLOCK_TOKENS`` entries.  When a group is
 constructed, before any table exists, its order is checked against the
 table size limit and its bytes, the table plus one row block, against
@@ -173,14 +172,15 @@ class FiniteGroup:
     Products are read by ``_mul`` and powers by ``power_map``;
     ``element_orders`` is set once at construction: an atom's closed form,
     the least d | n with x^d = 1 for a quotient or an outside table, the
-    parent's for a subgroup's group, and the factors' folded by lcm for a
+    parent's for a subgroup's group, and its two sides' folded by lcm for a
     direct product.  The order is the length of ``element_orders``.
     Operations on instances are pure and never change a group's law or table.
 
     An atom or a direct product holds its law in ``_law`` (``_Metacyclic``,
     ``_Heisenberg`` or ``_Product``) and no table until the table is first
     read: ``table`` then writes it from the law once, keeps it, read-only,
-    in ``_table`` and drops the law, so a product's factors are freed.
+    in ``_table`` and drops the law, so a product's sides (and their tables)
+    are freed.
     Every other group holds its table from construction and no law.  So the
     order, the orders and what is read from them alone (psi, the spectrum)
     never write a table; nor does any product read of a group whose table
@@ -670,44 +670,42 @@ class _Heisenberg:
 
 
 class _Product:
-    """The law of the direct product of ``factors``, lexicographic, left
-    factor major: the index of x*y is sum_j f_j[x_j, y_j] * s_j, with x_j the
-    j-th digit of x in the mixed radix of the factors' orders and s_j the
-    place value of that digit.  Each factor's products are read by
-    ``_products``, so a factor that is itself over one row block is read from
-    its own law, at any depth, and no table over one block is written."""
+    """The law of the direct product of ``left`` (A) and ``right`` (B),
+    lexicographic: x = x_A |B| + x_B, and x*y = (x_A y_A) |B| + x_B y_B, each
+    side read by ``_products``, so no table over one row block is written."""
 
-    def __init__(self, factors: tuple[FiniteGroup, ...]):
-        self.factors = factors
+    def __init__(self, left: FiniteGroup, right: FiniteGroup):
+        self.left, self.right = left, right
 
     @property
     def is_abelian(self) -> bool:
-        return all(f.is_abelian for f in self.factors)
+        return self.left.is_abelian and self.right.is_abelian
 
     def write(self) -> np.ndarray:
-        return _product(self.factors)
+        return _product(self)
 
     def __getitem__(self, key) -> np.ndarray:
         x, y = (np.asarray(k) for k in key)
         outer = x.ndim == 2 and x.shape[1] == 1 and y.ndim == 1
-        block = None
-        place = math.prod(f.order for f in self.factors)
-        for f in self.factors:
-            place //= f.order
-            products = _products(f)
-            x_f, y_f = x // place % f.order, y // place % f.order
-            if outer and isinstance(products, np.ndarray):
-                # the factor's rows, scaled, then their columns: two passes
-                # that cost less than one gather of both indices at once
-                term = np.take(products[x_f[:, 0]] * place, y_f, axis=1)
-            else:
-                term = products[x_f, y_f]
-                term *= place
-            if block is None:
-                block = term
-            else:
-                block += term
+        nb = self.right.order
+        block = _side_products(self.left, x // nb, y // nb, outer, nb)
+        block += _side_products(self.right, x % nb, y % nb, outer)
         return block
+
+
+def _side_products(side: FiniteGroup, x: np.ndarray, y: np.ndarray, outer: bool,
+                   scale: int = 1) -> np.ndarray:
+    """One side's products x*y times ``scale``.  An outer product from a table
+    gathers the rows, scales them, then takes their columns: two passes that
+    cost less than one gather of both indices at once."""
+    products = _products(side)
+    if outer and isinstance(products, np.ndarray):
+        rows = products[x[:, 0]]
+        rows *= scale
+        return np.take(rows, y, axis=1)
+    block = products[x, y]
+    block *= scale
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -837,38 +835,44 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, *more: FiniteGroup) -> Finite
     major, wrapped as one group named by the factors' names joined by '*'.
 
     The whole order is checked against the table size limit and physical
-    memory first.  The orders are then folded from the factors', left to
-    right, o((a1, b1)) = lcm(o(a1), o(b1)) at index a1 * |B| + b1, not
-    computed.  The group holds its factors' law, ``_Product``, whose table
-    ``_product`` writes on first read, so what reads only the orders never
-    builds the table.
+    memory first, then ``_bracket`` builds the group, whose table ``_product``
+    writes on first read: what reads only the orders never builds it.
     """
     factors = (a, b, *more)
     _check_order_limit(math.prod(g.order for g in factors))
-    orders = functools.reduce(lambda left, right: np.lcm.outer(left, right).ravel(),
-                              [g.element_orders for g in factors])
-    return _frozen_group("*".join(g.name for g in factors), _Product(factors), orders)
+    return _bracket(factors)
 
 
-def _product(factors: tuple[FiniteGroup, ...]) -> np.ndarray:
-    """Table of the product of ``factors``: (a1, b1) * (a2, b2) = (a1 a2, b1 b2)
-    sits at index (a1 a2) * |B| + b1 b2, so the table, viewed as
-    |A| x |B| x |A| x |B|, is one broadcast sum.
-
-    Lexicographic indexing is associative, so every bracketing of the
-    factors writes the same bytes: the factors are split where the larger
-    side's order is least, so each side's is near the root of the whole and
-    no partial product of more than a root's order is held beside the
-    output, and the left side's scaled table is written one row block at a
-    time.  The write then holds the output and one block, as
-    ``_check_order_limit`` budgets."""
+def _bracket(factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
+    """The group of ``_Product`` of two sides, split where the larger side's
+    order is least, so near the root of the whole, each bracketed the same
+    way: as lexicographic indexing is associative, no index depends on the
+    bracket.  The name joins the factors' by '*', and the orders are folded,
+    o((a, b)) = lcm(o(a), o(b)) at index a * |B| + b."""
     if len(factors) == 1:
-        return factors[0].table
+        return factors[0]
     sizes = [g.order for g in factors]
     total = math.prod(sizes)
     split = min(range(1, len(sizes)),
                 key=lambda k: max(math.prod(sizes[:k]), total // math.prod(sizes[:k])))
-    left, right = _product(factors[:split]), _product(factors[split:])
+    left, right = _bracket(factors[:split]), _bracket(factors[split:])
+    orders = np.lcm.outer(left.element_orders, right.element_orders).ravel()
+    return _frozen_group("*".join(g.name for g in factors), _Product(left, right), orders)
+
+
+def _sides(group: FiniteGroup) -> tuple[FiniteGroup, FiniteGroup] | None:
+    """(left, right) of a product ``_products`` reads from its ``_Product``
+    law, else None: where ``omega`` and ``cp2`` decide to read the sides."""
+    law = _products(group)
+    return (law.left, law.right) if isinstance(law, _Product) else None
+
+
+def _product(law: _Product) -> np.ndarray:
+    """Table of ``law``: viewed as |A| x |B| x |A| x |B|, one broadcast sum of
+    the sides' tables (a side's written on it), one row block of A at a time.
+    As both sides are near the root, the write holds the output and one
+    block, as ``_check_order_limit`` budgets."""
+    left, right = law.left.table, law.right.table
     na, nb = left.shape[0], right.shape[0]
     out = np.empty((na, nb, na, nb), dtype=np.int32)
     for rows in _row_blocks(na, na):

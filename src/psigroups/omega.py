@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, NotPGroupError, Subgroup, _indices, _integer,
-                     _Product, _products, closure, power_map, prime_power)
+                     _sides, closure, power_map, prime_power)
 
 
 @dataclass(frozen=True)
@@ -129,21 +129,19 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
     where exp(G) = p^m.
 
     Each level is ``omega_set`` and its ``closure``; for a direct product
-    whose products are read from its law (``_products``: its table unwritten
-    and over one row block) the levels are folded from the factors'
-    filtrations instead (``_product_levels``).  Neither route writes a table
-    over one block.  The prime and exponent are read from the group's orders
-    first either way, so a group that is not a p-group is refused with the
-    same error.
+    read from its law, the levels are folded from its two sides' (``_sides``,
+    ``_product_levels``).  Neither route writes a table over one block.  The
+    prime and exponent are read from the group's orders first either way, so
+    a group that is not a p-group is refused with the same error.
 
     Computed once per group instance and kept on it (the table cannot
     change), so every later call returns the same object.
     """
     if group._filtration is None:
         p, m = exponent_log(group)
-        products = _products(group)
-        if isinstance(products, _Product):
-            levels = _product_levels(products.factors, m)
+        sides = _sides(group)
+        if sides is not None:
+            levels = _product_levels(*sides, m)
         else:
             levels = []
             for i in range(m + 1):
@@ -156,26 +154,27 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
     return group._filtration
 
 
-def _product_levels(factors: tuple[FiniteGroup, ...], m: int) -> list[OmegaLevel]:
-    """Levels 0..m of the direct product of ``factors``, from theirs:
-    x^(p^i) = 1 exactly when it holds in every factor, and the sets' product
-    generates the product of the subgroups they generate, so
-    Omega_i(A x B) = Omega_i(A) x Omega_i(B) and both sizes multiply.  The
-    members are the index sums a * |B| + b over both factors' members, left
-    factor major, so ascending.  A factor above its own top level
-    contributes its top level, the whole factor; an order-1 factor, whose
-    only index is 0, is left out, as it has no prime."""
-    factors = [f for f in factors if f.order > 1]
-    filtrations = [omega_filtration(f) for f in factors]
+def _product_levels(left: FiniteGroup, right: FiniteGroup, m: int) -> list[OmegaLevel]:
+    """Levels 0..m of A x B, ``left`` x ``right``, from theirs: x^(p^i) = 1
+    exactly when it holds on both sides, so Omega_i(A x B) =
+    Omega_i(A) x Omega_i(B), both sizes multiply, and the members are the
+    sums a * |B| + b, ascending."""
     levels = []
     for i in range(m + 1):
-        at = [(f.order, fl.levels[min(i, fl.m)]) for f, fl in zip(factors, filtrations)]
-        members = np.zeros(1, dtype=np.int64)
-        for order, level in at:
-            members = (members[:, None] * order + np.array(level.members)).ravel()
-        levels.append(OmegaLevel(set_size=math.prod(level.set_size for _, level in at),
+        a, b = _side_level(left, i), _side_level(right, i)
+        members = (np.array(a.members)[:, None] * right.order + np.array(b.members)).ravel()
+        levels.append(OmegaLevel(set_size=a.set_size * b.set_size,
                                  subgroup_size=members.size, members=tuple(members.tolist())))
     return levels
+
+
+def _side_level(side: FiniteGroup, i: int) -> OmegaLevel:
+    """Level i of a side, its top level above its exponent; an order-1 side
+    has no prime, and its only index, 0, at every level."""
+    if side.order == 1:
+        return OmegaLevel(set_size=1, subgroup_size=1, members=(0,))
+    filtration = omega_filtration(side)
+    return filtration.levels[min(i, filtration.m)]
 
 
 def psi_brute(group: FiniteGroup) -> int:

@@ -537,17 +537,36 @@ _FACTOR_READS = [
 ]
 
 
-def _refuse_table(factors):
-    raise AssertionError("a large product's table must stay unwritten")
+_write_product = groups._product
+
+
+def _refuse_large_table(law):
+    # a side of at most one row block writes its own table on its first read
+    if (law.left.order * law.right.order) ** 2 > groups._BLOCK_ENTRIES:
+        raise AssertionError("a large product's table must stay unwritten")
+    return _write_product(law)
+
+
+def _run_unwritten(capsys, *argv):
+    """``run_cli`` with every product table over one row block refused; each
+    group the command built still holds no table afterwards."""
+    built = []
+
+    def build(text):
+        built.append(group_from_text(text))
+        return built[-1]
+    with patch.object(groups, "_product", _refuse_large_table), \
+            patch.object(cli, "group_from_text", build):
+        result = run_cli(capsys, *argv)
+    assert built and all(g._table is None for g in built)
+    return result
 
 
 @pytest.mark.parametrize("argv,out", _FACTOR_READS, ids=[" ".join(a) for a, _ in _FACTOR_READS])
 def test_a_large_product_prints_what_its_written_table_prints(capsys, argv, out):
-    with patch.object(groups, "_product", _refuse_table):
-        assert run_cli(capsys, *argv) == (0, out, "")
+    assert _run_unwritten(capsys, *argv) == (0, out, "")
 
 
 def test_omega_of_a_large_mixed_prime_product_is_refused_as_before(capsys):
-    with patch.object(groups, "_product", _refuse_table):
-        assert run_cli(capsys, "omega", "C1024*C3") == (
-            2, "", "error: group order 3072 is not a prime power\n")
+    assert _run_unwritten(capsys, "omega", "C1024*C3") == (
+        2, "", "error: group order 3072 is not a prime power\n")

@@ -241,7 +241,9 @@ def test_a_product_table_read_later_has_the_eager_bytes(name):
     # the order and the orders come without the table
     assert g.order == math.prod(f.order for f in factors)
     assert psi_brute(g) == int(g.element_orders.sum()) and order_spectrum(g.element_orders)
-    assert g._table is None and len(g._law.factors) == len(factors)
+    law = g._law
+    assert g._table is None and isinstance(law, groups._Product)
+    assert law.left.order * law.right.order == g.order
     table = g.table
     _same_bytes(table, functools.reduce(whole_direct_product_table, (f.table for f in factors)))
     # written once: read-only, the same object on every read, the law dropped
@@ -591,10 +593,10 @@ def test_cp2_of_a_product_at_the_limit_is_the_table_route(name, witness):
                                           ("D16*Q16*C16", (128, 144, 4, 4, 8))])
 def test_cp2_of_a_same_prime_product_reads_no_product_of_its_own(monkeypatch, name, witness):
     # a pair scan of the product reads about 10^6 pairs through its law; the
-    # factors' tables, 81 x 81 at most, are written before the writers refuse
+    # two sides' tables, 256 x 256 at most, are written before the writers refuse
     g = group_from_text(name)
-    for factor in g._law.factors:
-        factor.table
+    for side in (g._law.left, g._law.right):
+        side.table
 
     def refuse(*args, **kwargs):
         raise AssertionError("CP2 of a same-prime product reads only its factors")
@@ -668,12 +670,25 @@ def test_every_reader_of_the_law_route_matches_the_table_route(name, seeds):
         assert g.order == 1 or g._table is None
 
 
+_LEFT_NESTED = "(D16*Q16)*C16"
+
+
+def _law_group(name):
+    """The group ``name`` names; ``_LEFT_NESTED`` is D16*Q16*C16 built from
+    the product D16*Q16 and C16."""
+    if name == _LEFT_NESTED:
+        inner = direct_product(group_from_text("D16"), group_from_text("Q16"))
+        return direct_product(inner, group_from_text("C16"))
+    return group_from_text(name)
+
+
 @pytest.mark.parametrize("name", ["C2048", "D4096", "Q2048", "M4096", "M2187", "H2197", "H1331",
-                                  "C2*M2048", "C2*D2048"])
+                                  "C2*M2048", "C2*D2048", "*".join(["C2"] * 11), "C16*C16*C8",
+                                  "C1*D2048*C2", _LEFT_NESTED])
 def test_law_products_are_the_table_products(name):
     # random indices, repeated and in any order, as outer products above and
     # below _gathers, entry by entry and as single elements
-    g = group_from_text(name)
+    g = _law_group(name)
     n = g.order
     rng = np.random.default_rng(n)
     pairs = [(int(rng.integers(n)), int(rng.integers(n)))]
@@ -686,6 +701,61 @@ def test_law_products_are_the_table_products(name):
     for (x, y), got in zip(pairs, products):
         assert np.asarray(got).dtype == np.int32
         np.testing.assert_array_equal(got, table[x, y])
+
+
+@given(atom_lists(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_two_sided_law_is_the_table(names, data):
+    # every side of order 2 or more is over one block, so each is read from
+    # its own law; the reference joins the factors' tables whole.  Reads as
+    # an outer product, entry by entry and as single elements
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        factors = [group_from_text(name) for name in names]
+        g = direct_product(*factors)
+        table = functools.reduce(whole_direct_product_table, (f.table for f in factors))
+        k = data.draw(st.integers(1, 40))
+        x, y, z = (np.array(data.draw(st.lists(st.integers(0, g.order - 1),
+                                                min_size=k, max_size=k))) for _ in range(3))
+        for pair in ((x[:, None], y), (x, z), (int(x[0]), int(y[0]))):
+            got = groups._mul(g, *pair)
+            assert np.asarray(got).dtype == np.int32
+            np.testing.assert_array_equal(got, table[pair])
+        assert g.order == 1 or g._table is None
+
+
+@pytest.mark.parametrize("name,left,right", [
+    ("*".join(["C2"] * 12), "*".join(["C2"] * 6), "*".join(["C2"] * 6)),
+    ("D16*Q16*C16", "D16", "Q16*C16"),
+    ("Q2048*C2", "Q2048", "C2"),
+    ("C2*Q2048", "C2", "Q2048"),
+    ("C1*D2048*C2", "C1*D2048", "C2"),
+], ids=["C2^12", "D16*Q16*C16", "Q2048*C2", "C2*Q2048", "C1*D2048*C2"])
+def test_a_product_is_bracketed_once_near_the_root_of_its_order(name, left, right):
+    g = group_from_text(name)
+    law = g._law
+    assert (law.left.name, law.right.name) == (left, right)
+    assert law.left.order * law.right.order == g.order
+
+
+def test_cp2_of_c2_to_the_12_decides_each_side_once(monkeypatch):
+    # 64 | 64: the product and its two sides, each side scanned on its table
+    # (the flat twelve factors took 13 calls)
+    counts = {"is_cp2_pairwise": 0}
+    _count_calls(monkeypatch, cp2, "is_cp2_pairwise", counts)
+    assert cp2.is_cp2_pairwise(group_from_text("*".join(["C2"] * 12))).is_cp2
+    assert counts == {"is_cp2_pairwise": 3}
+
+
+def test_a_product_block_read_takes_each_side_once(monkeypatch):
+    # C2^11 is 32 | 64: one 512-row block reads two sides' tables, not eleven factors'
+    g = group_from_text("*".join(["C2"] * 11))
+    law = g._law
+    rows, cols = np.arange(512)[:, None], np.arange(g.order)
+    want = law[rows, cols]
+    counts = {"_products": 0}
+    _count_calls(monkeypatch, groups, "_products", counts)
+    np.testing.assert_array_equal(law[rows, cols], want)
+    assert counts == {"_products": 2}
 
 
 _ATOMS_AT_THE_LIMIT = ("C4096", "D4096", "Q4096", "M4096", "H2197")
@@ -1107,13 +1177,25 @@ _LARGE_EXPECTED = json.loads((Path(__file__).parent.parent / "perfbench" / "expe
 def test_omega_cp2_and_compare_of_a_product_at_order_4096_hold_two_blocks(
         capsys, monkeypatch, argv):
     # the product's 64 MB table is never written: the filtration is folded
-    # from the factors' and the pair scan reads their tables one block at a time
-    def refuse(factors):
-        raise AssertionError("omega, cp2 and compare of a large product write no table")
-    monkeypatch.setattr(groups, "_product", refuse)
+    # from its sides' and the pair scan reads their tables one block at a
+    # time; a side of at most one row block writes its own table
+    write = groups._product
+
+    def refuse_large(law):
+        if (law.left.order * law.right.order) ** 2 > groups._BLOCK_ENTRIES:
+            raise AssertionError("omega, cp2 and compare of a large product write no table")
+        return write(law)
+    built = []
+
+    def build(text):
+        built.append(group_from_text(text))
+        return built[-1]
+    monkeypatch.setattr(groups, "_product", refuse_large)
+    monkeypatch.setattr(cli, "group_from_text", build)
     code, peak = _peak_bytes(lambda: cli_main(list(argv)))
     assert (code, capsys.readouterr().out) == (0, _LARGE_EXPECTED[" ".join(argv)])
     assert peak <= 16 * MB
+    assert built and all(g._table is None for g in built)
 
 
 # --- builds that cannot fit in memory are refused before allocating -------------

@@ -11,12 +11,14 @@ else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
 
-Three more guards on the surface: only ``groups.py`` passes ``orders`` to
+Four more guards on the surface: only ``groups.py`` passes ``orders`` to
 ``group_from_table``, the argument that skips validation; ``expr.py`` takes
 no private name from ``groups`` but the two limit checks, so each atom
-family's parameters, layout and orders stay in ``groups.py`` alone; and no
+family's parameters, layout and orders stay in ``groups.py`` alone; no
 other module reads a group's ``table``, so every product read elsewhere goes
-through ``groups._mul`` and its choice of the table or the law.
+through ``groups._mul`` and its choice of the table or the law; and no other
+module names a direct product's law, so ``omega`` and ``cp2`` reach its two
+sides through ``groups._sides`` alone.
 """
 
 import ast
@@ -114,3 +116,27 @@ def test_only_the_groups_module_reads_a_table():
                      for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, ast.Attribute) and node.attr == "table")
     assert readers == []
+
+
+def _names(tree):
+    """Every name a module's code uses: bare names, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_the_product_route_lives_in_the_groups_module():
+    # a product's two sides are decided once, in groups._sides: no other
+    # module names the law, and omega and cp2 reach the sides only through it
+    naming = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "groups.py"
+                    and "_Product" in set(_names(ast.parse(path.read_text()))))
+    assert naming == []
+    for module in ("omega.py", "cp2.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        assert list(_names(tree)).count("_sides") == 2, module  # its import and its one call
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not {"_law", "left", "right", "factors"} & read, module
