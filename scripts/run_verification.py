@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Run the theorem battery over the default catalogs (p = 2, 3, 5) and print
-every report; exits nonzero if any property is violated."""
+every report; exits nonzero if any property is violated.  When stdout is
+closed early (``| head``), the battery still runs to its end and sets the
+exit code."""
 
 import argparse
+import os
 import re
 import sys
 import textwrap
@@ -39,10 +42,15 @@ def main() -> int:
         cat = build_catalog([prime], max_order)
         reports = verify_theorems(cat)
         elapsed = time.perf_counter() - t0
-        print(f"== catalog p={prime} max_order={max_order}: "
-              f"{len(cat.entries)} groups, {elapsed:.2f}s")
-        sys.stdout.write(textwrap.indent(format_reports(reports), "  "))
         violated = violated or any(r.violations for r in reports)
+        try:
+            print(f"== catalog p={prime} max_order={max_order}: "
+                  f"{len(cat.entries)} groups, {elapsed:.2f}s")
+            sys.stdout.write(textwrap.indent(format_reports(reports), "  "))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone: write the rest, and the exit flush, to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if violated else 0
 
 

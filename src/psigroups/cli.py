@@ -9,8 +9,9 @@ the element orders, so they never write it, and of a group over one row
 block `omega`, `cp2` and `compare` read its products from its law and never
 write it either; `cp2` of such a direct product of one prime reads none of
 its own products, only the CP2 decisions of the two sides it was bracketed
-into when built.  An expression and an
-imported file are rendered by the same renderers.
+into when built, and of any other such group closes its order sublevel
+sets {x : o(x) <= M}, scanning pairs only when one of them is open.  An
+expression and an imported file are rendered by the same renderers.
 Output is plain ASCII with LF newlines and is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 theorem violation from `verify`, 2 usage or input

@@ -23,6 +23,17 @@ fails, only A-digits can, and the first violating x and y have B-digit 0:
 A's witness times |B|.  The three orders are the side's.  With mixed primes
 lcm is not max (C32 x C33 fails at x=1, y=33), so such a product is
 scanned.
+
+A group read from its law that is not split into sides is decided first by
+its order sublevel sets S_M = {x : o(x) <= M}, M each order below the
+largest: G is CP2 exactly when every S_M is closed under products.  If
+S_M is closed and o(x), o(y) <= M, then xy lies in S_M, so o(xy) <= M; put
+M = max(o(x), o(y)) and the pair holds (at the largest order, S_M is the
+whole group).  Conversely, in a CP2 group a product of two elements of S_M
+has order at most M.  Neither direction needs a prime, so the lemma holds
+in every finite group.  Closing S_M reads about |S_M| products per
+generator of its cover, not the pairs of a scan; a group with an open S_M
+is scanned for its first witness.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, _mul, _products, _row_blocks, _sides, prime_power
+from .groups import (FiniteGroup, GroupError, Subgroup, _mul, _products, _row_blocks,
+                     _sides, prime_power)
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -65,9 +77,9 @@ def _first_pair(group: FiniteGroup, violates, among: np.ndarray) -> tuple[int, i
     as a block, those of x as a column and those of y as a row.  A scan
     block has half as many rows as a block of whole table rows: ``np.take``
     first copies the int32 products to intp, and at a whole block that copy
-    took M4096's scan to 7.5 MB by tracemalloc, where half a block holds it
-    under 4 MB.  The products are read by ``_products``, so a table over one
-    row block is not written."""
+    took the scan of M4096's written table to 7.5 MB by tracemalloc, where
+    half a block holds it under 4 MB.  The products are read by
+    ``_products``, so a table over one row block is not written."""
     if not among.size:
         return None  # nothing to scan reads no product, so writes no table
     distinct, codes = np.unique(group.element_orders, return_inverse=True)
@@ -99,8 +111,15 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
 
     A same-prime product read from its law (``_sides``) reads no pair of its
     own: ``_factor_witness`` decides its two sides by this function (the
-    lemma is in the module docstring).  Up to order 1024 a product is read
-    from its table and scanned like any group.
+    lemma is in the module docstring).  Any other group read from its law
+    is first decided by its order sublevel sets S_M = {x : o(x) <= M}, M
+    each order below the largest: it is CP2 when every S_M is closed, since
+    x, y in S_M for M = max(o(x), o(y)) then puts xy in S_M, and the converse
+    is the definition (module docstring).  ``Subgroup`` checks each set; its
+    cover stops at the first product outside, and only a group with an open
+    set is scanned.  A table, and so every group up to order 1024, is
+    scanned: that scan is the reference the omega criterion is checked
+    against.
     """
     if prime_power(group.order) is not None:
         # order 2 or more, so the scan below would read products too: taking
@@ -109,7 +128,13 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
         if sides is not None:
             return _factor_witness(*sides)
     orders = group.element_orders
-    below_top = np.flatnonzero(orders < orders.max())
+    distinct = np.flatnonzero(np.bincount(orders))  # np.unique(orders) would import numpy.ma
+    # with two orders or more the scan reads products too, so asking
+    # _products where they come from writes no table the scan would not
+    if (distinct.size > 1 and not isinstance(_products(group), np.ndarray)
+            and all(_closed(group, orders <= top) for top in distinct[:-1])):
+        return Cp2Report()
+    below_top = np.flatnonzero(orders < distinct[-1])
     # o(xy) > max(o(x), o(y)) as two bool blocks: no block for the maximum
     pair = _first_pair(group, lambda oxy, ox, oy: (oxy > ox) & (oxy > oy), below_top)
     if pair is None:
@@ -117,6 +142,17 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     x, y = pair
     xy = _mul(group, x, y)
     return Cp2Report(witness=(x, y, int(orders[x]), int(orders[y]), int(orders[xy])))
+
+
+def _closed(group: FiniteGroup, inside: np.ndarray) -> bool:
+    """Whether the elements the mask ``inside`` holds, the identity among
+    them, are closed under products: ``Subgroup`` refuses an open set with a
+    GroupError."""
+    try:
+        Subgroup(group, np.flatnonzero(inside))
+    except GroupError:
+        return False
+    return True
 
 
 def _factor_witness(left: FiniteGroup, right: FiniteGroup) -> Cp2Report:

@@ -34,7 +34,9 @@ and a table passed in from outside have orders computed, by
 ``_compute_orders``, which the tests also run on each constructor's table
 as the closed forms' second route: by Lagrange, o(x) is the least divisor d
 of n with x^d = 1, which ``power_map``'s repeated-squaring kernel
-``_power`` decides, one call per divisor at most.  The rest are read from
+``_power`` decides, one call per divisor at most, reading no product at
+d's lowest set bit, where the result is that square itself.  The rest are
+read from
 groups that already hold them: o(x) does not depend on the group it is
 taken in, so ``Subgroup.as_group`` reads its orders from the parent's, and
 ``direct_product`` folds its sides' orders by o((a, b)) = lcm(o(a), o(b)).
@@ -73,9 +75,12 @@ physical memory, so a build that cannot fit is refused with a
 ``GroupBuildError`` instead of failing part-way.
 
 A subgroup is grown from generators by one cover routine, ``_cover``: the
-BFS step of Dimino's algorithm, each generator entering with its squares,
+BFS step of Dimino's algorithm, each generator g entering with its squares,
 so the powers of one generator take about log2 of its order in rounds, not
-its order.  Light's test grows its checked elements by the same step.  The
+its order, and with those of the last generator times g, so two
+involutions bring in the rotation between them the same way.  Each round
+marks its new elements in a mask over the group rather than sorting its
+products.  Light's test grows its checked elements by the same step.  The
 ``Subgroup`` check and ``closure`` use it on a set of over 128 elements
 (|S|^2 above 1/64 of a row block, ``_gathers``), and gather all |S|^2
 products at once below that.
@@ -423,12 +428,22 @@ def _add_generator(products: Products, covered: np.ndarray, gens: list[int], g: 
 
     g enters with its squares g^(2^j), so each power of g is a product of at
     most log2(n) chain members, and the rounds number about log2(o(g)), not
-    o(g).  The chain stops at a square already covered or repeated, or after
-    (n - 1).bit_length() members: at odd order the squares never reach 0."""
+    o(g).  Each chain stops at a square already covered or repeated, or after
+    (n - 1).bit_length() members: at odd order the squares never reach 0.
+    g also enters with the squares of h = gens[-1] * g, which lies in the
+    group the generators already span with g, so the cover is unchanged.
+    Where g and gens[-1] are involutions, as in the closure of a dihedral
+    group's reflections, h is the rotation between them, whose powers the
+    rounds would otherwise reach one per round.  In Light's test h is a
+    product of checked elements, so it needs no check of its own either."""
+    bound = (covered.size - 1).bit_length()
     chain: list[int] = []
-    while not covered[g] and g not in chain and len(chain) < (covered.size - 1).bit_length():
-        chain.append(g)
-        g = int(products[g, g])
+    for h in (g, int(products[gens[-1], g])) if gens else (g,):
+        for _ in range(bound):
+            if covered[h] or h in chain:
+                break
+            chain.append(h)
+            h = int(products[h, h])
     gens.extend(chain)
     frontier, by = np.flatnonzero(covered), chain
     while frontier.size:
@@ -443,27 +458,32 @@ def _cover_round(products: Products, covered: np.ndarray, frontier: np.ndarray, 
                  stop_inside: np.ndarray | None) -> np.ndarray | None:
     """One round of ``_add_generator``: the products x*h, x in ``frontier``
     and h in ``by``, not yet covered, marked covered and returned ascending;
-    None when one of the products is outside ``stop_inside``."""
+    None when one of the products is outside ``stop_inside``.  The new
+    elements are found by a mask over the group, as ``np.unique`` of the
+    products costs more than a pass over n booleans."""
     prods = products[frontier[:, None], np.asarray(by)].ravel()
     if stop_inside is not None and not stop_inside[prods].all():
         return None
-    new = np.unique(prods[~covered[prods]])
-    covered[new] = True
-    return new
+    new = np.zeros_like(covered)
+    new[prods[~covered[prods]]] = True
+    covered |= new
+    return np.flatnonzero(new)
 
 
 def _power(products: Products, n: int, e: int) -> np.ndarray:
     """x -> x^e for every element of the order-n group whose ``products``
-    are given (see ``_products``) at once, by repeated squaring on indices."""
-    result = np.zeros(n, dtype=np.int32)
+    are given (see ``_products``) at once, by repeated squaring on indices.
+    At e's lowest set bit the result is the identity times that square, so
+    it is the square itself, read with no product."""
+    result = None
     base = np.arange(n, dtype=np.int32)
     while e:
         if e & 1:
-            result = products[result, base]
+            result = base if result is None else products[result, base]
         e >>= 1
         if e:
             base = products[base, base]
-    return result
+    return np.zeros(n, dtype=np.int32) if result is None else result
 
 
 def _compute_orders(table: np.ndarray) -> np.ndarray:

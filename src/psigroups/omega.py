@@ -108,11 +108,20 @@ def _level(i) -> int:
 
 
 def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
-    """All element indices x with x^(p^i) = identity, ascending."""
+    """All element indices x with x^(p^i) = identity, ascending.
+
+    x^(p^i) is the p-th power map, read once from the products by
+    ``power_map``, applied i times by gathers: (x^p)^(p^(i-1)).  As
+    x^n = 1 for n = p^k, it is applied at most k times.  The set is read
+    from products, not from the element orders, so it stays a route
+    independent of them."""
     i = _level(i)
     p = prime_of(group)
-    hits = np.flatnonzero(power_map(group, pow(p, i, group.order)) == 0)
-    return tuple(hits.tolist())
+    step = power_map(group, p)
+    powers = np.arange(group.order)
+    for _ in range(min(i, prime_power(group.order)[1])):
+        powers = step[powers]
+    return tuple(np.flatnonzero(powers == 0).tolist())
 
 
 def omega_subgroup(group: FiniteGroup, i: int) -> Subgroup:

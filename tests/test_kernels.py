@@ -572,6 +572,56 @@ def test_cp2_witness_from_the_factors_is_the_table_route(name):
             assert "*" not in name or g._table is None
 
 
+# --- CP2 of a group read from its law, by closing its order sublevel sets -------
+# S_M = {x : o(x) <= M} is closed for every order M below the top exactly when
+# the group is CP2, so a group read from its law is scanned only when it is not.
+
+@given(group_names)
+@settings(max_examples=60, deadline=None)
+def test_cp2_by_sublevel_sets_is_the_table_route(name):
+    # at one-entry blocks every unwritten group of order 2 or more is read
+    # from its law, mixed-prime and non-CP2 ones included; a pair scan runs
+    # exactly when the group is not CP2
+    scans = []
+    first_pair = cp2._first_pair
+
+    def scan(group, violates, among):
+        scans.append(among.size)
+        return first_pair(group, violates, among)
+    with patch.object(groups, "_BLOCK_ENTRIES", 1):
+        g, reference = group_from_text(name), group_from_text(name)
+        reference.table
+        want = is_cp2_pairwise(reference)
+        with patch.object(cp2, "_first_pair", scan):
+            assert is_cp2_pairwise(g) == want
+    assert any(scans) == (not want.is_cp2)
+    assert g.order == 1 or g._table is None
+
+
+@pytest.mark.parametrize("name,witness", [
+    ("C4096", None), ("M4096", None),
+    ("D4096", (2048, 2049, 2, 2, 2048)),  # two reflections, whose product is a rotation
+    ("Q4096", (2048, 2049, 4, 4, 2048)),
+])
+def test_cp2_of_an_atom_at_the_limit_scans_only_when_it_is_not_cp2(monkeypatch, name, witness):
+    # the reference scans the written table; the law route closes the
+    # sublevel sets and scans only D4096 and Q4096, whose S_2 and S_4 are open
+    reference = group_from_text(name)
+    reference.table
+    want = is_cp2_pairwise(reference)
+    del reference
+    g = group_from_text(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CP2 of an atom at the limit writes no table, nor scans a CP2 one")
+    for writer in ("_metacyclic_table", "_heisenberg_table", "_product"):
+        monkeypatch.setattr(groups, writer, refuse)
+    if witness is None:
+        monkeypatch.setattr(cp2, "_first_pair", refuse)
+    assert is_cp2_pairwise(g) == want == Cp2Report(witness=witness)
+    assert g._table is None
+
+
 @pytest.mark.parametrize("name,witness", [
     ("D16*Q16*C16", (128, 144, 4, 4, 8)),  # Q16's (8, 9) at place value 16
     ("Q8*D8*C32", (128, 160, 2, 2, 4)),  # D8, the rightmost failing factor, at 32
@@ -898,6 +948,18 @@ def test_cover_rounds_are_logarithmic(monkeypatch, name, run):
     assert 0 < len(rounds) <= 2 * math.log2(g.order)
 
 
+@pytest.mark.parametrize("name", ["D4096", "Q4096", "D2048*C2"])
+def test_omega_of_involution_generators_takes_logarithmic_rounds(monkeypatch, name):
+    # Omega_1(D4096) is generated by involutions: the products of two
+    # reflections grew the rotations by one element a round, 2131 rounds
+    g = group_from_text(name)
+    rounds = []
+    step = groups._cover_round
+    monkeypatch.setattr(groups, "_cover_round", lambda *args: rounds.append(1) or step(*args))
+    assert omega_filtration(g).order == g.order
+    assert 0 < len(rounds) <= 12 * math.log2(g.order)
+
+
 def _switched_loops(name, count, rng):
     """``count`` copies of ``name``'s table, each with one intercalate switched
     away from row and column 0: latin loops with identity 0."""
@@ -1099,6 +1161,14 @@ def test_omega_set_takes_the_exponent_mod_the_order(monkeypatch, name):
     seen = _record_power_exponents(monkeypatch)
     assert omega_set(g, 5000) == tuple(range(g.order))
     assert seen and all(k < g.order for k in seen)
+
+
+def test_omega_filtration_reads_one_pth_power_map_per_level(monkeypatch):
+    # x^(2^i) was a power map of its own at each level: 78 law reads for M4096
+    g = group_from_text("M4096")
+    seen = _record_power_exponents(monkeypatch)
+    filtration = omega_filtration(g)
+    assert seen == [2] * (filtration.m + 1)
 
 
 @given(group_names, st.integers(0, 2**70 + 5))

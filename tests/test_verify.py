@@ -154,14 +154,18 @@ def test_script_rejects_malformed_catalog_spec(capsys, monkeypatch, spec, fragme
     assert "error: argument --catalogs" in captured.err and fragment in captured.err
 
 
-def test_script_refuses_a_prime_above_the_table_limit_at_once():
-    # trial division of this prime runs for minutes, so the limit is checked first
+def _script_env(**extra) -> dict[str, str]:
+    """The environment for running the script in a subprocess on this ``src``."""
     src = str(SCRIPT.parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    return {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src, **extra}
+
+
+def test_script_refuses_a_prime_above_the_table_limit_at_once():
+    # trial division of this prime runs for minutes, so the limit is checked first
     result = subprocess.run(
         [sys.executable, str(SCRIPT), "--catalogs", "1000000000000000003:16"],
-        capture_output=True, text=True, env=env, timeout=10)
+        capture_output=True, text=True, env=_script_env(), timeout=10)
     assert result.returncode == 2
     assert result.stdout == ""
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
@@ -171,13 +175,10 @@ def test_script_refuses_a_prime_above_the_table_limit_at_once():
 
 def test_script_refuses_a_prime_whose_cyclic_group_cannot_fit_in_memory():
     # a raised limit lets the prime past the limit check; memory still bounds it
-    src = str(SCRIPT.parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src,
-           "PSIGROUPS_MAX_ORDER": "1000000000000000000000"}
     result = subprocess.run(
         [sys.executable, str(SCRIPT), "--catalogs", "1000000000000000003:16"],
-        capture_output=True, text=True, env=env, timeout=10)
+        capture_output=True, text=True,
+        env=_script_env(PSIGROUPS_MAX_ORDER="1000000000000000000000"), timeout=10)
     assert result.returncode == 2
     assert result.stdout == ""
     errors = [line for line in result.stderr.splitlines() if "error:" in line]
@@ -196,6 +197,16 @@ def test_script_runs_a_small_catalog(capsys, monkeypatch):
     assert lines[0].startswith("== catalog p=3 max_order=27: ")
     assert lines[1:] == [
         "  " + line for line in format_reports(verify_theorems(build_catalog([3], 27))).splitlines()]
+
+
+def test_script_on_a_closed_pipe_runs_the_battery_to_its_exit_code():
+    # `run_verification.py | head -1`: the reader is gone before the first
+    # report, which ended in a BrokenPipeError traceback and exit code 1
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), "--catalogs", "2:16", "3:27"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_script_env())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 @pytest.mark.parametrize("prime,cap", [(2, 256), (3, 243), (5, 125)])
