@@ -31,9 +31,18 @@ S_M is closed and o(x), o(y) <= M, then xy lies in S_M, so o(xy) <= M; put
 M = max(o(x), o(y)) and the pair holds (at the largest order, S_M is the
 whole group).  Conversely, in a CP2 group a product of two elements of S_M
 has order at most M.  Neither direction needs a prime, so the lemma holds
-in every finite group.  Closing S_M reads about |S_M| products per
-generator of its cover, not the pairs of a scan; a group with an open S_M
-is scanned for its first witness.
+in every finite group.  The sets are nested, so they are closed in
+ascending M as one chain of Dimino steps (``groups._cover``), each S_M grown
+from the one below with S_M as its stop mask, after a size that does not
+divide |G| is refused by Lagrange: the chain reads about |S_M| products per
+new generator, not the pairs of a scan.  A group with an open S_M is
+scanned for its first witness.
+
+Inside a same-prime product read from its law, a side that is itself a
+product of more than 128 elements is decided from its own sides the same
+way (see ``groups._sides``), so the side Q16*C16 of D16*Q16*C16 is read as
+Q16 | C16 and writes no table; a group of up to order 1024 standing alone
+keeps its table scan.
 """
 
 from __future__ import annotations
@@ -42,8 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupError, Subgroup, _mul, _products, _row_blocks,
-                     _sides, prime_power)
+from .groups import FiniteGroup, _cover, _mul, _products, _row_blocks, _sides, prime_power
 from .omega import OmegaFiltration, omega_filtration
 
 
@@ -110,30 +118,40 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     Both give the same products, so the same first witness.
 
     A same-prime product read from its law (``_sides``) reads no pair of its
-    own: ``_factor_witness`` decides its two sides by this function (the
-    lemma is in the module docstring).  Any other group read from its law
-    is first decided by its order sublevel sets S_M = {x : o(x) <= M}, M
-    each order below the largest: it is CP2 when every S_M is closed, since
-    x, y in S_M for M = max(o(x), o(y)) then puts xy in S_M, and the converse
-    is the definition (module docstring).  ``Subgroup`` checks each set; its
-    cover stops at the first product outside, and only a group with an open
-    set is scanned.  A table, and so every group up to order 1024, is
-    scanned: that scan is the reference the omega criterion is checked
-    against.
+    own: ``_factor_report`` decides its two sides, a side that is a product
+    from its own sides, else by this function (the lemma is in the module
+    docstring).  Any other group read from its law is first decided by its
+    order sublevel sets S_M = {x : o(x) <= M}, M each order below the
+    largest: it is CP2 when every S_M is closed, since x, y in S_M for
+    M = max(o(x), o(y)) then puts xy in S_M, and the converse is the
+    definition (module docstring).  Each set is refused by Lagrange or
+    closed by one Dimino step from the set below, stopped at the first
+    product outside it, and only a group with an open set is scanned.  A
+    table, and so every group up to order 1024, is scanned: that scan is the
+    reference the omega criterion is checked against.
     """
     if prime_power(group.order) is not None:
         # order 2 or more, so the scan below would read products too: taking
         # the route writes no table the scan would not
-        sides = _sides(group)
-        if sides is not None:
-            return _factor_witness(*sides)
+        report = _factor_report(group)
+        if report is not None:
+            return report
     orders = group.element_orders
     distinct = np.flatnonzero(np.bincount(orders))  # np.unique(orders) would import numpy.ma
     # with two orders or more the scan reads products too, so asking
     # _products where they come from writes no table the scan would not
-    if (distinct.size > 1 and not isinstance(_products(group), np.ndarray)
-            and all(_closed(group, orders <= top) for top in distinct[:-1])):
-        return Cp2Report()
+    if distinct.size > 1 and not isinstance(products := _products(group), np.ndarray):
+        # S_1 is the identity; each S_M is refused by Lagrange, or closed by
+        # one Dimino step from the one below, stopped by its first product
+        # outside S_M
+        covered, gens = orders == 1, []
+        for top in distinct[1:-1]:
+            inside = orders <= top
+            if (group.order % np.count_nonzero(inside)
+                    or not _cover(products, np.flatnonzero(inside), covered, gens, inside)):
+                break
+        else:
+            return Cp2Report()
     below_top = np.flatnonzero(orders < distinct[-1])
     # o(xy) > max(o(x), o(y)) as two bool blocks: no block for the maximum
     pair = _first_pair(group, lambda oxy, ox, oy: (oxy > ox) & (oxy > oy), below_top)
@@ -144,25 +162,26 @@ def is_cp2_pairwise(group: FiniteGroup) -> Cp2Report:
     return Cp2Report(witness=(x, y, int(orders[x]), int(orders[y]), int(orders[xy])))
 
 
-def _closed(group: FiniteGroup, inside: np.ndarray) -> bool:
-    """Whether the elements the mask ``inside`` holds, the identity among
-    them, are closed under products: ``Subgroup`` refuses an open set with a
-    GroupError."""
-    try:
-        Subgroup(group, np.flatnonzero(inside))
-    except GroupError:
-        return False
-    return True
-
-
-def _factor_witness(left: FiniteGroup, right: FiniteGroup) -> Cp2Report:
-    """CP2 of ``left`` x ``right``, p-groups of one prime: the right side's
-    witness, else the left side's with x and y times |right|, orders kept."""
-    witness = is_cp2_pairwise(right).witness
-    if witness is None and (witness := is_cp2_pairwise(left).witness) is not None:
+def _factor_report(group: FiniteGroup, inside: bool = False) -> Cp2Report | None:
+    """CP2 of a p-group from its two sides when ``_sides`` offers them, else
+    None: the right side's witness, else the left side's with x and y times
+    |right|, orders kept.  A side that ``_sides`` splits ``inside`` a
+    product read from its law is decided the same way, any other by
+    ``is_cp2_pairwise``."""
+    sides = _sides(group, inside)
+    if sides is None:
+        return None
+    left, right = sides
+    witness = _side_witness(right)
+    if witness is None and (witness := _side_witness(left)) is not None:
         x, y, *three = witness
         witness = (x * right.order, y * right.order, *three)
     return Cp2Report(witness=witness)
+
+
+def _side_witness(side: FiniteGroup) -> tuple[int, int, int, int, int] | None:
+    """The witness of a side of a same-prime product (see ``_factor_report``)."""
+    return (_factor_report(side, inside=True) or is_cp2_pairwise(side)).witness
 
 
 def cp2_from_filtration(filtration: OmegaFiltration) -> Cp2Report:

@@ -43,11 +43,12 @@ taken in, so ``Subgroup.as_group`` reads its orders from the parent's, and
 
 As neither law nor table ever changes, a group also keeps what is derived
 from it alone the first time it is asked for: its omega filtration
-(``omega.omega_filtration``) and its quotient by each normal subgroup N,
-kept on ``N.parent`` by ``quotient(N)``.  A kept value must never reference
-the group itself, or the group would only be freed by the cycle collector:
-the filtration holds sizes and member tuples, and a quotient is a group of
-its own, not a ``Subgroup``.
+(``omega.omega_filtration``), its p-th power map (``omega.omega_set``) and
+its quotient by each normal subgroup N, kept on ``N.parent`` by
+``quotient(N)``.  A kept value must never reference the group itself, or
+the group would only be freed by the cycle collector: the filtration holds
+sizes and member tuples, the power map is a read-only index array, and a
+quotient is a group of its own, not a ``Subgroup``.
 
 Tables are validated once, exactly, where they enter from outside: a table
 passed to ``group_from_table`` by a caller, and every GT1 import, is checked
@@ -74,16 +75,22 @@ table size limit and its bytes, the table plus one row block, against
 physical memory, so a build that cannot fit is refused with a
 ``GroupBuildError`` instead of failing part-way.
 
-A subgroup is grown from generators by one cover routine, ``_cover``: the
-BFS step of Dimino's algorithm, each generator g entering with its squares,
-so the powers of one generator take about log2 of its order in rounds, not
-its order, and with those of the last generator times g, so two
-involutions bring in the rotation between them the same way.  Each round
-marks its new elements in a mask over the group rather than sorting its
-products.  Light's test grows its checked elements by the same step.  The
-``Subgroup`` check and ``closure`` use it on a set of over 128 elements
-(|S|^2 above 1/64 of a row block, ``_gathers``), and gather all |S|^2
-products at once below that.
+A subgroup is grown from generators by one Dimino step, ``_cover``: it
+continues from a cover already closed under its generator list, so a chain
+of nested subgroups is grown each from the one below (Butler, Fundamental
+Algorithms for Permutation Groups, 1991).  Each generator g enters by the
+BFS rounds of ``_add_generator`` with its squares, so the powers of one
+generator take about log2 of its order in rounds, not its order, and with
+those of the last generator times g, so two involutions bring in the
+rotation between them the same way.  Each round marks its new elements in a
+mask over the group rather than sorting its products.  Light's test grows
+its checked elements by the same rounds.  ``closure`` of a ``Subgroup``
+continues from the generators that subgroup was grown from, as GAP's
+``ClosureGroup``: the omega filtration closes each level from the one below,
+and ``cp2`` closes the order sublevel sets in ascending order as one chain.
+On a written table the ``Subgroup`` check and ``closure`` gather all |S|^2
+products of a set of up to 128 elements at once (|S|^2 up to 1/64 of a row
+block, ``_gathers``) instead.
 """
 
 from __future__ import annotations
@@ -193,9 +200,10 @@ class FiniteGroup:
     the law.  ``is_abelian`` is read from the law while the group holds one,
     and from the table by its transpose after.
 
-    Two more private fields, neither compared nor printed, keep results
+    Three more private fields, neither compared nor printed, keep results
     derived from the group alone on their first computation: ``_filtration``,
-    the omega filtration, and ``_quotients``, where ``quotient(N)`` keeps its
+    the omega filtration, ``_pth_power``, the read-only p-th power map
+    ``omega_set`` reads, and ``_quotients``, where ``quotient(N)`` keeps its
     result on ``N.parent`` keyed by ``N.members``.  Nothing kept may
     reference the group.
     """
@@ -206,6 +214,7 @@ class FiniteGroup:
     _law: Law | None = field(default=None, compare=False, repr=False)
     _filtration: OmegaFiltration | None = field(
         default=None, init=False, compare=False, repr=False)
+    _pth_power: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     _quotients: dict[tuple[int, ...], FiniteGroup] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -245,13 +254,22 @@ class Subgroup:
     at once, lie in S; a larger one when ``_cover`` of S, the subgroup S
     generates, never leaves S.
 
+    ``_gens``, private, neither compared nor printed, holds the generators
+    ``closure`` grew the members from, so the next ``closure`` of the
+    subgroup continues from them; a subgroup given them is closed by
+    construction and not checked.  One built from bare members has none, and
+    a ``closure`` of it regrows them.
+
     A normal subgroup N names each coset by its least index, min(Nx), which
     is min(xN) as well: ``quotient`` reads these from N's rows."""
 
     parent: FiniteGroup
     members: tuple[int, ...]
+    _gens: tuple[int, ...] | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
+        if self._gens is not None:
+            return  # grown by ``closure``, so closed by construction
         mem = _indices(self.members, "subgroup member")
         if not isinstance(self.members, tuple):
             object.__setattr__(self, "members", tuple(mem.tolist()))  # frozen dataclass
@@ -274,7 +292,7 @@ class Subgroup:
         if _gathers(mem.size ** 2):
             closed = inside[products[mem[:, None], mem]].all()
         else:
-            closed = _cover(products, n, mem, stop_inside=inside) is not None
+            closed = _cover(products, mem, _identity(n), [], stop_inside=inside)
         if not closed:
             raise GroupError("subset is not closed under multiplication")
 
@@ -400,21 +418,27 @@ def _gathers(entries: int) -> bool:
     return entries <= _BLOCK_ENTRIES >> 6
 
 
-def _cover(products: Products, n: int, seed: np.ndarray,
-           stop_inside: np.ndarray | None = None) -> np.ndarray | None:
-    """Mask of the subgroup of the order-n group whose ``products`` are
-    given (see ``_products``) generated by ``seed``, grown from index 0 by
-    right products with generators, or None as soon as a product leaves the
-    mask ``stop_inside``.  Each generator is the first seed element not yet
-    covered, added by ``_add_generator``; in a group each new one at least
-    doubles the cover, so there are at most log2(n) of them."""
+def _identity(n: int) -> np.ndarray:
+    """The mask of the trivial subgroup of an order-n group: the cover
+    ``_cover`` grows from when it starts with no generators."""
     covered = np.zeros(n, dtype=bool)
     covered[0] = True
-    gens: list[int] = []
+    return covered
+
+
+def _cover(products: Products, seed: np.ndarray, covered: np.ndarray, gens: list[int],
+           stop_inside: np.ndarray | None = None) -> bool:
+    """One Dimino step: grow the mask ``covered``, the subgroup ``gens``
+    spans, in place into the subgroup that also holds ``seed``, in the group
+    whose ``products`` are given (see ``_products``).  Each new generator is
+    the first seed element not yet covered, added by ``_add_generator``,
+    which extends ``gens``; in a group each one at least doubles the cover,
+    so a chain of steps from ``_identity`` adds at most log2(n) in all.
+    Returns False as soon as a product leaves the mask ``stop_inside``."""
     while (left := seed[~covered[seed]]).size:
         if not _add_generator(products, covered, gens, int(left[0]), stop_inside):
-            return None
-    return covered
+            return False
+    return True
 
 
 def _add_generator(products: Products, covered: np.ndarray, gens: list[int], g: int,
@@ -880,10 +904,15 @@ def _bracket(factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
     return _frozen_group("*".join(g.name for g in factors), _Product(left, right), orders)
 
 
-def _sides(group: FiniteGroup) -> tuple[FiniteGroup, FiniteGroup] | None:
+def _sides(group: FiniteGroup, inside: bool = False) -> tuple[FiniteGroup, FiniteGroup] | None:
     """(left, right) of a product ``_products`` reads from its ``_Product``
-    law, else None: where ``omega`` and ``cp2`` decide to read the sides."""
-    law = _products(group)
+    law, else None: where ``omega`` and ``cp2`` decide to read the sides.  A
+    side ``inside`` such a product offers its own sides while it holds its
+    law, so its table is not written to be scanned or closed, unless it has
+    at most 128 elements (``_gathers``): the table of C2^6 costs less to
+    write and read than six atoms' decisions.  A group of up to one row
+    block that stands alone keeps its table route."""
+    law = group._law if inside and not _gathers(group.order ** 2) else _products(group)
     return (law.left, law.right) if isinstance(law, _Product) else None
 
 
@@ -933,32 +962,46 @@ def power_map(group: FiniteGroup, e: int) -> np.ndarray:
     return _power(_products(group), group.order, e % group.order)
 
 
-def closure(group: FiniteGroup, seed) -> Subgroup:
-    """Smallest subgroup containing ``seed``: seed and identity, grown until
-    ``Subgroup`` accepts the set (its GroupError means "not closed" for a
-    sorted, in-range set holding 0).  A set S of up to 128 members grows by
-    all of S*S at once; a larger one, which a small seed of a large group
-    reaches after a few such rounds, is replaced by its ``_cover``.  A finite
-    set closed under products is a subgroup, since x^-1 = x^(o(x)-1), so no
-    inverse is taken.
+def closure(group: FiniteGroup | Subgroup, seed) -> Subgroup:
+    """Smallest subgroup containing ``seed`` and, when ``group`` is a
+    ``Subgroup`` H, H itself, as GAP's ``ClosureGroup``: a chain of nested
+    subgroups is grown each from the one below, not from the identity.
+
+    On a written table a set S of up to 128 members grows by all of S*S at
+    once until ``Subgroup`` accepts it (its GroupError means "not closed" for
+    a sorted, in-range set holding 0); a set of every index is the whole
+    group, accepted with no product read.  A larger set, or any set of a group
+    read from its law, is grown by one ``_cover`` step from H's cover and the
+    generators H was grown from (from the identity when H is a group, or a
+    ``Subgroup`` built from bare members, whose generators regrow in this
+    step).  The result keeps its generators for the next step and, closed by
+    construction, is not checked again.  A finite set closed under products
+    is a subgroup, since x^-1 = x^(o(x)-1), so no inverse is taken.
     """
+    held = group if isinstance(group, Subgroup) else None
+    group = group if held is None else held.parent
     seed = _indices(seed, "seed")
     if seed.size and (seed.min() < 0 or seed.max() >= group.order):
         bad = int(seed.min() if seed.min() < 0 else seed.max())
         raise IndexError(f"seed index {bad} out of range for order {group.order}")
-    inside = np.zeros(group.order, dtype=bool)
-    inside[0] = True
+    inside = _identity(group.order)
     inside[seed] = True
+    covered, gens = _identity(group.order), []
+    if held is not None:
+        members = np.array(held.members)
+        inside[members] = True
+        if held._gens is not None:
+            covered[members] = True
+            gens = list(held._gens)
     products = _products(group)
-    while True:
-        cur = np.flatnonzero(inside)
+    while ((cur := np.flatnonzero(inside)).size == group.order
+           or isinstance(products, np.ndarray) and _gathers(cur.size ** 2)):
         try:
             return Subgroup(group, tuple(cur.tolist()))
         except GroupError:
-            if _gathers(cur.size ** 2):
-                inside[products[cur[:, None], cur]] = True
-            else:
-                inside = _cover(products, group.order, cur)
+            inside[products[cur[:, None], cur]] = True
+    _cover(products, np.flatnonzero(inside), covered, gens)
+    return Subgroup(group, tuple(np.flatnonzero(covered).tolist()), _gens=tuple(gens))
 
 
 def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:
@@ -1006,7 +1049,7 @@ def quotient(normal: Subgroup) -> FiniteGroup:
         raise NotNormalError(
             f"subgroup of size {len(normal)} is not normal in {group.name}")
     rep = _coset_minima(normal, left=False)
-    reps = np.unique(rep)
+    reps = np.flatnonzero(np.bincount(rep))  # np.unique(rep) would import numpy.ma
     coset_of = np.searchsorted(reps, rep).astype(np.int32)
     products = _products(group)
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)

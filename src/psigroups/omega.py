@@ -89,7 +89,8 @@ def prime_of(group: FiniteGroup) -> int:
 
 def exponent(group: FiniteGroup) -> int:
     """Least common multiple of all element orders."""
-    return math.lcm(*(int(v) for v in np.unique(group.element_orders)))
+    # np.unique(orders) would import numpy.ma
+    return math.lcm(*np.flatnonzero(np.bincount(group.element_orders)).tolist())
 
 
 def exponent_log(group: FiniteGroup) -> tuple[int, int]:
@@ -110,14 +111,19 @@ def _level(i) -> int:
 def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
     """All element indices x with x^(p^i) = identity, ascending.
 
-    x^(p^i) is the p-th power map, read once from the products by
-    ``power_map``, applied i times by gathers: (x^p)^(p^(i-1)).  As
-    x^n = 1 for n = p^k, it is applied at most k times.  The set is read
-    from products, not from the element orders, so it stays a route
-    independent of them."""
+    x^(p^i) is the group's p-th power map applied i times by gathers:
+    (x^p)^(p^(i-1)).  The map is read from the products by ``power_map`` on
+    the first call and kept on the group, read-only, like its filtration, so
+    the levels of a filtration read it once.  As x^n = 1 for n = p^k, it is
+    applied at most k times.  The set is read from products, not from the
+    element orders, so it stays a route independent of them."""
     i = _level(i)
     p = prime_of(group)
-    step = power_map(group, p)
+    step = group._pth_power
+    if step is None:
+        step = power_map(group, p)
+        step.flags.writeable = False
+        object.__setattr__(group, "_pth_power", step)  # FiniteGroup is frozen
     powers = np.arange(group.order)
     for _ in range(min(i, prime_power(group.order)[1])):
         powers = step[powers]
@@ -137,53 +143,55 @@ def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
     """Set and subgroup sizes, and the subgroup members, at every level 0..m,
     where exp(G) = p^m.
 
-    Each level is ``omega_set`` and its ``closure``; for a direct product
-    read from its law, the levels are folded from its two sides' (``_sides``,
-    ``_product_levels``).  Neither route writes a table over one block.  The
-    prime and exponent are read from the group's orders first either way, so
-    a group that is not a p-group is refused with the same error.
+    Each level is ``omega_set`` and its ``closure``, grown from the level
+    below's subgroup as one chain, so no level covers the one below again;
+    for a direct product read from its law, the levels are folded from its
+    two sides' (``_sides``, ``_levels``).  Neither route writes a table over
+    one block.  The prime and exponent are read from the group's orders
+    first either way, so a group that is not a p-group is refused with the
+    same error.
 
     Computed once per group instance and kept on it (the table cannot
     change), so every later call returns the same object.
     """
     if group._filtration is None:
         p, m = exponent_log(group)
-        sides = _sides(group)
-        if sides is not None:
-            levels = _product_levels(*sides, m)
-        else:
-            levels = []
-            for i in range(m + 1):
-                members = omega_set(group, i)
-                generated = closure(group, members)
-                levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
-                                         members=generated.members))
-        filtration = OmegaFiltration(p=p, levels=tuple(levels))
+        filtration = OmegaFiltration(p=p, levels=tuple(_levels(group, m)))
         object.__setattr__(group, "_filtration", filtration)  # FiniteGroup is frozen
     return group._filtration
 
 
-def _product_levels(left: FiniteGroup, right: FiniteGroup, m: int) -> list[OmegaLevel]:
-    """Levels 0..m of A x B, ``left`` x ``right``, from theirs: x^(p^i) = 1
-    exactly when it holds on both sides, so Omega_i(A x B) =
-    Omega_i(A) x Omega_i(B), both sizes multiply, and the members are the
-    sums a * |B| + b, ascending."""
-    levels = []
+def _levels(group: FiniteGroup, m: int, inside: bool = False) -> list[OmegaLevel]:
+    """Levels 0..m of ``group``.  A product that ``_sides`` splits, A x B, is
+    folded from its sides' levels, each split again the same way while it is
+    ``inside`` a product read from its law: x^(p^i) = 1 exactly when it holds
+    on both sides, so Omega_i(A x B) = Omega_i(A) x Omega_i(B), both sizes
+    multiply, and the members are the sums a * |B| + b, ascending.  A side
+    that is no product gives its own filtration's levels, its top level
+    above its exponent; an order-1 side has no prime, and its only index, 0,
+    at every level.  Any other group closes each level's ``omega_set`` from
+    the subgroup of the level below."""
+    sides = _sides(group, inside)
+    if sides is not None:
+        left, right = (_levels(side, m, inside=True) for side in sides)
+        levels = []
+        for a, b in zip(left, right):
+            members = (np.array(a.members)[:, None] * sides[1].order
+                       + np.array(b.members)).ravel()
+            levels.append(OmegaLevel(set_size=a.set_size * b.set_size,
+                                     subgroup_size=members.size, members=tuple(members.tolist())))
+        return levels
+    if inside:
+        own = omega_filtration(group).levels if group.order > 1 else (
+            OmegaLevel(set_size=1, subgroup_size=1, members=(0,)),)
+        return [own[min(i, len(own) - 1)] for i in range(m + 1)]
+    levels, generated = [], group
     for i in range(m + 1):
-        a, b = _side_level(left, i), _side_level(right, i)
-        members = (np.array(a.members)[:, None] * right.order + np.array(b.members)).ravel()
-        levels.append(OmegaLevel(set_size=a.set_size * b.set_size,
-                                 subgroup_size=members.size, members=tuple(members.tolist())))
+        members = omega_set(group, i)
+        generated = closure(generated, members)
+        levels.append(OmegaLevel(set_size=len(members), subgroup_size=len(generated),
+                                 members=generated.members))
     return levels
-
-
-def _side_level(side: FiniteGroup, i: int) -> OmegaLevel:
-    """Level i of a side, its top level above its exponent; an order-1 side
-    has no prime, and its only index, 0, at every level."""
-    if side.order == 1:
-        return OmegaLevel(set_size=1, subgroup_size=1, members=(0,))
-    filtration = omega_filtration(side)
-    return filtration.levels[min(i, filtration.m)]
 
 
 def psi_brute(group: FiniteGroup) -> int:

@@ -328,6 +328,25 @@ def _run_module(*argv, timeout=120, text=True, cwd=None, **env):
                           capture_output=True, text=text, env=env, timeout=timeout)
 
 
+@pytest.mark.parametrize("argv", [("omega", "D8"), ("compare", "C4*C2", "D8"),
+                                  ("verify", "--p", "5", "--max-order", "125")],
+                         ids=["omega", "compare", "verify"])
+def test_a_command_leaves_numpy_ma_unimported(argv):
+    # a bare np.unique imports numpy.ma on its first call in a process: 8.8 ms
+    # and about 1 MB of every fresh omega, compare or verify call
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    code = ("import contextlib, io, sys\n"
+            "from psigroups.cli import cli_main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli_main({list(argv)!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert (result.stdout, result.stderr) == ("0 False\n", "")
+
+
 def test_python_m_psigroups_prints_psi():
     result = _run_module("psi", "C4")
     assert result.returncode == 0

@@ -72,7 +72,7 @@ from oracle import (
     whole_modular_table,
     whole_quaternion_table,
 )
-from strategies import ATOMS, group_names, same_order_p_group_pairs
+from strategies import ATOMS, group_names, p_group_names, same_order_p_group_pairs
 
 MB = 2**20
 
@@ -960,6 +960,102 @@ def test_omega_of_involution_generators_takes_logarithmic_rounds(monkeypatch, na
     assert 0 < len(rounds) <= 12 * math.log2(g.order)
 
 
+# --- chained covers: each subgroup of a nested chain grown from the one below ---
+
+def _record_rounds(monkeypatch) -> list[int]:
+    """The size of the stop mask of each ``_cover_round`` call, 0 for none."""
+    stops = []
+    step = groups._cover_round
+
+    def counted(products, covered, frontier, by, stop_inside):
+        stops.append(0 if stop_inside is None else int(stop_inside.sum()))
+        return step(products, covered, frontier, by, stop_inside)
+    monkeypatch.setattr(groups, "_cover_round", counted)
+    return stops
+
+
+@st.composite
+def _held_and_seed(draw):
+    name = draw(group_names)
+    seeds = st.lists(st.integers(0, group_from_text(name).order - 1), max_size=3)
+    return name, draw(seeds), draw(seeds)
+
+
+@given(_held_and_seed(), st.sampled_from([None, 1]))
+@settings(max_examples=100, deadline=None)
+def test_closure_of_a_subgroup_and_a_seed_is_the_naive_closure(drawn, block):
+    # at one-entry blocks every group is read from its law and every set
+    # grown by the chain; at the default block a written table's small sets
+    # are gathered and its larger ones chained
+    name, first, more = drawn
+    with patch.object(groups, "_BLOCK_ENTRIES", block or groups._BLOCK_ENTRIES):
+        g = group_from_text(name)
+        held = closure(g, first)
+        grown = closure(held, more)
+        regrown = closure(Subgroup(g, held.members), more)  # no generators kept
+    want = naive_closure(table_of(g), [*held.members, *more])
+    assert list(grown.members) == want == list(regrown.members)
+    assert grown.parent is g is regrown.parent
+
+
+@given(p_group_names, st.sampled_from([None, 1]))
+@settings(max_examples=60, deadline=None)
+def test_each_filtration_level_is_the_unchained_closure_of_its_set(name, block):
+    with patch.object(groups, "_BLOCK_ENTRIES", block or groups._BLOCK_ENTRIES):
+        chained = omega_filtration(group_from_text(name))
+        g = group_from_text(name)
+        want = [closure(g, omega_set(g, i)).members for i in range(chained.m + 1)]
+    assert [level.members for level in chained.levels] == want
+
+
+@pytest.mark.parametrize("name", ["C4096", "D4096", "Q4096", "M4096", "M2187", "H2197",
+                                  "Q2048*C2"])
+def test_each_filtration_level_at_the_limit_is_the_unchained_closure(name):
+    chained = omega_filtration(group_from_text(name))
+    g = group_from_text(name)
+    for i, level in enumerate(chained.levels):
+        assert level.members == closure(g, omega_set(g, i)).members, i
+    assert g._table is None
+
+
+@pytest.mark.parametrize("run", [omega_filtration, is_cp2_pairwise], ids=["omega", "cp2"])
+def test_the_nested_subgroups_of_m4096_take_one_chain_of_rounds(monkeypatch, run):
+    # each Omega level and each sublevel set was covered from the identity,
+    # and the Omega levels proved closed once more: 46 rounds each
+    stops = _record_rounds(monkeypatch)
+    run(group_from_text("M4096"))
+    assert 0 < len(stops) <= 24
+
+
+@pytest.mark.parametrize("name,open_size", [("D4096", 2050), ("Q4096", 2052)])
+def test_cp2_refuses_an_open_sublevel_set_by_lagrange_before_covering_it(
+        monkeypatch, name, open_size):
+    # S_2 of D4096 and S_4 of Q4096 are open, and their sizes divide no 4096:
+    # covering them first took 5 and 7 rounds
+    g = group_from_text(name)
+    orders = g.element_orders
+    assert open_size in {int((orders <= m).sum()) for m in np.unique(orders)}
+    stops = _record_rounds(monkeypatch)
+    assert not is_cp2_pairwise(g).is_cp2
+    assert all(g.order % size == 0 for size in stops) and open_size not in stops
+
+
+@pytest.mark.parametrize("command", ["omega", "cp2", "compare"])
+def test_a_product_side_inside_a_large_product_is_read_from_its_own_sides(command):
+    # D16*Q16*C16 is D16 | Q16*C16: the side Q16*C16 wrote its 256 KB table
+    # to be scanned and closed level by level; Q16 and C16 write their own
+    built = []
+    build = expr.build_group
+    with patch.object(expr, "build_group", lambda e: built.append(build(e)) or built[-1]):
+        argv = [command, "D16*Q16*C16"] + (["C64*C64"] if command == "compare" else [])
+        assert cli_main(argv) == 0
+    side = built[0]._law.right
+    assert side.name == "Q16*C16" and side._table is None
+    alone = group_from_text("Q16*C16")  # a group of one block standing alone: its table
+    is_cp2_pairwise(alone)
+    assert alone._table is not None
+
+
 def _switched_loops(name, count, rng):
     """``count`` copies of ``name``'s table, each with one intercalate switched
     away from row and column 0: latin loops with identity 0."""
@@ -1163,12 +1259,15 @@ def test_omega_set_takes_the_exponent_mod_the_order(monkeypatch, name):
     assert seen and all(k < g.order for k in seen)
 
 
-def test_omega_filtration_reads_one_pth_power_map_per_level(monkeypatch):
-    # x^(2^i) was a power map of its own at each level: 78 law reads for M4096
+def test_omega_filtration_reads_one_pth_power_map(monkeypatch):
+    # x^(2^i) was a power map of its own at each level, 78 law reads for
+    # M4096, then one p-th power map per level, 12: the group keeps its map
     g = group_from_text("M4096")
     seen = _record_power_exponents(monkeypatch)
-    filtration = omega_filtration(g)
-    assert seen == [2] * (filtration.m + 1)
+    assert omega_filtration(g).m == 11
+    assert seen == [2]
+    assert not g._pth_power.flags.writeable
+    assert omega_set(g, 3) == omega_set(group_from_text("M4096"), 3) and seen == [2, 2]
 
 
 @given(group_names, st.integers(0, 2**70 + 5))
