@@ -434,10 +434,20 @@ def _cover(products: Products, seed: np.ndarray, covered: np.ndarray, gens: list
     the first seed element not yet covered, added by ``_add_generator``,
     which extends ``gens``; in a group each one at least doubles the cover,
     so a chain of steps from ``_identity`` adds at most log2(n) in all.
-    Returns False as soon as a product leaves the mask ``stop_inside``."""
+    Returns False as soon as a product leaves the mask ``stop_inside``.
+
+    Of the chain each generator brought into ``gens``, only the generator
+    itself is kept once its rounds end: the cover is then a subgroup, closed
+    under right products by any of its elements, and the kept ones still
+    generate it.  So the later rounds of a long chain of steps multiply by
+    one element per generator, not by every square of each: at odd p the
+    squares never fall into the cover, and ``cp2`` of M2187 read 65610
+    products with them kept, 16284 without."""
     while (left := seed[~covered[seed]]).size:
+        kept = len(gens)
         if not _add_generator(products, covered, gens, int(left[0]), stop_inside):
             return False
+        del gens[kept + 1:]
     return True
 
 

@@ -1027,6 +1027,17 @@ def test_the_nested_subgroups_of_m4096_take_one_chain_of_rounds(monkeypatch, run
     assert 0 < len(stops) <= 24
 
 
+def test_a_dimino_step_keeps_one_generator_per_step():
+    # the squares of a of order 729 never fall into the cover at p = 3, and
+    # kept as generators they multiplied every later round: cp2 of M2187
+    # read 65610 products with them, 16284 without
+    g = group_from_text("M2187")
+    sub = closure(g, [1])
+    assert len(sub) == 729 and sub._gens == (1,)
+    grown = closure(sub, [729])
+    assert len(grown) == g.order and grown._gens == (1, 729)
+
+
 @pytest.mark.parametrize("name,open_size", [("D4096", 2050), ("Q4096", 2052)])
 def test_cp2_refuses_an_open_sublevel_set_by_lagrange_before_covering_it(
         monkeypatch, name, open_size):
