@@ -24,8 +24,9 @@ is read from its table, written on that first read, as a gather costs less
 than the law there; a larger one is read from its law and its table is
 never written.  So psi and the order spectrum (from the orders alone),
 omega, cp2 and compare write no table of more than one block (n >= 1025).
-``FiniteGroup.is_abelian`` is read from the law too.  Only Light's test
-reads a raw table directly: it runs before a group exists.
+``FiniteGroup.is_abelian`` is read from the law too.  Two readers take a
+raw table directly: Light's test, which runs before a group exists, and
+``serialize_group``, which writes the GT1 export from ``group.table``.
 
 An atom takes its orders from a closed form in its constructor's index
 layout: ``_metacyclic_orders`` of the same (m, s, t, r) as its law for C,
@@ -47,7 +48,7 @@ from it alone the first time it is asked for: its omega filtration
 its quotient by each normal subgroup N, kept on ``N.parent`` by
 ``quotient(N)``.  A kept value must never reference the group itself, or
 the group would only be freed by the cycle collector: the filtration holds
-sizes and member tuples, the power map is a read-only index array, and a
+sizes and member arrays, the power map is a read-only index array, and a
 quotient is a group of its own, not a ``Subgroup``.
 
 Tables are validated once, exactly, where they enter from outside: a table
@@ -56,8 +57,11 @@ for shape, entry range, identity placement, associativity (Light's test,
 exact at every size) and element orders.  Laws and tables this module
 builds itself are trusted and not re-checked: the C/D/Q/H/M constructors
 and ``direct_product`` give group laws by construction, ``Subgroup.as_group``
-restricts a group to a set the ``Subgroup`` closure check has accepted, and
-``quotient`` multiplies cosets of a subgroup ``is_normal`` has accepted.
+restricts a group to a closed set, and ``quotient`` multiplies cosets of a
+subgroup ``is_normal`` has accepted.  Element sets are held one way, as
+read-only ``np.intp`` arrays of ascending indices, and proved closed in one
+place: a ``Subgroup`` built from a caller's members.  Every subgroup this
+package grows is closed by construction and not proved again.
 
 Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers run on the first read of
@@ -88,9 +92,10 @@ its checked elements by the same rounds.  ``closure`` of a ``Subgroup``
 continues from the generators that subgroup was grown from, as GAP's
 ``ClosureGroup``: the omega filtration closes each level from the one below,
 and ``cp2`` closes the order sublevel sets in ascending order as one chain.
-On a written table the ``Subgroup`` check and ``closure`` gather all |S|^2
-products of a set of up to 128 elements at once (|S|^2 up to 1/64 of a row
-block, ``_gathers``) instead.
+On a written table ``closure`` instead grows a set of up to 128 elements by
+all |S|^2 of its products at once (|S|^2 up to 1/64 of a row block,
+``_gathers``) until none leaves it.  A caller's ``Subgroup`` is proved closed
+by one ``_cover`` of its members, stopped at the first product outside them.
 """
 
 from __future__ import annotations
@@ -204,8 +209,8 @@ class FiniteGroup:
     derived from the group alone on their first computation: ``_filtration``,
     the omega filtration, ``_pth_power``, the read-only p-th power map
     ``omega_set`` reads, and ``_quotients``, where ``quotient(N)`` keeps its
-    result on ``N.parent`` keyed by ``N.members``.  Nothing kept may
-    reference the group.
+    result on ``N.parent`` keyed by the bytes of ``N.members``.  Nothing
+    kept may reference the group.
     """
 
     name: str
@@ -215,15 +220,13 @@ class FiniteGroup:
     _filtration: OmegaFiltration | None = field(
         default=None, init=False, compare=False, repr=False)
     _pth_power: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
-    _quotients: dict[tuple[int, ...], FiniteGroup] = field(
+    _quotients: dict[bytes, FiniteGroup] = field(
         default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            table = self._law.write()
-            table.flags.writeable = False
-            object.__setattr__(self, "_table", table)  # frozen dataclass
+            object.__setattr__(self, "_table", _read_only(self._law.write()))  # frozen dataclass
             object.__setattr__(self, "_law", None)
         return self._table
 
@@ -243,61 +246,57 @@ class FiniteGroup:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subset of a parent group's indices, verified closed on construction.
-    Members given as anything but a tuple are stored as a tuple of ints, so
-    they can key the parent's kept quotients.
+    """A closed subset of a parent group's indices: ``members``, ascending,
+    a read-only ``np.intp`` array, the type every fancy index reads.
 
-    n strictly increasing members in [0, n) are every index, and every table
-    entry is an index, so that set is closed with no products read: the
-    whole group is accepted before the closure check reads a product.  A
-    set S of up to 128 members is closed when all |S|^2 products, gathered
-    at once, lie in S; a larger one when ``_cover`` of S, the subgroup S
-    generates, never leaves S.
+    A set is proved closed in one place: here, when it comes from a caller
+    (``_gens`` not given).  Its members are copied, so the caller's array
+    may change after, and checked as indices; n strictly increasing members
+    in [0, n) are every index, and every product is an index, so the whole
+    group is accepted with no product read.  Any other set is closed when
+    ``_cover`` of it, the subgroup it generates, never leaves it: that
+    subgroup holds the set, so it is the set exactly when no product of its
+    growth lies outside.
 
-    ``_gens``, private, neither compared nor printed, holds the generators
-    ``closure`` grew the members from, so the next ``closure`` of the
-    subgroup continues from them; a subgroup given them is closed by
-    construction and not checked.  One built from bare members has none, and
-    a ``closure`` of it regrows them.
+    ``_gens``, private, neither compared nor printed, marks a subgroup the
+    library grew, closed by construction and not proved again: ``closure``
+    gives the generators it grew the members from, so the next ``closure``
+    of the subgroup continues from them, or ``()`` when it keeps none, and
+    ``omega_subgroup`` gives ``()`` for a kept filtration level.  A
+    ``closure`` of a subgroup with no generators regrows them.
 
     A normal subgroup N names each coset by its least index, min(Nx), which
     is min(xN) as well: ``quotient`` reads these from N's rows."""
 
     parent: FiniteGroup
-    members: tuple[int, ...]
+    members: np.ndarray
     _gens: tuple[int, ...] | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
-        if self._gens is not None:
-            return  # grown by ``closure``, so closed by construction
-        mem = _indices(self.members, "subgroup member")
-        if not isinstance(self.members, tuple):
-            object.__setattr__(self, "members", tuple(mem.tolist()))  # frozen dataclass
-        if mem.size == 0:
-            raise GroupError("subgroup must contain the identity")
-        if mem[0] != 0:
-            raise GroupError("subgroup must contain index 0 as its first member")
-        if np.any(np.diff(mem) <= 0):
-            raise GroupError("subgroup members must be strictly increasing")
-        n = self.parent.order
-        if mem[-1] >= n:
-            raise IndexError(f"subgroup member {int(mem[-1])} out of range for order {n}")
-        if n % mem.size != 0:
-            raise GroupError(f"subgroup size {mem.size} does not divide group order {n}")
-        if mem.size == n:
-            return
-        inside = np.zeros(n, dtype=bool)
-        inside[mem] = True
-        products = _products(self.parent)
-        if _gathers(mem.size ** 2):
-            closed = inside[products[mem[:, None], mem]].all()
-        else:
-            closed = _cover(products, mem, _identity(n), [], stop_inside=inside)
-        if not closed:
-            raise GroupError("subset is not closed under multiplication")
+        if self._gens is None:
+            # a copy, so the caller's array may change after
+            mem = _indices(self.members, "subgroup member").copy()
+            object.__setattr__(self, "members", mem)  # frozen dataclass
+            if mem.size == 0:
+                raise GroupError("subgroup must contain the identity")
+            if mem[0] != 0:
+                raise GroupError("subgroup must contain index 0 as its first member")
+            if np.any(np.diff(mem) <= 0):
+                raise GroupError("subgroup members must be strictly increasing")
+            n = self.parent.order
+            if mem[-1] >= n:
+                raise IndexError(f"subgroup member {int(mem[-1])} out of range for order {n}")
+            if n % mem.size != 0:
+                raise GroupError(f"subgroup size {mem.size} does not divide group order {n}")
+            inside = np.zeros(n, dtype=bool)
+            inside[mem] = True
+            if mem.size < n and not _cover(_products(self.parent), mem, _identity(n), [],
+                                           stop_inside=inside):
+                raise GroupError("subset is not closed under multiplication")
+        self.members.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.members.size
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group via table restriction.
@@ -309,7 +308,7 @@ class Subgroup:
         parent's, not computed: o(x) does not depend on the group it is taken
         in.
         """
-        mem = np.asarray(self.members, dtype=np.int64)
+        mem = self.members
         position = np.zeros(self.parent.order, dtype=np.int32)
         position[mem] = np.arange(mem.size, dtype=np.int32)
         products = _products(self.parent)
@@ -324,12 +323,19 @@ class Subgroup:
 
 
 def _indices(values, what: str) -> np.ndarray:
-    """``values`` as int64 element indices.  A value that is not an integer is
-    refused, not truncated; no values at all are accepted."""
+    """``values`` as ``np.intp`` element indices; an intp array is returned
+    as it is, not copied.  A value that is not an integer is refused, not
+    truncated; no values at all are accepted."""
     arr = np.asarray(values if isinstance(values, (tuple, list, np.ndarray)) else list(values))
     if arr.size and arr.dtype.kind not in "iu":
         raise GroupError(f"{what} indices must be integers, got {arr.dtype}")
-    return arr.astype(np.int64, copy=False)
+    return arr.astype(np.intp, copy=False)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only in place."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _integer(value, what: str) -> int:
@@ -411,10 +417,10 @@ def _check_assoc_light(table: np.ndarray) -> None:
 def _gathers(entries: int) -> bool:
     """Whether ``entries`` products are few enough, up to 1/64 of a row
     block's entries, to be read in one pass whose few numpy calls cost less
-    than a route of more calls: a set of up to 128 elements is checked or
-    grown by gathering all its products at once rather than by ``_cover``,
-    and a metacyclic law reads so small an outer product entry by entry
-    rather than by ``_Metacyclic.outer``."""
+    than a route of more calls: ``closure`` grows a set of up to 128
+    elements of a table by gathering all its products at once rather than
+    by ``_cover``, and a metacyclic law reads so small an outer product
+    entry by entry rather than by ``_Metacyclic.outer``."""
     return entries <= _BLOCK_ENTRIES >> 6
 
 
@@ -577,11 +583,9 @@ def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> F
 def _frozen_group(name: str, held: np.ndarray | Law, orders: np.ndarray) -> FiniteGroup:
     """A table, or an atom's or a direct product's law, and its element
     orders as a group, the orders and a table made read-only."""
-    orders.flags.writeable = False
     if isinstance(held, np.ndarray):
-        held.flags.writeable = False
-        return FiniteGroup(name=name, element_orders=orders, _table=held)
-    return FiniteGroup(name=name, element_orders=orders, _table=None, _law=held)
+        return FiniteGroup(name=name, element_orders=_read_only(orders), _table=_read_only(held))
+    return FiniteGroup(name=name, element_orders=_read_only(orders), _table=None, _law=held)
 
 
 # ---------------------------------------------------------------------------
@@ -978,15 +982,16 @@ def closure(group: FiniteGroup | Subgroup, seed) -> Subgroup:
     subgroups is grown each from the one below, not from the identity.
 
     On a written table a set S of up to 128 members grows by all of S*S at
-    once until ``Subgroup`` accepts it (its GroupError means "not closed" for
-    a sorted, in-range set holding 0); a set of every index is the whole
-    group, accepted with no product read.  A larger set, or any set of a group
-    read from its law, is grown by one ``_cover`` step from H's cover and the
-    generators H was grown from (from the identity when H is a group, or a
-    ``Subgroup`` built from bare members, whose generators regrow in this
-    step).  The result keeps its generators for the next step and, closed by
-    construction, is not checked again.  A finite set closed under products
-    is a subgroup, since x^-1 = x^(o(x)-1), so no inverse is taken.
+    once until none of them leaves S: that exit test is the proof that S is
+    closed, and the result keeps no generators (``_gens=()``).  A set of
+    every index is the whole group, accepted with no product read.  A larger
+    set, or any set of a group read from its law, is grown by one ``_cover``
+    step from H's cover and the generators H was grown from (from the
+    identity when H is a group or keeps no generators, which then regrow in
+    this step), and the result keeps them for the next step.  Either way the
+    result is closed by construction and not proved again by ``Subgroup``.
+    A finite set closed under products is a subgroup, since
+    x^-1 = x^(o(x)-1), so no inverse is taken.
     """
     held = group if isinstance(group, Subgroup) else None
     group = group if held is None else held.parent
@@ -998,20 +1003,20 @@ def closure(group: FiniteGroup | Subgroup, seed) -> Subgroup:
     inside[seed] = True
     covered, gens = _identity(group.order), []
     if held is not None:
-        members = np.array(held.members)
-        inside[members] = True
-        if held._gens is not None:
-            covered[members] = True
+        inside[held.members] = True
+        if held._gens:
+            covered[held.members] = True
             gens = list(held._gens)
     products = _products(group)
-    while ((cur := np.flatnonzero(inside)).size == group.order
-           or isinstance(products, np.ndarray) and _gathers(cur.size ** 2)):
-        try:
-            return Subgroup(group, tuple(cur.tolist()))
-        except GroupError:
-            inside[products[cur[:, None], cur]] = True
-    _cover(products, np.flatnonzero(inside), covered, gens)
-    return Subgroup(group, tuple(np.flatnonzero(covered).tolist()), _gens=tuple(gens))
+    while ((cur := np.flatnonzero(inside)).size < group.order
+           and isinstance(products, np.ndarray) and _gathers(cur.size ** 2)):
+        inside[products[cur[:, None], cur]] = True
+        if np.count_nonzero(inside) == cur.size:  # no product left S, so S is closed
+            return Subgroup(group, cur, _gens=())
+    if cur.size == group.order:
+        return Subgroup(group, cur, _gens=())
+    _cover(products, cur, covered, gens)
+    return Subgroup(group, np.flatnonzero(covered), _gens=tuple(gens))
 
 
 def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:
@@ -1019,7 +1024,7 @@ def _coset_minima(sub: Subgroup, left: bool) -> np.ndarray:
     at a time: min(xN) over blocks of rows x of the columns N, min(Nx) as a
     running minimum over blocks of N's rows."""
     products = _products(sub.parent)
-    mem = np.asarray(sub.members, dtype=np.int64)
+    mem = sub.members
     index = np.arange(sub.parent.order)
     if left:
         out = np.empty(index.size, dtype=np.int32)
@@ -1048,11 +1053,12 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     Coset representatives are the minimal element index of each coset,
     min(Nx), read from N's rows; as N is normal this is min(xN) too.  The
     identity coset gets index 0.  Each quotient is built once and
-    kept on ``normal.parent``, keyed by the subgroup's members, so normality
-    is decided once per subgroup.
+    kept on ``normal.parent``, keyed by the bytes of the subgroup's members,
+    so normality is decided once per subgroup.
     """
     group = normal.parent
-    kept = group._quotients.get(normal.members)
+    key = normal.members.tobytes()
+    kept = group._quotients.get(key)
     if kept is not None:
         return kept
     if not is_normal(normal):
@@ -1066,7 +1072,7 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     for rows in _row_blocks(reps.size, reps.size):
         qtable[rows] = coset_of[products[reps[rows, None], reps]]
     kept = group_from_table(f"{group.name}/{len(normal)}", qtable, orders=_compute_orders(qtable))
-    group._quotients[normal.members] = kept
+    group._quotients[key] = kept
     return kept
 
 

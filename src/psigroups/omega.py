@@ -9,19 +9,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .groups import (FiniteGroup, GroupError, NotPGroupError, Subgroup, _indices, _integer,
-                     _sides, closure, power_map, prime_power)
+                     _read_only, _sides, closure, power_map, prime_power)
 
 
 @dataclass(frozen=True)
 class OmegaLevel:
     """Sizes at one filtration level: the solution set of x^(p^i) = 1 and the
-    subgroup it generates.  ``members``, neither compared nor printed, lists
-    that subgroup's indices ascending when the level was computed from a
-    group."""
+    subgroup it generates.  ``members``, neither compared nor printed, holds
+    that subgroup's indices ascending, a read-only ``np.intp`` array, when the
+    level was computed from a group, and no indices otherwise."""
 
     set_size: int
     subgroup_size: int
-    members: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    members: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp),
+                                compare=False, repr=False)
 
     @property
     def set_is_subgroup(self) -> bool:
@@ -108,8 +109,9 @@ def _level(i) -> int:
     return i
 
 
-def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
-    """All element indices x with x^(p^i) = identity, ascending.
+def omega_set(group: FiniteGroup, i: int) -> np.ndarray:
+    """All element indices x with x^(p^i) = identity, ascending, as a
+    read-only ``np.intp`` array.
 
     x^(p^i) is the group's p-th power map applied i times by gathers:
     (x^p)^(p^(i-1)).  The map is read from the products by ``power_map`` on
@@ -121,22 +123,23 @@ def omega_set(group: FiniteGroup, i: int) -> tuple[int, ...]:
     p = prime_of(group)
     step = group._pth_power
     if step is None:
-        step = power_map(group, p)
-        step.flags.writeable = False
+        step = _read_only(power_map(group, p))
         object.__setattr__(group, "_pth_power", step)  # FiniteGroup is frozen
     powers = np.arange(group.order)
     for _ in range(min(i, prime_power(group.order)[1])):
         powers = step[powers]
-    return tuple(np.flatnonzero(powers == 0).tolist())
+    return _read_only(np.flatnonzero(powers == 0))
 
 
 def omega_subgroup(group: FiniteGroup, i: int) -> Subgroup:
     """The subgroup generated by the level-i omega set: read from the
-    group's filtration when it already holds one, else one closure."""
+    group's filtration when it already holds one, else one closure.  A kept
+    level's members came from ``closure``, or from the product of two sides'
+    closed levels, so they are not proved closed again."""
     kept = group._filtration
     if kept is None:
         return closure(group, omega_set(group, i))
-    return Subgroup(group, kept.levels[min(_level(i), kept.m)].members)
+    return Subgroup(group, kept.levels[min(_level(i), kept.m)].members, _gens=())
 
 
 def omega_filtration(group: FiniteGroup) -> OmegaFiltration:
@@ -176,14 +179,13 @@ def _levels(group: FiniteGroup, m: int, inside: bool = False) -> list[OmegaLevel
         left, right = (_levels(side, m, inside=True) for side in sides)
         levels = []
         for a, b in zip(left, right):
-            members = (np.array(a.members)[:, None] * sides[1].order
-                       + np.array(b.members)).ravel()
+            members = _read_only((a.members[:, None] * sides[1].order + b.members).ravel())
             levels.append(OmegaLevel(set_size=a.set_size * b.set_size,
-                                     subgroup_size=members.size, members=tuple(members.tolist())))
+                                     subgroup_size=members.size, members=members))
         return levels
     if inside:
         own = omega_filtration(group).levels if group.order > 1 else (
-            OmegaLevel(set_size=1, subgroup_size=1, members=(0,)),)
+            OmegaLevel(set_size=1, subgroup_size=1, members=_read_only(np.zeros(1, np.intp))),)
         return [own[min(i, len(own) - 1)] for i in range(m + 1)]
     levels, generated = [], group
     for i in range(m + 1):

@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psigroups import (
@@ -547,7 +547,7 @@ def _levels(g):
         filtration = omega_filtration(g)
     except GroupError as exc:
         return type(exc), str(exc)
-    return filtration.p, filtration.levels, [level.members for level in filtration.levels]
+    return filtration.p, filtration.levels, [level.members.tolist() for level in filtration.levels]
 
 
 @given(group_names)
@@ -693,12 +693,12 @@ def _every_reader(g, seeds):
     normality and quotient tables."""
     n = g.order
     subs = [closure(g, seed) for seed in seeds]
-    traded = [sub.members[:-1] + (n - 1,) for sub in subs
+    traded = [(*sub.members[:-1].tolist(), n - 1) for sub in subs
               if 1 < len(sub) and n - 1 not in sub.members]
     return {
         "power": [power_map(g, e).tobytes() for e in (2, 3, n - 1, n + 1)],
-        "closure": [sub.members for sub in subs],
-        "subgroup": [_outcome(lambda m=m: Subgroup(g, m).members) for m in traded],
+        "closure": [sub.members.tolist() for sub in subs],
+        "subgroup": [_outcome(lambda m=m: Subgroup(g, m).members.tolist()) for m in traded],
         "as_group": [sub.as_group().table.tobytes() for sub in subs],
         "omega": _levels(g),
         "cp2": is_cp2_pairwise(g),
@@ -915,9 +915,38 @@ def subsets_holding_0(draw):
     return g, sorted(members)
 
 
-@given(subsets_holding_0(), st.sampled_from([1, 1 << 12]))
+# groups of 512 or 729 elements in which one element generates up to half
+# or a third of the group: its closure is a proper subgroup of over 128 members
+LARGE_SUBSET_GROUPS = ("C2*C256", "D512", "Q512", "M512", "C3*C243", "M729")
+
+
+@st.composite
+def subsets_of_over_128_holding_0(draw):
+    """A group of ``LARGE_SUBSET_GROUPS`` and a proper subset holding 0 of
+    over 128 members whose size divides its order: a subgroup, one with a
+    member traded for an outsider, or any such subset."""
+    g = group_from_text(draw(st.sampled_from(LARGE_SUBSET_GROUPS)))
+    n = g.order
+    kind = draw(st.sampled_from(["subgroup", "traded", "any"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "any":
+        size = draw(st.sampled_from([d for d in range(129, n) if n % d == 0]))
+        return g, sorted({0, *rng.sample(range(1, n), size - 1)})
+    members = closure(g, draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2))).members
+    assume(128 < members.size < n)
+    members = set(members.tolist())
+    if kind == "traded":
+        members.remove(rng.choice(sorted(members - {0})))
+        members.add(rng.choice(sorted(set(range(n)) - members)))
+    return g, sorted(members)
+
+
+@given(st.one_of(subsets_holding_0(), subsets_of_over_128_holding_0()),
+       st.sampled_from([1, 1 << 12, groups._BLOCK_ENTRIES]))
 @settings(max_examples=120, deadline=None)
 def test_subgroup_accepts_exactly_the_closed_subsets(drawn, block):
+    # one route, a cover stopped at the first product outside the set, proves
+    # a set of every size: one of up to 128 members was gathered instead
     g, members = drawn
     with patch.object(groups, "_BLOCK_ENTRIES", block):
         try:
@@ -978,24 +1007,39 @@ def _record_rounds(monkeypatch) -> list[int]:
 def _held_and_seed(draw):
     name = draw(group_names)
     seeds = st.lists(st.integers(0, group_from_text(name).order - 1), max_size=3)
-    return name, draw(seeds), draw(seeds)
+    return name, draw(seeds), draw(seeds), draw(st.integers(0, 6))
 
 
 @given(_held_and_seed(), st.sampled_from([None, 1]))
+@example(("D8", [4], [5], 0), 1)  # <s> keeps no generators: <s>·<s r> is no subgroup
 @settings(max_examples=100, deadline=None)
 def test_closure_of_a_subgroup_and_a_seed_is_the_naive_closure(drawn, block):
     # at one-entry blocks every group is read from its law and every set
     # grown by the chain; at the default block a written table's small sets
-    # are gathered and its larger ones chained
-    name, first, more = drawn
+    # are grown by their products until none leaves them, and keep no
+    # generators, as a kept Omega level does not: both regrow theirs, on a
+    # written table by the chain too at one-entry blocks
+    name, first, more, level = drawn
+    gathered = closure(group_from_text(name), first)
+    assert gathered._gens == ()
     with patch.object(groups, "_BLOCK_ENTRIES", block or groups._BLOCK_ENTRIES):
         g = group_from_text(name)
         held = closure(g, first)
         grown = closure(held, more)
         regrown = closure(Subgroup(g, held.members), more)  # no generators kept
-    want = naive_closure(table_of(g), [*held.members, *more])
-    assert list(grown.members) == want == list(regrown.members)
+        from_gathered = closure(gathered, more)
+        kept = None
+        if g.order > 1 and groups.prime_power(g.order):
+            omega_filtration(g)
+            kept = omega_subgroup(g, level)
+            assert kept._gens == ()
+            from_kept = closure(kept, more)
+    table = table_of(g)
+    want = naive_closure(table, [*held.members, *more])
+    assert list(grown.members) == want == list(regrown.members) == list(from_gathered.members)
     assert grown.parent is g is regrown.parent
+    if kept is not None:
+        assert list(from_kept.members) == naive_closure(table, [*kept.members, *more])
 
 
 @given(p_group_names, st.sampled_from([None, 1]))
@@ -1004,8 +1048,8 @@ def test_each_filtration_level_is_the_unchained_closure_of_its_set(name, block):
     with patch.object(groups, "_BLOCK_ENTRIES", block or groups._BLOCK_ENTRIES):
         chained = omega_filtration(group_from_text(name))
         g = group_from_text(name)
-        want = [closure(g, omega_set(g, i)).members for i in range(chained.m + 1)]
-    assert [level.members for level in chained.levels] == want
+        want = [closure(g, omega_set(g, i)).members.tolist() for i in range(chained.m + 1)]
+    assert [level.members.tolist() for level in chained.levels] == want
 
 
 @pytest.mark.parametrize("name", ["C4096", "D4096", "Q4096", "M4096", "M2187", "H2197",
@@ -1014,7 +1058,7 @@ def test_each_filtration_level_at_the_limit_is_the_unchained_closure(name):
     chained = omega_filtration(group_from_text(name))
     g = group_from_text(name)
     for i, level in enumerate(chained.levels):
-        assert level.members == closure(g, omega_set(g, i)).members, i
+        assert np.array_equal(level.members, closure(g, omega_set(g, i)).members), i
     assert g._table is None
 
 
@@ -1221,7 +1265,7 @@ def test_gt1_export_holds_one_row_block(name, cap):
 def test_whole_group_subgroup_reads_no_products():
     g = group_from_text("C64*C64")
     sub, peak = _peak_bytes(lambda: Subgroup(g, tuple(range(4096))))
-    assert sub.members == tuple(range(4096))
+    assert sub.members.tolist() == list(range(4096))
     assert peak <= MB
 
 
@@ -1266,7 +1310,7 @@ def test_power_map_takes_the_exponent_mod_the_order(monkeypatch, name):
 def test_omega_set_takes_the_exponent_mod_the_order(monkeypatch, name):
     g = group_from_text(name)
     seen = _record_power_exponents(monkeypatch)
-    assert omega_set(g, 5000) == tuple(range(g.order))
+    assert omega_set(g, 5000).tolist() == list(range(g.order))
     assert seen and all(k < g.order for k in seen)
 
 
@@ -1278,7 +1322,8 @@ def test_omega_filtration_reads_one_pth_power_map(monkeypatch):
     assert omega_filtration(g).m == 11
     assert seen == [2]
     assert not g._pth_power.flags.writeable
-    assert omega_set(g, 3) == omega_set(group_from_text("M4096"), 3) and seen == [2, 2]
+    assert np.array_equal(omega_set(g, 3), omega_set(group_from_text("M4096"), 3))
+    assert seen == [2, 2]
 
 
 @given(group_names, st.integers(0, 2**70 + 5))
@@ -1295,10 +1340,10 @@ def test_quotient_decides_normality_once_per_subgroup(monkeypatch, name):
     calls = []
     decide = groups.is_normal
     monkeypatch.setattr(groups, "is_normal", lambda sub: (
-        calls.append(sub.members) or decide(sub)))
+        calls.append(tuple(sub.members.tolist())) or decide(sub)))
     g = group_from_text(name)
     table = table_of(g)
-    cyclic = sorted({closure(g, [x]).members for x in range(g.order)})
+    cyclic = sorted({tuple(closure(g, [x]).members.tolist()) for x in range(g.order)})
     normal = [members for members in cyclic if naive_is_normal(table, members)]
     assert len(normal) > 1
     for members in normal:
@@ -1317,7 +1362,7 @@ def test_coset_minima_do_not_depend_on_the_block_size(monkeypatch, block, name):
     g = group_from_text(name)
     table = table_of(g)
     monkeypatch.setattr(groups, "_BLOCK_ENTRIES", block)
-    for members in sorted({closure(g, [x]).members for x in range(g.order)}):
+    for members in sorted({tuple(closure(g, [x]).members.tolist()) for x in range(g.order)}):
         normal = naive_is_normal(table, members)
         assert is_normal(Subgroup(g, members)) == normal, members
         if normal:

@@ -146,3 +146,19 @@ def test_each_large_table_op_records_its_own_spans(monkeypatch):
 
 def test_a_large_table_cycle_read_from_factors_records_every_expected_span(monkeypatch):
     assert _silent_per_op(monkeypatch, block=1) == {}
+
+
+def test_no_library_path_proves_a_set_it_grew(monkeypatch):
+    # every subgroup the library grows (a closure, a kept Omega level) is
+    # closed by construction; only a caller's members, given without
+    # _gens, are proved closed, and the paper's work makes no such call
+    runs = []
+    check = psigroups.groups.Subgroup.__post_init__
+    monkeypatch.setattr(psigroups.groups.Subgroup, "__post_init__",
+                        lambda sub: runs.append(sub._gens is None) or check(sub))
+    for p, cap in ((2, 64), (3, 81), (5, 125)):
+        psigroups.verify_theorems(psigroups.build_catalog([p], cap))
+    expected = workloads.load_expected()["large-table"]
+    for argv in workloads.large_argvs():
+        assert workloads.run_cli(psigroups, argv)[1] == expected[" ".join(argv)], argv
+    assert runs and runs.count(True) == 0

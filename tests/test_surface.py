@@ -11,8 +11,10 @@ else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
 
-Four more guards on the surface: only ``groups.py`` passes ``orders`` to
-``group_from_table``, the argument that skips validation; ``expr.py`` takes
+Five more guards on the surface: only ``groups.py`` passes ``orders`` to
+``group_from_table``, the argument that skips validation; only
+``groups.closure`` and ``omega.omega_subgroup`` pass ``_gens`` to
+``Subgroup``, the argument that skips its closure proof; ``expr.py`` takes
 no private name from ``groups`` but the two limit checks, so each atom
 family's parameters, layout and orders stay in ``groups.py`` alone; no
 other module reads a group's ``table``, so every product read elsewhere goes
@@ -100,6 +102,25 @@ def test_only_the_groups_module_passes_orders_to_group_from_table():
                     callers[str(path.relative_to(ROOT))] += 1
     # the metacyclic constructors' wrapper, heisenberg_group and quotient
     assert dict(callers) == {"src/psigroups/groups.py": 3}
+
+
+def test_only_closure_and_omega_subgroup_pass_gens_to_subgroup():
+    # members given with their generators are not proved closed, so every
+    # other caller's set is; a ** splat could carry _gens too
+    callers = defaultdict(int)
+    for top in ("src", "scripts", "perfbench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and _called_name(node.func) == "Subgroup"
+                            and any(kw.arg in ("_gens", None) for kw in node.keywords)):
+                        callers[f"{path.relative_to(ROOT)} {func.name}"] += 1
+    # closure's gathered set, its whole group and its cover; a kept Omega level
+    assert dict(callers) == {"src/psigroups/groups.py closure": 3,
+                             "src/psigroups/omega.py omega_subgroup": 1}
 
 
 def test_expr_takes_no_family_decision_from_groups():
