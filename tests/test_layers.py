@@ -6,7 +6,8 @@ operation is held to its own.  This runs that rule on catalog-verify's work
 and on one large-table cycle at a small size, and holds each large-table
 and gt1-import operation to its own spans too, so a deleted or renamed
 public function, or a call routed around it by one operation while another
-still makes it, shows in tier-1.
+still makes it, shows in tier-1.  Over the same kind of work it also pins
+that no library path proves closed a set it grew itself.
 """
 
 import hashlib
