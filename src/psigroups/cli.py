@@ -30,13 +30,13 @@ from .cp2 import is_cp2_pairwise
 from .expr import group_from_text
 from .groups import FiniteGroup, GroupError, parse_group_table, serialize_group
 from .groups import order_spectrum
-from .omega import omega_filtration
+from .omega import omega_filtration, psi_brute
 from .psi import order_bijection, predict_order
 from .verify import format_reports, verify_theorems
 
 
 def _render_psi(group: FiniteGroup) -> str:
-    return f"psi({group.name}) = {int(group.element_orders.sum())}\n"
+    return f"psi({group.name}) = {psi_brute(group)}\n"
 
 
 def _render_omega(group: FiniteGroup) -> str:

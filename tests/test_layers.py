@@ -47,6 +47,14 @@ def test_every_catalog_verify_layer_records_a_call(catalog_verify_trace):
     assert sorted(set(tracer.THEOREMS) - set(spans.theorem_of.values())) == []
 
 
+def test_each_theorem_is_keyed_to_its_own_span(catalog_verify_trace):
+    # a module-level helper that returns every TheoremReport would be keyed
+    # to the last theorem it built and take the other theorems' time with it
+    spans, _ = catalog_verify_trace
+    assert len(spans.theorem_of) == len(tracer.THEOREMS) == 12
+    assert sorted(spans.theorem_of.values()) == sorted(tracer.THEOREMS)
+
+
 # Calls per traced span over catalogs 2/16 and 3/27.  A change that does more
 # or less work, or routes a call around a traced function, changes a count;
 # a refactor that does the same work call for call changes none.

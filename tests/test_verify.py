@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,9 +12,11 @@ import pytest
 
 from psigroups import Catalog, TheoremReport, build_catalog, groups, verify_theorems
 from psigroups.cli import cli_main
+from psigroups.cp2 import Cp2Report
 from psigroups.verify import format_reports
 
 SCRIPT = Path(__file__).parent.parent / "scripts" / "run_verification.py"
+GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = Path(__file__).parent.parent / "perfbench" / "expected.json"
 
 sys.path.insert(0, str(EXPECTED.parent))
@@ -135,6 +138,38 @@ def test_format_reports_lists_violations_and_notes():
         "  violation (A, B): bad\n"
         "  note (C, D): fyi\n"
         "T1.2                     checked=1 applicable=0 violations=0 [vacuous]\n")
+
+
+def _tampered_catalog() -> Catalog:
+    """Catalogs 2/32 and 3/81 with entries edited so that most properties
+    report a violation or a note: psi moved by 1 or by p (C2; C4 and C2*C2 to
+    one shared value; D8 and C2*C2*C2 likewise; M81), a CP2 entry given a
+    pairwise witness (C9), a level psi value (C9*C3) and a filtration (C4*C2
+    given D8's)."""
+    entries = {entry.name: entry for p, cap in ((2, 32), (3, 81))
+               for entry in build_catalog([p], cap).entries}
+
+    def edit(name, **changes):
+        entries[name] = dataclasses.replace(entries[name], **changes)
+
+    for name, step in (("C2", 1), ("C4", -2), ("C2*C2", 2), ("D8", -2), ("C2*C2*C2", 2),
+                       ("M81", 3)):
+        edit(name, psi=entries[name].psi + step)
+    edit("C4*C2", filtration=entries["D8"].filtration)
+    edit("C9", cp2=Cp2Report(witness=(1, 2, 9, 9, 3)))
+    level_psi = entries["C9*C3"].level_psi
+    edit("C9*C3", level_psi=(level_psi[0], level_psi[1] + 3, *level_psi[2:]))
+    return Catalog(entries=tuple(entries.values()))
+
+
+def test_tampered_catalog_reports_are_pinned():
+    """Violation and note lines byte for byte, which no catalog golden holds."""
+    reports = verify_theorems(_tampered_catalog())
+    assert format_reports(reports) == (GOLDEN / "verify_tampered.txt").read_text()
+    flagged = {r.theorem for r in reports if r.violations or r.notes}
+    assert flagged >= {"cp2-agreement", "omega-quotient-sizes", "psi-oracle-equivalence",
+                       "psi-mod-p", "T1.1", "T1.2", "T1.4", "exp-gap-bound",
+                       "abelian-psi-injective"}
 
 
 @pytest.mark.parametrize("spec,fragment", [
