@@ -28,12 +28,12 @@ omega, cp2 and compare write no table of more than one block (n >= 1025).
 raw table directly: Light's test, which runs before a group exists, and
 ``serialize_group``, which writes the GT1 export from ``group.table``.
 
-An atom takes its orders from a closed form in its constructor's index
-layout: ``_metacyclic_orders`` of the same (m, s, t, r) as its law for C,
-D, Q and M, and p at every element but the identity for H.  Only a quotient
-and a table passed in from outside have orders computed, by
-``_compute_orders``, which the tests also run on each constructor's table
-as the closed forms' second route: by Lagrange, o(x) is the least divisor d
+An atom takes its orders from its own law, ``orders()``, a closed form in
+the law's index layout: ``_Metacyclic.orders`` from King's product formula
+for C, D, Q and M, and ``_Heisenberg.orders``, p at every element but the
+identity, for H.  Only a quotient and a table passed in from outside have
+orders computed, by ``_compute_orders``, which the tests also run on each
+law's table as the closed forms' second route: by Lagrange, o(x) is the least divisor d
 of n with x^d = 1, which ``power_map``'s repeated-squaring kernel
 ``_power`` decides, one call per divisor at most, reading no product at
 d's lowest set bit, where the result is that square itself.  The rest are
@@ -51,17 +51,20 @@ the group would only be freed by the cycle collector: the filtration holds
 sizes and member arrays, the power map is a read-only index array, and a
 quotient is a group of its own, not a ``Subgroup``.
 
-Tables are validated once, exactly, where they enter from outside: a table
-passed to ``group_from_table`` by a caller, and every GT1 import, is checked
-for shape, entry range, identity placement, associativity (Light's test,
-exact at every size) and element orders.  Laws and tables this module
-builds itself are trusted and not re-checked: the C/D/Q/H/M constructors
-and ``direct_product`` give group laws by construction, ``Subgroup.as_group``
-restricts a group to a closed set, and ``quotient`` multiplies cosets of a
-subgroup ``is_normal`` has accepted.  Element sets are held one way, as
-read-only ``np.intp`` arrays of ascending indices, and proved closed in one
-place: a ``Subgroup`` built from a caller's members.  Every subgroup this
-package grows is closed by construction and not proved again.
+Tables are validated once, exactly, where they enter from outside: every
+array or nested list passed to ``group_from_table``, each GT1 import's
+included, is checked for shape, entry range, identity placement,
+associativity (Light's test, exact at every size) and element orders.
+Laws and tables this module builds itself are trusted and not re-checked:
+the C/D/Q/H/M constructors give group laws by construction, which
+``group_from_table`` wraps with their own orders (no other module builds
+such a law), and ``direct_product``, ``Subgroup.as_group`` (a group
+restricted to a closed set) and ``quotient`` (the cosets of a subgroup
+``is_normal`` has accepted) wrap theirs by ``_frozen_group``.  Element
+sets are held one way, as read-only ``np.intp`` arrays of ascending indices,
+and proved closed in one place: a ``Subgroup`` built from a caller's
+members.  Every subgroup this package grows is closed by construction and
+not proved again.
 
 Every n x n kernel works in int32 and holds at most its table plus one row
 block of about ``_BLOCK_ENTRIES`` entries.  Writers run on the first read of
@@ -553,22 +556,26 @@ def _in_domain(table) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int32)
 
 
-def group_from_table(name: str, table, *, orders: np.ndarray | None = None) -> FiniteGroup:
+def group_from_table(name: str, table) -> FiniteGroup:
     """Validate a raw multiplication table and wrap it as a FiniteGroup.
 
-    Every check runs (shape, dtype, range, identity at index 0, exact
-    associativity, orders dividing n) unless ``orders`` is given: only this
-    module's constructors and ``quotient`` give them, with an int32 table
-    that is a group by construction, and the table is wrapped as it is.  An
-    atom gives its law in the table's place instead, whose table is written
-    on its first read (see ``FiniteGroup``).  The last three checks decide
-    group-ness, identity first as Light's test grows its cover from index 0:
-    when they pass, each x has x^(o(x)-1) as an inverse.
-    A group is latin, so a non-latin table fails one of them, and the latin
+    Every check runs on any array or nested list: shape, dtype, range,
+    identity at index 0, exact associativity and orders dividing n.  The last
+    three decide group-ness, identity first as Light's test grows its cover
+    from index 0: when they pass, each x has x^(o(x)-1) as an inverse.  A
+    group is latin, so a non-latin table fails one of them, and the latin
     check then names its first bad line.
+
+    The one input wrapped unchecked is an atom's law, a ``_Metacyclic`` or a
+    ``_Heisenberg``, which no module but this one builds: it is a group law
+    by construction, wrapped with its own ``orders()``, and its table is
+    written on its first read (see ``FiniteGroup``).  An atom passes through
+    here only because perfbench's ``build_spans`` expects this function's
+    span on every build; once it expects the atom's constructor alone, that
+    branch becomes a direct ``_frozen_group`` call.
     """
-    if orders is not None:
-        return _frozen_group(name, table, orders)
+    if isinstance(table, (_Metacyclic, _Heisenberg)):
+        return _frozen_group(name, table, table.orders())
     arr = _in_domain(table)
     try:
         _check_identity(arr)
@@ -645,6 +652,24 @@ class _Metacyclic:
     def write(self) -> np.ndarray:
         return _metacyclic_table(self.m, self.s, self.t, self.r, transposed=self.transposed)
 
+    def orders(self) -> np.ndarray:
+        """Element orders in closed form, with no table.
+
+        b^e has order q = s / gcd(e, s) modulo <a>, and multiplying out by
+        the product formula, (a^i b^e)^q = a^(i (1 + r^-e + ... + r^-(q-1)e)
+        + t e q / s), so o(a^i b^e) = q m / gcd(that exponent, m).
+        Transposed, b^e a^i is a^(i r^-e) b^e, so that sum runs from r^-e to
+        r^-qe."""
+        m, s, t, r = self.m, self.s, self.t, self.r
+        i = np.arange(m, dtype=np.int64)
+        orders = np.empty(m * s, dtype=np.int64)
+        for e in range(s):
+            q = s // math.gcd(e, s)
+            twist = sum(pow(r, -j * e, m) for j in range(self.transposed, q + self.transposed))
+            power = (i * (twist % m) + t * (e * q // s)) % m
+            orders[e * m:(e + 1) * m] = q * (m // np.gcd(power, m))
+        return orders
+
     def __getitem__(self, key) -> np.ndarray:
         x, y = (np.asarray(k) for k in key)
         if x.ndim == 2 and x.shape[1] == 1 and y.ndim == 1 and not _gathers(x.size * y.size):
@@ -718,6 +743,11 @@ class _Heisenberg:
 
     def write(self) -> np.ndarray:
         return _heisenberg_table(self.p)
+
+    def orders(self) -> np.ndarray:
+        """1 at the identity and p everywhere else: (a, b, c)^p =
+        (pa, pb, pc + p(p - 1)/2 ab) = 1, as p is odd."""
+        return np.where(np.arange(self.p ** 3) > 0, self.p, 1)
 
     def __getitem__(self, key) -> np.ndarray:
         p = self.p
@@ -802,33 +832,13 @@ def _metacyclic_table(m: int, s: int, t: int, r: int, *, transposed: bool = Fals
     return table
 
 
-def _metacyclic_orders(m: int, s: int, t: int, r: int, *,
-                       transposed: bool = False) -> np.ndarray:
-    """Element orders of ``_metacyclic_table(m, s, t, r, transposed=...)`` in
-    closed form, with no table.
-
-    b^e has order q = s / gcd(e, s) modulo <a>, and multiplying out,
-    (a^i b^e)^q = a^(i (1 + r^-e + ... + r^-(q-1)e) + t e q / s), so
-    o(a^i b^e) = q m / gcd(that exponent, m).  Transposed, b^e a^i is
-    a^(i r^-e) b^e."""
-    i = np.arange(m, dtype=np.int64)
-    orders = np.empty(m * s, dtype=np.int64)
-    for e in range(s):
-        q = s // math.gcd(e, s)
-        twist = sum(pow(r, -j * e, m) for j in range(q)) * (pow(r, -e, m) if transposed else 1)
-        power = (i * (twist % m) + t * (e * q // s)) % m
-        orders[e * m:(e + 1) * m] = q * (m // np.gcd(power, m))
-    return orders
-
-
 def _metacyclic_group(name: str, m: int, s: int, t: int, r: int, *,
                       transposed: bool = False) -> FiniteGroup:
     """The group of the law ``_Metacyclic(m, s, t, r, transposed)``, its
-    order m*s checked first, with ``_metacyclic_orders`` of the same
-    parameters and layout and its table written on first read."""
+    order m*s checked first, with the law's closed-form orders and its table
+    written on first read."""
     _check_order_limit(m * s)
-    return group_from_table(name, _Metacyclic(m, s, t, r, transposed),
-                            orders=_metacyclic_orders(m, s, t, r, transposed=transposed))
+    return group_from_table(name, _Metacyclic(m, s, t, r, transposed))
 
 
 def cyclic_group(k: int) -> FiniteGroup:
@@ -859,13 +869,11 @@ def heisenberg_group(k: int) -> FiniteGroup:
     """Extraspecial group of order k = p^3 and exponent p, for odd prime p:
     the law ``_Heisenberg(p)``, its table written on first read by
     ``_heisenberg_table(p)``.  Its orders are 1 at the identity and p
-    everywhere else."""
+    everywhere else (``_Heisenberg.orders``)."""
     p, j = prime_power(k) or (0, 0)
     _require(j == 3 and p > 2, f"H{k}: order must be p^3 for an odd prime p")
     _check_order_limit(k)
-    orders = np.full(k, p, dtype=np.int64)
-    orders[0] = 1
-    return group_from_table(f"H{k}", _Heisenberg(p), orders=orders)
+    return group_from_table(f"H{k}", _Heisenberg(p))
 
 
 def _heisenberg_table(p: int) -> np.ndarray:
@@ -1071,7 +1079,7 @@ def quotient(normal: Subgroup) -> FiniteGroup:
     qtable = np.empty((reps.size, reps.size), dtype=np.int32)
     for rows in _row_blocks(reps.size, reps.size):
         qtable[rows] = coset_of[products[reps[rows, None], reps]]
-    kept = group_from_table(f"{group.name}/{len(normal)}", qtable, orders=_compute_orders(qtable))
+    kept = _frozen_group(f"{group.name}/{len(normal)}", qtable, _compute_orders(qtable))
     group._quotients[key] = kept
     return kept
 

@@ -9,7 +9,10 @@ did not is a violation.  ``TheoremReport._of`` folds one property's outcomes
 into its report.  A report is ``verified`` when its hypotheses applied
 somewhere and no violation was found, ``vacuous`` when the hypotheses never
 applied, and ``violated`` otherwise.  Violations are data, not exceptions:
-the battery always runs to completion.
+the battery always runs to completion.  A psi formula decides its own
+hypothesis: one that refuses the group (``OmegaChainError``,
+``NotCp2Error``) does not apply to it, whatever the entry's CP2 verdict
+says, so a false verdict is reported, not raised.
 
 The fold is a classmethod rather than a module-level function because
 ``perfbench/tracer.py`` wraps every plain function of this module and keys
@@ -28,7 +31,7 @@ import numpy as np
 
 from .catalog import Catalog, CatalogEntry
 from .cp2 import _first_pair, cp2_from_filtration, is_cp2_pairwise
-from .groups import OmegaChainError, _mul, quotient
+from .groups import NotCp2Error, OmegaChainError, _mul, quotient
 from .omega import omega_filtration, omega_subgroup
 from .psi import (
     OrderDecision,
@@ -162,13 +165,12 @@ def _check_omega_quotient_sizes(cat: Catalog) -> TheoremReport:
 def _check_psi_oracles(cat: Catalog) -> TheoremReport:
     def check(entry):
         results: dict[str, int] = {}
-        try:
-            results["top"] = psi_top_recursion(entry.group)
-        except OmegaChainError:
-            pass
-        if entry.cp2.is_cp2:
-            results["bottom"] = psi_bottom_recursion(entry.group)
-            results["filtration"] = psi_filtration(entry.group)
+        for key, formula in (("top", psi_top_recursion), ("bottom", psi_bottom_recursion),
+                             ("filtration", psi_filtration)):
+            try:
+                results[key] = formula(entry.group)
+            except (OmegaChainError, NotCp2Error):  # the formula's own hypothesis failed
+                pass
         if not results:
             return entry.name, None, ""
         mismatches = {k: v for k, v in results.items() if v != entry.psi}

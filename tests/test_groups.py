@@ -818,6 +818,17 @@ def test_group_from_table_refuses_a_table_outside_its_domain(table, message):
     assert type(err.value) is TableFormatError and str(err.value) == message
 
 
+@pytest.mark.parametrize("table", [np.zeros((4, 4), dtype=np.int32), [[0] * 4] * 4],
+                         ids=["array", "list"])
+def test_group_from_table_checks_every_table_it_is_given(table):
+    # no argument lets a table skip the checks, such as its orders given with it
+    with pytest.raises(TypeError):
+        group_from_table("bogus", table, orders=np.ones(4, dtype=np.int64))
+    with pytest.raises(TableFormatError) as err:
+        group_from_table("bogus", table)
+    assert str(err.value) == "not a latin square: row 0 is not a permutation"
+
+
 @pytest.mark.parametrize("members,error,message", [
     ((), GroupError, "subgroup must contain the identity"),
     ((1, 2), GroupError, "subgroup must contain index 0 as its first member"),

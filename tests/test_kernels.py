@@ -423,9 +423,8 @@ def test_metacyclic_kernel_is_the_presented_group(params):
 def test_metacyclic_closed_form_orders_are_the_computed_orders(params):
     m, s, t, r = params
     for transposed in (False, True) if r * r % m == 1 % m else (False,):
-        table = groups._metacyclic_table(m, s, t, r, transposed=transposed)
-        orders = groups._metacyclic_orders(m, s, t, r, transposed=transposed)
-        assert orders.tobytes() == groups._compute_orders(table).tobytes()
+        law = groups._Metacyclic(m, s, t, r, transposed)
+        assert law.orders().tobytes() == groups._compute_orders(law.write()).tobytes()
 
 
 # --- every row-block size gives the same answer ---------------------------------

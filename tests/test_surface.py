@@ -11,16 +11,19 @@ else with the same name masks a dead definition.  Methods and properties are
 held to more: each must be read as an attribute (``.name``) somewhere in those
 trees, so a local variable or a function of the same name does not count.
 
-Five more guards on the surface: only ``groups.py`` passes ``orders`` to
-``group_from_table``, the argument that skips validation; only
-``groups.closure`` and ``omega.omega_subgroup`` pass ``_gens`` to
-``Subgroup``, the argument that skips its closure proof; ``expr.py`` takes
-no private name from ``groups`` but the two limit checks, so each atom
-family's parameters, layout and orders stay in ``groups.py`` alone; no
-other module reads a group's ``table``, so every product read elsewhere goes
-through ``groups._mul`` and its choice of the table or the law; and no other
-module names a direct product's law, so ``omega`` and ``cp2`` reach its two
-sides through ``groups._sides`` alone.
+Four more guards on the surface: only ``groups.closure`` and
+``omega.omega_subgroup`` pass ``_gens`` to ``Subgroup``, the argument that
+skips its closure proof; ``expr.py`` takes no private name from ``groups``
+but the two limit checks, so each atom family's parameters, layout and
+orders stay in ``groups.py`` alone; no other module reads a group's
+``table``, so every product read elsewhere goes through ``groups._mul`` and
+its choice of the table or the law; and no module under ``src/``,
+``scripts/`` or ``perfbench/`` but ``groups.py`` names a law
+(``_Metacyclic``, ``_Heisenberg`` or ``_Product``).  So the one input
+``group_from_table`` wraps unchecked, an atom's law, comes from ``groups``
+alone, and ``omega`` and ``cp2`` reach a product's two sides through
+``groups._sides`` alone.  ``group_from_table`` has no argument that skips
+its checks (``tests/test_groups.py``).
 """
 
 import ast
@@ -88,22 +91,6 @@ def _called_name(func) -> str | None:
     return None
 
 
-def test_only_the_groups_module_passes_orders_to_group_from_table():
-    # a table wrapped with its orders given skips every check, so every other
-    # caller, the CLI and the GT1 import included, goes through validation;
-    # a ** splat could carry orders too
-    callers = defaultdict(int)
-    for top in ("src", "scripts", "perfbench", "tests"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Call)
-                        and _called_name(node.func) == "group_from_table"
-                        and any(kw.arg in ("orders", None) for kw in node.keywords)):
-                    callers[str(path.relative_to(ROOT))] += 1
-    # the metacyclic constructors' wrapper, heisenberg_group and quotient
-    assert dict(callers) == {"src/psigroups/groups.py": 3}
-
-
 def test_only_closure_and_omega_subgroup_pass_gens_to_subgroup():
     # members given with their generators are not proved closed, so every
     # other caller's set is; a ** splat could carry _gens too
@@ -152,9 +139,13 @@ def _names(tree):
 
 def test_the_product_route_lives_in_the_groups_module():
     # a product's two sides are decided once, in groups._sides: no other
-    # module names the law, and omega and cp2 reach the sides only through it
-    naming = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "groups.py"
-                    and "_Product" in set(_names(ast.parse(path.read_text()))))
+    # module names the law, and omega and cp2 reach the sides only through it;
+    # nor does any name an atom's law, which group_from_table wraps unchecked
+    laws = {"_Metacyclic", "_Heisenberg", "_Product"}
+    naming = sorted(f"{path.relative_to(ROOT)} {name}"
+                    for top in ("src", "scripts", "perfbench")
+                    for path in (ROOT / top).rglob("*.py") if path != PACKAGE / "groups.py"
+                    for name in laws & set(_names(ast.parse(path.read_text()))))
     assert naming == []
     for module in ("omega.py", "cp2.py"):
         tree = ast.parse((PACKAGE / module).read_text())

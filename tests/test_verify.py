@@ -162,6 +162,20 @@ def _tampered_catalog() -> Catalog:
     return Catalog(entries=tuple(entries.values()))
 
 
+def test_a_false_cp2_claim_is_reported_not_raised():
+    # Q16 is not CP2, and its entry claims it is: each psi formula decides its
+    # own hypothesis, so the battery runs on, and the properties gated on the
+    # claim report the group
+    entries = tuple(dataclasses.replace(entry, cp2=Cp2Report()) if entry.name == "Q16" else entry
+                    for entry in build_catalog([2], 16).entries)
+    reports = verify_theorems(Catalog(entries=entries))
+    assert {r.theorem: r.violations for r in reports if r.violations} == {
+        "cp2-agreement": (("Q16", "pairwise says True, omega criterion says False"),),
+        "max-order-law": (("Q16", "o(x)=8, o(y)=4, o(xy)=4 at (1,8)"),),
+        "cp2-quotient-closure": (("Q16", "quotient by Omega_1 not CP2, witness (4, 5, 2, 2, 4)"),),
+    }
+
+
 def test_tampered_catalog_reports_are_pinned():
     """Violation and note lines byte for byte, which no catalog golden holds."""
     reports = verify_theorems(_tampered_catalog())
