@@ -108,7 +108,9 @@ def catalog_names(primes: Iterable[int], max_order: int) -> list[str]:
 
 
 def make_entry(group: FiniteGroup) -> CatalogEntry:
-    """Compute and cache every derived quantity for one group."""
+    """Compute and cache every derived quantity for one group.  Commutativity
+    is read first, from the law, before the filtration writes the table."""
+    is_abelian = group.is_abelian
     filtration = omega_filtration(group)
     level_psi = tuple(psi_subset(group, level.members) for level in filtration.levels)
     return CatalogEntry(
@@ -117,7 +119,7 @@ def make_entry(group: FiniteGroup) -> CatalogEntry:
         cp2=is_cp2_pairwise(group),
         psi=psi_brute(group),
         level_psi=level_psi,
-        is_abelian=group.is_abelian,
+        is_abelian=is_abelian,
     )
 
 

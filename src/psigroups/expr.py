@@ -12,10 +12,12 @@ its part is missing, and the first missing or wrong part is the error.
 
 An expression is its tuple of factors, left to right: the direct product is
 associative, so the parse keeps no nesting, and ``build_group`` builds each
-atom and wraps a product as one group by a single ``direct_product`` call over
-every factor.  Building writes no table: each group writes its own when the
-table is first read, so what reads only the element orders (psi, the
-spectrum) never writes one.
+distinct atom once and wraps a product as one group by a single
+``direct_product`` call over every factor, a repeated term passing the one
+group it built: ``C2*C2`` is one C2 on both sides, so what that group keeps
+(its table, filtration and power map) is computed once.  Building writes no
+table: each group writes its own when the table is first read, so what reads
+only the element orders (psi, the spectrum) never writes one.
 
 ``C8`` is the cyclic group of order 8, ``D16`` the dihedral group of order
 16, ``Q16`` the generalized quaternion group of order 16, ``H27`` the
@@ -108,12 +110,13 @@ def expr_order(expr: GroupExpr) -> int:
 def build_group(expr: GroupExpr) -> FiniteGroup:
     """Evaluate an expression to a validated FiniteGroup named by the normalized
     expression.  The whole group's order is checked against the table size
-    limit and physical memory before any factor is built; a product is then
-    wrapped by one ``direct_product`` call over every factor.  No table is
-    written until it is first read."""
+    limit and physical memory before any factor is built; each distinct atom
+    is then built once, in order of first occurrence, and a product wrapped by
+    one ``direct_product`` call over every factor, each repeat of a term
+    passing the same group.  No table is written until it is first read."""
     _check_order_limit(expr_order(expr))
-    factors = [_BUILDERS[atom.kind](atom.param) for atom in expr]
-    return direct_product(*factors) if len(factors) > 1 else factors[0]
+    built = {atom: _BUILDERS[atom.kind](atom.param) for atom in dict.fromkeys(expr)}
+    return direct_product(*(built[atom] for atom in expr)) if len(expr) > 1 else built[expr[0]]
 
 
 def group_from_text(text: str) -> FiniteGroup:

@@ -15,7 +15,9 @@ ch. 8).  A product is bracketed into its two sides once, when built
 once, on its first read, and replaces the law; the group is immutable after
 that.  A quotient, a subgroup's group and a table passed in from outside
 hold their table from construction and no law.  Element orders are known
-from construction, and a constructed group is safe to share.
+from construction, and a constructed group is safe to share: the identical
+factors of an expression are one object (``expr.build_group``), so its
+table and what it keeps (below) are computed once for all of them.
 
 Every product read goes through ``_mul``, or ``_products`` for a reader of
 many blocks, and one size rule there decides the route: a group whose table

@@ -72,7 +72,7 @@ from oracle import (
     whole_modular_table,
     whole_quaternion_table,
 )
-from strategies import ATOMS, group_names, p_group_names, same_order_p_group_pairs
+from strategies import ATOMS, P_ATOMS, group_names, p_group_names, same_order_p_group_pairs
 
 MB = 2**20
 
@@ -164,15 +164,69 @@ def _count_calls(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("text", [
     "M27", "C2*C3", "D16*Q16*C16", "H27*C1*M27*C3", "*".join(["C2"] * 12)])
 def test_a_product_expression_wraps_one_group(monkeypatch, text):
-    # k atoms and one product: no intermediate group is built, and the
-    # product is wrapped with its folded orders, not by group_from_table
+    # one atom per distinct term, k of them, and one product: no
+    # intermediate group is built, a repeated term is not built again, and
+    # the product is wrapped with its folded orders, not by group_from_table
     counts = {"group_from_table": 0, "direct_product": 0}
     _count_calls(monkeypatch, groups, "group_from_table", counts)
     _count_calls(monkeypatch, expr, "direct_product", counts)
-    k = len(parse_group_expr(text))
+    factors = parse_group_expr(text)
+    k = len(set(factors))
     assert group_from_text(text).name == text
-    products = 1 if k > 1 else 0
+    products = 1 if len(factors) > 1 else 0
     assert counts == {"group_from_table": k, "direct_product": products}
+
+
+def test_a_repeated_term_is_one_group():
+    g = group_from_text("C2*C2")
+    assert g._law.left is g._law.right
+
+
+def test_c2_to_the_twelfth_checks_its_order_three_times(monkeypatch):
+    # the expression's whole order, the one C2 atom and direct_product's
+    # whole order: not once more per repeated factor
+    counts = {"_check_order_limit": 0}
+    _count_calls(monkeypatch, groups, "_check_order_limit", counts)
+    monkeypatch.setattr(expr, "_check_order_limit", groups._check_order_limit)
+    assert group_from_text("*".join(["C2"] * 12)).order == 4096
+    assert counts == {"_check_order_limit": 3}
+
+
+@st.composite
+def repeated_term_names(draw, max_order=256):
+    """Atom names of one prime, of product order <= max_order, in which one
+    atom appears 2 to 4 times, interleaved with up to two others."""
+    atoms = P_ATOMS[draw(st.sampled_from(sorted(P_ATOMS)))]
+    repeated = draw(st.sampled_from([a for a in atoms if atoms[a] ** 2 <= max_order]))
+    most = max(c for c in range(2, 5) if atoms[repeated] ** c <= max_order)
+    names = [repeated] * draw(st.integers(2, most))
+    order = atoms[repeated] ** len(names)
+    for _ in range(draw(st.integers(0, 2))):
+        others = [a for a in atoms if order * atoms[a] <= max_order]
+        if not others:
+            break
+        name = draw(st.sampled_from(others))
+        names.insert(draw(st.integers(0, len(names))), name)
+        order *= atoms[name]
+    return names
+
+
+def _shared_view(g):
+    """What a reader sees of the p-group g: its name and orders, its
+    filtration, its CP2 report, its quotient by Omega_1 and, read last so the
+    others may read from its law, its table."""
+    return (g.name, g.element_orders.tolist(), _levels(g), is_cp2_pairwise(g),
+            quotient(omega_subgroup(g, 1)).table.tobytes(), g.table.tobytes())
+
+
+@given(repeated_term_names(), st.sampled_from([1 << 20, 1]))
+@settings(max_examples=60, deadline=None)
+def test_a_shared_term_reads_as_separately_built_factors(names, block):
+    # at one-entry blocks every product is read from its law and its sides
+    with patch.object(groups, "_BLOCK_ENTRIES", block):
+        shared = group_from_text("*".join(names))
+        separate = direct_product(*[group_from_text(name) for name in names])
+        assert _shared_view(shared) == _shared_view(separate)
 
 
 def _assert_orders_by_lagrange(g):
